@@ -8,7 +8,7 @@
 //! allocation that happens while a scope is current on the calling thread
 //! is charged to that scope's row in a fixed-size atomic table. The
 //! library itself never installs the allocator — only specific test
-//! binaries and the load generator do — so ordinary builds pay nothing.
+//! binaries do — so ordinary builds pay nothing.
 //!
 //! # Interposition rules
 //!
@@ -58,11 +58,6 @@ static ALLOC_BYTES: [AtomicU64; MAX_ALLOC_SCOPES] = [const { AtomicU64::new(0) }
 static DEALLOCS: [AtomicU64; MAX_ALLOC_SCOPES] = [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
 static DEALLOC_BYTES: [AtomicU64; MAX_ALLOC_SCOPES] =
     [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
-
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DEALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // Per-second ring for allocation rates, same rotation protocol as
 // `window::WindowedCounter` but over statics so the allocator path never
@@ -189,8 +184,6 @@ fn on_alloc(size: usize) {
     let id = id.min(MAX_ALLOC_SCOPES - 1);
     ALLOCS[id].fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES[id].fetch_add(size as u64, Ordering::Relaxed);
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
     win_add(size as u64);
 }
@@ -204,8 +197,6 @@ fn on_dealloc(size: usize) {
     let id = id.min(MAX_ALLOC_SCOPES - 1);
     DEALLOCS[id].fetch_add(1, Ordering::Relaxed);
     DEALLOC_BYTES[id].fetch_add(size as u64, Ordering::Relaxed);
-    TOTAL_DEALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_DEALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
 }
 
 #[inline]
@@ -314,14 +305,17 @@ pub fn all_alloc_scopes() -> Vec<(String, ScopeAllocStats)> {
     out
 }
 
-/// Process-wide allocation totals (all scopes plus unscoped).
+/// Process-wide allocation totals (all scopes plus unscoped): every
+/// allocation is charged to exactly one slot, so the slots sum to it.
 pub fn alloc_totals() -> ScopeAllocStats {
-    ScopeAllocStats {
-        allocs: TOTAL_ALLOCS.load(Ordering::Relaxed),
-        bytes: TOTAL_ALLOC_BYTES.load(Ordering::Relaxed),
-        deallocs: TOTAL_DEALLOCS.load(Ordering::Relaxed),
-        dealloc_bytes: TOTAL_DEALLOC_BYTES.load(Ordering::Relaxed),
-    }
+    (0..MAX_ALLOC_SCOPES)
+        .map(slot_stats)
+        .fold(ScopeAllocStats::default(), |a, s| ScopeAllocStats {
+            allocs: a.allocs + s.allocs,
+            bytes: a.bytes + s.bytes,
+            deallocs: a.deallocs + s.deallocs,
+            dealloc_bytes: a.dealloc_bytes + s.dealloc_bytes,
+        })
 }
 
 /// `(allocations, bytes)` recorded in the last `window` seconds.
@@ -349,10 +343,6 @@ pub fn reset_alloc_stats() {
         DEALLOCS[i].store(0, Ordering::Relaxed);
         DEALLOC_BYTES[i].store(0, Ordering::Relaxed);
     }
-    TOTAL_ALLOCS.store(0, Ordering::Relaxed);
-    TOTAL_ALLOC_BYTES.store(0, Ordering::Relaxed);
-    TOTAL_DEALLOCS.store(0, Ordering::Relaxed);
-    TOTAL_DEALLOC_BYTES.store(0, Ordering::Relaxed);
     for at in 0..WINDOW_SLOTS {
         WIN_SECOND[at].store(EMPTY, Ordering::Release);
         WIN_ALLOCS[at].store(0, Ordering::Release);

@@ -10,15 +10,13 @@
 //! window of samples is back at or above it, with an SLO-style burn
 //! counter ticking for every below-floor sample while degraded.
 //!
-//! Everything is process-global (like the span/counter registry) so the
-//! serve worker writes and the exposition layer reads without threading
-//! handles through APIs; [`crate::reset`] clears it all.
+//! The module keeps no store of its own: every count, ring and histogram
+//! is a registry series under `audit:` (see [`crate::registry`]), so
+//! [`crate::reset`] clears it with everything else and the exposition layer
+//! reads it back through [`audit_snapshot`].
 
-use crate::histogram::LogHistogram;
-use crate::window::{WindowedCounter, WindowedHistogram};
+use crate::registry::{counter, counter_value, find_series, gauge, rate_counter, Kind};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Window (seconds) the degradation alerter evaluates recall over.
 pub const ALERT_WINDOW_SECS: u64 = 60;
@@ -28,66 +26,37 @@ pub const ALERT_WINDOW_SECS: u64 = 60;
 /// not page anyone, and a lone lucky one must not clear a real alert.
 pub const MIN_ALERT_SAMPLES: u64 = 5;
 
-struct AuditCell {
-    /// Answers handed to the audit queue.
-    sampled: AtomicU64,
-    /// Samples dropped because the audit queue was full.
-    shed: AtomicU64,
-    /// Samples skipped because the user's history version moved on before
-    /// the oracle ran (the comparison would be against different state).
-    stale: AtomicU64,
-    /// Samples fully re-ranked and compared.
-    audited: AtomicU64,
-    /// Audited samples whose served answer differed from the oracle's.
-    mismatched: AtomicU64,
-    /// Cumulative recall numerator: served items found in the oracle top-k.
-    hit_items: AtomicU64,
-    /// Cumulative agreement numerator: positions with the identical item.
-    agree_items: AtomicU64,
-    /// Cumulative denominator: sum of k over audited samples.
-    total_items: AtomicU64,
-    w_audited: WindowedCounter,
-    w_mismatched: WindowedCounter,
-    w_hit_items: WindowedCounter,
-    w_agree_items: WindowedCounter,
-    w_total_items: WindowedCounter,
-    /// Worst absolute rank displacement per audited sample, in positions.
-    displacement: LogHistogram,
-    w_displacement: WindowedHistogram,
-    /// Recall floor as f64 bits; NaN = alerting disabled.
-    floor_bits: AtomicU64,
-    degraded: AtomicBool,
-    /// Times the latch tripped (0 → 1 transitions).
-    degraded_events: AtomicU64,
-    /// Below-floor audited samples observed while evaluating the alert.
-    burn: AtomicU64,
-    w_burn: WindowedCounter,
-}
+/// Answers handed to the audit queue (counter).
+const SAMPLED: &str = "audit:sampled";
+/// Samples dropped because the audit queue was full (counter).
+const SHED: &str = "audit:shed";
+/// Samples skipped because the user's history version moved on before the
+/// oracle ran, so the comparison would be against different state
+/// (counter).
+const STALE: &str = "audit:stale";
+/// Samples fully re-ranked and compared (rate counter).
+const AUDITED: &str = "audit:audited";
+/// Audited samples whose served answer differed from the oracle's (rate).
+const MISMATCHED: &str = "audit:mismatched";
+/// Recall numerator: served items found in the oracle top-k (rate).
+const HIT_ITEMS: &str = "audit:hit_items";
+/// Agreement numerator: positions holding the identical item (rate).
+const AGREE_ITEMS: &str = "audit:agree_items";
+/// Recall/agreement denominator: sum of k over audited samples (rate).
+const TOTAL_ITEMS: &str = "audit:total_items";
+/// Worst absolute rank displacement per audited sample (value histogram).
+const DISPLACEMENT: &str = "audit:displacement";
+/// Recall floor; NaN or absent = alerting disabled (gauge).
+const FLOOR: &str = "audit:floor";
+/// The latch: 1.0 while degraded (gauge).
+const DEGRADED: &str = "audit:degraded";
+/// Times the latch tripped, 0 → 1 transitions (counter).
+const DEGRADED_EVENTS: &str = "audit:degraded_events";
+/// Below-floor audited samples observed while evaluating the alert (rate).
+const BURN: &str = "audit:burn";
 
-fn cell() -> &'static AuditCell {
-    static CELL: OnceLock<AuditCell> = OnceLock::new();
-    CELL.get_or_init(|| AuditCell {
-        sampled: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        stale: AtomicU64::new(0),
-        audited: AtomicU64::new(0),
-        mismatched: AtomicU64::new(0),
-        hit_items: AtomicU64::new(0),
-        agree_items: AtomicU64::new(0),
-        total_items: AtomicU64::new(0),
-        w_audited: WindowedCounter::new(),
-        w_mismatched: WindowedCounter::new(),
-        w_hit_items: WindowedCounter::new(),
-        w_agree_items: WindowedCounter::new(),
-        w_total_items: WindowedCounter::new(),
-        displacement: LogHistogram::new(),
-        w_displacement: WindowedHistogram::default(),
-        floor_bits: AtomicU64::new(f64::NAN.to_bits()),
-        degraded: AtomicBool::new(false),
-        degraded_events: AtomicU64::new(0),
-        burn: AtomicU64::new(0),
-        w_burn: WindowedCounter::new(),
-    })
+fn in_window(name: &str, window: u64) -> u64 {
+    find_series(name, Kind::Rate).map_or(0, |s| s.window_sum(window))
 }
 
 /// One served answer compared against the shadow oracle's re-rank.
@@ -116,98 +85,77 @@ impl AuditObservation {
 
 /// Counts one answer handed to the audit queue.
 pub fn note_audit_sampled() {
-    if crate::enabled() {
-        cell().sampled.fetch_add(1, Ordering::Relaxed);
-    }
+    counter(SAMPLED).incr();
 }
 
 /// Counts one sample dropped because the audit queue was full.
 pub fn note_audit_shed() {
-    if crate::enabled() {
-        cell().shed.fetch_add(1, Ordering::Relaxed);
-    }
+    counter(SHED).incr();
 }
 
 /// Counts one sample skipped because the user's history version moved on
 /// before the oracle re-ranked it.
 pub fn note_audit_stale() {
-    if crate::enabled() {
-        cell().stale.fetch_add(1, Ordering::Relaxed);
-    }
+    counter(STALE).incr();
 }
 
 /// Records one oracle comparison and re-evaluates the degradation alert.
 /// Returns whether the observation was a mismatch (so the caller can
 /// record a notable trace for it).
 pub fn record_audit(obs: &AuditObservation) -> bool {
-    if !crate::enabled() {
-        return obs.mismatched();
-    }
-    let c = cell();
-    c.audited.fetch_add(1, Ordering::Relaxed);
-    c.w_audited.add(1);
-    c.hit_items.fetch_add(obs.matched as u64, Ordering::Relaxed);
-    c.w_hit_items.add(obs.matched as u64);
-    c.agree_items
-        .fetch_add(obs.agreed as u64, Ordering::Relaxed);
-    c.w_agree_items.add(obs.agreed as u64);
-    c.total_items.fetch_add(obs.k as u64, Ordering::Relaxed);
-    c.w_total_items.add(obs.k as u64);
-    c.displacement.record(obs.max_displacement);
-    c.w_displacement.record(obs.max_displacement);
     let mismatched = obs.mismatched();
-    if mismatched {
-        c.mismatched.fetch_add(1, Ordering::Relaxed);
-        c.w_mismatched.add(1);
+    if crate::enabled() {
+        rate_counter(AUDITED).incr();
+        rate_counter(HIT_ITEMS).add(obs.matched as u64);
+        rate_counter(AGREE_ITEMS).add(obs.agreed as u64);
+        rate_counter(TOTAL_ITEMS).add(obs.k as u64);
+        crate::record_value(DISPLACEMENT, obs.max_displacement);
+        if mismatched {
+            rate_counter(MISMATCHED).incr();
+        }
+        evaluate_alert();
     }
-    evaluate_alert(c);
     mismatched
 }
 
 /// Re-evaluates the latched degradation alert against the configured floor.
-fn evaluate_alert(c: &AuditCell) {
-    let floor = f64::from_bits(c.floor_bits.load(Ordering::Relaxed));
-    if !floor.is_finite() {
+fn evaluate_alert() {
+    let Some(floor) = audit_floor() else {
         return;
-    }
-    let samples = c.w_audited.sum(ALERT_WINDOW_SECS);
-    if samples < MIN_ALERT_SAMPLES {
-        return;
-    }
-    let total = c.w_total_items.sum(ALERT_WINDOW_SECS);
-    let hits = c.w_hit_items.sum(ALERT_WINDOW_SECS);
-    let recall = if total == 0 {
-        1.0
-    } else {
-        hits as f64 / total as f64
     };
+    if in_window(AUDITED, ALERT_WINDOW_SECS) < MIN_ALERT_SAMPLES {
+        return;
+    }
+    let recall = ratio(
+        in_window(HIT_ITEMS, ALERT_WINDOW_SECS),
+        in_window(TOTAL_ITEMS, ALERT_WINDOW_SECS),
+    );
     if recall < floor {
-        c.burn.fetch_add(1, Ordering::Relaxed);
-        c.w_burn.add(1);
-        if !c.degraded.swap(true, Ordering::Relaxed) {
-            c.degraded_events.fetch_add(1, Ordering::Relaxed);
+        rate_counter(BURN).incr();
+        if gauge(DEGRADED).swap(1.0) != 1.0 {
+            counter(DEGRADED_EVENTS).incr();
         }
     } else {
-        c.degraded.store(false, Ordering::Relaxed);
+        gauge(DEGRADED).set(0.0);
     }
 }
 
 /// Sets (or with `None` disables) the windowed-recall floor under which the
 /// degradation latch trips.
 pub fn set_audit_floor(floor: Option<f64>) {
-    let bits = floor.unwrap_or(f64::NAN).to_bits();
-    cell().floor_bits.store(bits, Ordering::Relaxed);
+    gauge(FLOOR).set(floor.unwrap_or(f64::NAN));
 }
 
 /// The configured recall floor, if alerting is enabled.
 pub fn audit_floor() -> Option<f64> {
-    let f = f64::from_bits(cell().floor_bits.load(Ordering::Relaxed));
-    f.is_finite().then_some(f)
+    find_series(FLOOR, Kind::Gauge)
+        .map(|s| s.gauge())
+        .filter(|f| f.is_finite())
 }
 
 /// Current state of the latched degradation flag.
 pub fn audit_degraded() -> bool {
-    cell().degraded.load(Ordering::Relaxed)
+    find_series(DEGRADED, Kind::Gauge).is_some_and(|s| s.gauge() == 1.0)
 }
 
 /// Point-in-time view of the audit series over one sliding window.
@@ -264,215 +212,31 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Snapshot of the audit series over the last `window` seconds.
 pub fn audit_snapshot(window: u64) -> AuditSnapshot {
-    let c = cell();
-    let w_disp = c.w_displacement.merged_at(crate::window::now_sec(), window);
+    let displacement = find_series(DISPLACEMENT, Kind::Value)
+        .map(|s| s.buckets(Some(window)))
+        .unwrap_or_default();
     AuditSnapshot {
-        sampled: c.sampled.load(Ordering::Relaxed),
-        shed: c.shed.load(Ordering::Relaxed),
-        stale: c.stale.load(Ordering::Relaxed),
-        audited: c.audited.load(Ordering::Relaxed),
-        mismatched: c.mismatched.load(Ordering::Relaxed),
-        recall: ratio(
-            c.hit_items.load(Ordering::Relaxed),
-            c.total_items.load(Ordering::Relaxed),
-        ),
-        agreement: ratio(
-            c.agree_items.load(Ordering::Relaxed),
-            c.total_items.load(Ordering::Relaxed),
-        ),
+        sampled: counter_value(SAMPLED),
+        shed: counter_value(SHED),
+        stale: counter_value(STALE),
+        audited: counter_value(AUDITED),
+        mismatched: counter_value(MISMATCHED),
+        recall: ratio(counter_value(HIT_ITEMS), counter_value(TOTAL_ITEMS)),
+        agreement: ratio(counter_value(AGREE_ITEMS), counter_value(TOTAL_ITEMS)),
         window_secs: window,
-        window_audited: c.w_audited.sum(window),
-        window_mismatched: c.w_mismatched.sum(window),
-        window_recall: ratio(c.w_hit_items.sum(window), c.w_total_items.sum(window)),
-        window_agreement: ratio(c.w_agree_items.sum(window), c.w_total_items.sum(window)),
-        window_displacement_p50: w_disp.quantile(0.50),
-        window_displacement_p99: w_disp.quantile(0.99),
+        window_audited: in_window(AUDITED, window),
+        window_mismatched: in_window(MISMATCHED, window),
+        window_recall: ratio(in_window(HIT_ITEMS, window), in_window(TOTAL_ITEMS, window)),
+        window_agreement: ratio(
+            in_window(AGREE_ITEMS, window),
+            in_window(TOTAL_ITEMS, window),
+        ),
+        window_displacement_p50: displacement.quantile(0.50),
+        window_displacement_p99: displacement.quantile(0.99),
         floor: audit_floor(),
-        degraded: c.degraded.load(Ordering::Relaxed),
-        degraded_events: c.degraded_events.load(Ordering::Relaxed),
-        burn: c.burn.load(Ordering::Relaxed),
-        window_burn: c.w_burn.sum(window),
-    }
-}
-
-/// Zeroes every audit series, clears the latch, and disables the floor
-/// (part of [`crate::reset`]).
-pub(crate) fn clear_audit() {
-    let c = cell();
-    c.sampled.store(0, Ordering::Relaxed);
-    c.shed.store(0, Ordering::Relaxed);
-    c.stale.store(0, Ordering::Relaxed);
-    c.audited.store(0, Ordering::Relaxed);
-    c.mismatched.store(0, Ordering::Relaxed);
-    c.hit_items.store(0, Ordering::Relaxed);
-    c.agree_items.store(0, Ordering::Relaxed);
-    c.total_items.store(0, Ordering::Relaxed);
-    c.w_audited.clear();
-    c.w_mismatched.clear();
-    c.w_hit_items.clear();
-    c.w_agree_items.clear();
-    c.w_total_items.clear();
-    c.displacement.clear();
-    c.w_displacement.clear();
-    c.floor_bits.store(f64::NAN.to_bits(), Ordering::Relaxed);
-    c.degraded.store(false, Ordering::Relaxed);
-    c.degraded_events.store(0, Ordering::Relaxed);
-    c.burn.store(0, Ordering::Relaxed);
-    c.w_burn.clear();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    // One process-global cell, concurrent tests: serialise and clear.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn perfect(k: usize) -> AuditObservation {
-        AuditObservation {
-            k,
-            matched: k,
-            agreed: k,
-            max_displacement: 0,
-        }
-    }
-
-    #[test]
-    fn perfect_answers_keep_recall_at_one() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        for _ in 0..10 {
-            assert!(!record_audit(&perfect(20)));
-        }
-        let s = audit_snapshot(60);
-        assert_eq!(s.audited, 10);
-        assert_eq!(s.mismatched, 0);
-        assert_eq!(s.recall, 1.0);
-        assert_eq!(s.agreement, 1.0);
-        assert_eq!(s.window_recall, 1.0);
-        assert_eq!(s.window_displacement_p99, 0);
-        assert!(!s.degraded);
-        clear_audit();
-    }
-
-    #[test]
-    fn mismatches_move_recall_and_displacement() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        record_audit(&perfect(10));
-        let miss = AuditObservation {
-            k: 10,
-            matched: 8,
-            agreed: 5,
-            max_displacement: 7,
-        };
-        assert!(record_audit(&miss));
-        let s = audit_snapshot(60);
-        assert_eq!(s.audited, 2);
-        assert_eq!(s.mismatched, 1);
-        assert!((s.recall - 18.0 / 20.0).abs() < 1e-12);
-        assert!((s.agreement - 15.0 / 20.0).abs() < 1e-12);
-        assert!(
-            s.window_displacement_p99 >= 6,
-            "{}",
-            s.window_displacement_p99
-        );
-        clear_audit();
-    }
-
-    #[test]
-    fn degradation_latch_trips_and_recovers() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        set_audit_floor(Some(0.9));
-        // Below MIN_ALERT_SAMPLES nothing trips, even at recall 0.
-        for _ in 0..MIN_ALERT_SAMPLES - 1 {
-            record_audit(&AuditObservation {
-                k: 10,
-                matched: 0,
-                agreed: 0,
-                max_displacement: 10,
-            });
-        }
-        assert!(!audit_degraded());
-        record_audit(&AuditObservation {
-            k: 10,
-            matched: 0,
-            agreed: 0,
-            max_displacement: 10,
-        });
-        assert!(audit_degraded(), "floor 0.9, windowed recall 0: must trip");
-        let tripped = audit_snapshot(60);
-        assert_eq!(tripped.degraded_events, 1);
-        assert!(tripped.burn >= 1);
-        // Healthy traffic pulls windowed recall back over the floor.
-        for _ in 0..200 {
-            record_audit(&perfect(10));
-        }
-        assert!(!audit_degraded(), "recovered recall must clear the latch");
-        let s = audit_snapshot(60);
-        assert_eq!(s.degraded_events, 1, "recovery is not a new trip");
-        clear_audit();
-    }
-
-    #[test]
-    fn no_floor_means_no_alerting() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        assert_eq!(audit_floor(), None);
-        for _ in 0..20 {
-            record_audit(&AuditObservation {
-                k: 5,
-                matched: 0,
-                agreed: 0,
-                max_displacement: 5,
-            });
-        }
-        assert!(!audit_degraded());
-        assert_eq!(audit_snapshot(60).burn, 0);
-        clear_audit();
-    }
-
-    #[test]
-    fn queue_accounting_counts_each_fate() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        note_audit_sampled();
-        note_audit_sampled();
-        note_audit_shed();
-        note_audit_stale();
-        let s = audit_snapshot(10);
-        assert_eq!(s.sampled, 2);
-        assert_eq!(s.shed, 1);
-        assert_eq!(s.stale, 1);
-        assert_eq!(s.audited, 0);
-        assert_eq!(s.recall, 1.0, "no audited samples is not a failure");
-        clear_audit();
-    }
-
-    #[test]
-    fn snapshot_serialises_roundtrip() {
-        let _g = serial();
-        clear_audit();
-        crate::set_enabled(true);
-        set_audit_floor(Some(0.95));
-        record_audit(&perfect(20));
-        let snap = audit_snapshot(60);
-        let text = serde_json::to_string(&snap).unwrap();
-        let back: AuditSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, snap);
-        clear_audit();
+        degraded: audit_degraded(),
+        degraded_events: counter_value(DEGRADED_EVENTS),
+        burn: counter_value(BURN),
+        window_burn: in_window(BURN, window),
     }
 }

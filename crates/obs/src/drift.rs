@@ -1,9 +1,8 @@
-//! Distribution-drift monitors: PSI divergence against startup references.
+//! Distribution drift: the PSI divergence statistic and drift gauges.
 //!
-//! The serving layer captures *reference* distributions at startup — the
-//! served score distribution and candidate-set sizes, as raw
-//! [`HistogramBuckets`] — and each audit window compares the live windowed
-//! buckets against them with a Population-Stability-Index-style statistic:
+//! The serving layer keeps *reference* distributions captured at startup
+//! (as raw [`HistogramBuckets`]) and compares the live windowed buckets
+//! against them with a Population-Stability-Index-style statistic:
 //!
 //! ```text
 //! PSI = Σ_i (p_i − q_i) · ln(p_i / q_i)
@@ -13,14 +12,11 @@
 //! at a small ε so empty buckets neither divide by zero nor blow the sum
 //! up. PSI is 0 for identical distributions and grows symmetrically as
 //! mass moves; the conventional reading is below 0.1 stable, 0.1–0.25
-//! drifting, above 0.25 shifted. The stats land in a named-gauge store
-//! (also used for ingest tag-coverage) that the exposition layer renders as
-//! `inbox_audit_drift`.
+//! drifting, above 0.25 shifted. The results (and other drift figures such
+//! as ingest tag coverage) are published as registry gauges, which the
+//! exposition layer renders as `inbox_audit_drift{stat="…"}`.
 
 use crate::histogram::{HistogramBuckets, N_BUCKETS};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Proportion floor for PSI: empty buckets are treated as holding this
 /// fraction of the distribution.
@@ -43,62 +39,10 @@ pub fn psi(reference: &HistogramBuckets, live: &HistogramBuckets) -> f64 {
     out
 }
 
-struct DriftStore {
-    /// Named reference distributions captured at startup.
-    references: RwLock<HashMap<&'static str, HistogramBuckets>>,
-    /// Named float gauges (PSI values, coverage fractions), f64 bits.
-    stats: RwLock<HashMap<&'static str, u64>>,
-}
-
-fn store() -> &'static DriftStore {
-    static STORE: OnceLock<DriftStore> = OnceLock::new();
-    STORE.get_or_init(|| DriftStore {
-        references: RwLock::new(HashMap::new()),
-        stats: RwLock::new(HashMap::new()),
-    })
-}
-
-/// Stores (replacing) the named reference distribution.
-pub fn set_reference(name: &'static str, buckets: HistogramBuckets) {
-    store().references.write().insert(name, buckets);
-}
-
-/// The named reference distribution, if one was captured.
-pub fn reference(name: &str) -> Option<HistogramBuckets> {
-    store().references.read().get(name).cloned()
-}
-
-/// PSI of `live` against the named reference, if one was captured.
-pub fn psi_vs_reference(name: &str, live: &HistogramBuckets) -> Option<f64> {
-    store().references.read().get(name).map(|r| psi(r, live))
-}
-
-/// Publishes a named drift statistic (PSI value, coverage fraction, …).
+/// Publishes a named drift statistic (PSI value, coverage fraction, …) as
+/// the registry gauge `name`.
 pub fn set_drift_stat(name: &'static str, value: f64) {
-    store().stats.write().insert(name, value.to_bits());
-}
-
-/// The current value of a named drift statistic.
-pub fn drift_stat(name: &str) -> Option<f64> {
-    store().stats.read().get(name).map(|&b| f64::from_bits(b))
-}
-
-/// Every published drift statistic, sorted by name.
-pub fn all_drift_stats() -> Vec<(String, f64)> {
-    let mut out: Vec<(String, f64)> = store()
-        .stats
-        .read()
-        .iter()
-        .map(|(name, &b)| (name.to_string(), f64::from_bits(b)))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Drops every reference and statistic (part of [`crate::reset`]).
-pub(crate) fn clear_drift() {
-    store().references.write().clear();
-    store().stats.write().clear();
+    crate::registry::gauge(name).set(value);
 }
 
 #[cfg(test)]
@@ -155,18 +99,13 @@ mod tests {
     }
 
     #[test]
-    fn references_and_stats_roundtrip() {
-        let name = "test.drift.reference";
-        set_reference("test.drift.reference", buckets_of(&[5, 10, 15]));
-        let live = buckets_of(&[5, 10, 15]);
-        assert_eq!(psi_vs_reference(name, &live), Some(0.0));
-        assert!(psi_vs_reference("test.drift.never_set", &live).is_none());
-
+    fn drift_stats_are_registry_gauges() {
         set_drift_stat("test.drift.stat", 0.125);
-        assert_eq!(drift_stat("test.drift.stat"), Some(0.125));
-        assert!(all_drift_stats()
-            .iter()
-            .any(|(n, v)| n == "test.drift.stat" && *v == 0.125));
-        assert!(drift_stat("test.drift.never_published").is_none());
+        let s = crate::find_series("test.drift.stat", crate::Kind::Gauge).unwrap();
+        assert_eq!(s.gauge(), 0.125);
+        assert!(
+            !s.owned(),
+            "drift gauges render in the generic drift family"
+        );
     }
 }

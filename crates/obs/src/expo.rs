@@ -1,247 +1,241 @@
-//! Live exposition: renders the whole registry — cumulative, windowed,
-//! SLO, and flight-recorder state — as Prometheus text and as JSON, for
-//! the serving stack's `GET /metrics` and `GET /traces` endpoints.
+//! Live exposition: renders the registry table — cumulative, windowed,
+//! SLO and audit series — plus allocation and flight-recorder state as
+//! Prometheus text and JSON, for the serving stack's `GET /metrics` and
+//! `GET /traces` endpoints.
 //!
 //! The Prometheus rendering keeps a small fixed family of metric names and
-//! moves the registry's dotted instrument names into a `name` label, so a
+//! moves the registry's dotted series names into a `name` label, so a
 //! scrape config needs no relabeling rules per instrument. Span and
 //! duration metrics are exported in **seconds** (the Prometheus base
 //! unit); dimensionless values and counters are exported raw. Windowed
 //! series carry a `window` label (`10s` / `60s`).
 
+use crate::histogram::HistogramSnapshot;
+use crate::registry::{self, Kind};
 use crate::trace::{self, TraceRecord};
-use crate::{registry, slo};
+use crate::{alloc, audit, slo};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write;
+use std::fmt::{Display, Write};
 
 /// The two sliding windows every windowed series is exported at.
 pub const EXPO_WINDOWS: [u64; 2] = [10, 60];
 
-fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+const QUANTILES: [&str; 3] = ["0.5", "0.95", "0.99"];
 
 fn ns_to_secs(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-/// Renders every instrument in the registry in Prometheus text format
-/// (version 0.0.4): `# TYPE` headers followed by `metric{labels} value`
-/// lines, one sample per line, newline-terminated.
+/// Prometheus text under construction.
+struct Text(String);
+
+impl Text {
+    /// Appends `# TYPE` headers for `families`, all of type `kind`.
+    fn types(&mut self, kind: &str, families: &[&str]) {
+        for family in families {
+            let _ = writeln!(self.0, "# TYPE {family} {kind}");
+        }
+    }
+
+    /// Appends one `metric{labels} value` line (label values escaped).
+    fn sample(&mut self, metric: &str, labels: &[(&str, &str)], value: impl Display) {
+        self.0.push_str(metric);
+        for (i, (key, val)) in labels.iter().enumerate() {
+            self.0.push(if i == 0 { '{' } else { ',' });
+            let val = val.replace('\\', "\\\\").replace('"', "\\\"");
+            let _ = write!(self.0, "{key}=\"{val}\"");
+        }
+        if !labels.is_empty() {
+            self.0.push('}');
+        }
+        let _ = writeln!(self.0, " {value}");
+    }
+
+    /// A cumulative summary: p50/p95/p99 under `quantile`, then `_count`
+    /// (and `_sum` for spans), with nanoseconds scaled by `unit`.
+    fn summary(&mut self, family: &str, name: &str, snap: HistogramSnapshot, unit: f64) {
+        let quantiles = [snap.p50, snap.p95, snap.p99];
+        for (q, v) in QUANTILES.into_iter().zip(quantiles) {
+            let labels = [("name", name), ("quantile", q)];
+            self.sample(family, &labels, v as f64 * unit);
+        }
+        self.sample(&format!("{family}_count"), &[("name", name)], snap.count);
+    }
+}
+
+/// Renders every instrument in Prometheus text format (version 0.0.4):
+/// `# TYPE` headers followed by `metric{labels} value` lines, one sample
+/// per line, newline-terminated.
 pub fn prometheus_text() -> String {
-    let mut out = String::with_capacity(8 * 1024);
+    let table = registry::series();
+    let of = |kinds: &'static [Kind]| {
+        table
+            .iter()
+            .filter(move |s| !s.owned() && kinds.contains(&s.kind))
+    };
+    let windows = EXPO_WINDOWS.map(|w| (w, format!("{w}s")));
+    let mut t = Text(String::with_capacity(8 * 1024));
 
     // -- counters (cumulative, plus windowed sums for rate counters) -------
-    out.push_str("# TYPE inbox_counter_total counter\n");
-    for (name, value) in registry::all_counters() {
-        let _ = writeln!(
-            out,
-            "inbox_counter_total{{name=\"{}\"}} {value}",
-            escape_label(&name)
-        );
+    t.types("counter", &["inbox_counter_total"]);
+    for s in of(&[Kind::Counter, Kind::Rate]) {
+        t.sample("inbox_counter_total", &[("name", s.name)], s.count());
     }
-    out.push_str("# TYPE inbox_counter_window gauge\n");
-    for window in EXPO_WINDOWS {
-        for (name, sum) in registry::all_windowed_counters(window) {
-            let _ = writeln!(
-                out,
-                "inbox_counter_window{{name=\"{}\",window=\"{window}s\"}} {sum}",
-                escape_label(&name)
-            );
+    t.types("gauge", &["inbox_counter_window"]);
+    for (w, window) in &windows {
+        for s in of(&[Kind::Rate]) {
+            let labels = [("name", s.name), ("window", window)];
+            t.sample("inbox_counter_window", &labels, s.window_sum(*w));
         }
     }
 
     // -- spans: cumulative quantiles + windowed quantiles and rates --------
-    out.push_str("# TYPE inbox_span_seconds summary\n");
-    for (name, snap) in registry::all_spans() {
-        let name = escape_label(&name);
-        for (q, v) in [("0.5", snap.p50), ("0.95", snap.p95), ("0.99", snap.p99)] {
-            let _ = writeln!(
-                out,
-                "inbox_span_seconds{{name=\"{name}\",quantile=\"{q}\"}} {}",
-                ns_to_secs(v)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "inbox_span_seconds_count{{name=\"{name}\"}} {}",
-            snap.count
-        );
-        let _ = writeln!(
-            out,
-            "inbox_span_seconds_sum{{name=\"{name}\"}} {}",
-            ns_to_secs(snap.sum)
-        );
+    t.types("summary", &["inbox_span_seconds"]);
+    for s in of(&[Kind::Span]) {
+        let snap = s.snapshot();
+        t.summary("inbox_span_seconds", s.name, snap, 1e-9);
+        let sum = ns_to_secs(snap.sum);
+        t.sample("inbox_span_seconds_sum", &[("name", s.name)], sum);
     }
-    out.push_str("# TYPE inbox_span_window_seconds gauge\n");
-    out.push_str("# TYPE inbox_span_window_rate gauge\n");
-    for window in EXPO_WINDOWS {
-        for (name, w) in registry::all_windowed_spans(window) {
-            let name = escape_label(&name);
-            for (q, v) in [("0.5", w.p50), ("0.95", w.p95), ("0.99", w.p99)] {
-                let _ = writeln!(
-                    out,
-                    "inbox_span_window_seconds{{name=\"{name}\",window=\"{window}s\",quantile=\"{q}\"}} {}",
-                    ns_to_secs(v)
-                );
+    t.types(
+        "gauge",
+        &["inbox_span_window_seconds", "inbox_span_window_rate"],
+    );
+    for (w, window) in &windows {
+        for s in of(&[Kind::Span]) {
+            let snap = s.windowed(*w);
+            for (q, v) in QUANTILES.into_iter().zip([snap.p50, snap.p95, snap.p99]) {
+                let labels = [("name", s.name), ("window", window), ("quantile", q)];
+                t.sample("inbox_span_window_seconds", &labels, ns_to_secs(v));
             }
-            let _ = writeln!(
-                out,
-                "inbox_span_window_rate{{name=\"{name}\",window=\"{window}s\"}} {}",
-                w.rate_per_sec
-            );
+            let labels = [("name", s.name), ("window", window)];
+            t.sample("inbox_span_window_rate", &labels, snap.rate_per_sec);
         }
     }
 
     // -- value histograms (dimensionless) ----------------------------------
-    out.push_str("# TYPE inbox_value summary\n");
-    for (name, snap) in registry::all_values() {
-        let name = escape_label(&name);
-        for (q, v) in [("0.5", snap.p50), ("0.95", snap.p95), ("0.99", snap.p99)] {
-            let _ = writeln!(out, "inbox_value{{name=\"{name}\",quantile=\"{q}\"}} {v}");
-        }
-        let _ = writeln!(out, "inbox_value_count{{name=\"{name}\"}} {}", snap.count);
+    t.types("summary", &["inbox_value"]);
+    for s in of(&[Kind::Value]) {
+        t.summary("inbox_value", s.name, s.snapshot(), 1.0);
     }
-    out.push_str("# TYPE inbox_value_window gauge\n");
-    for window in EXPO_WINDOWS {
-        for (name, w) in registry::all_windowed_values(window) {
-            let _ = writeln!(
-                out,
-                "inbox_value_window{{name=\"{}\",window=\"{window}s\",quantile=\"0.99\"}} {}",
-                escape_label(&name),
-                w.p99
-            );
+    t.types("gauge", &["inbox_value_window"]);
+    for (w, window) in &windows {
+        for s in of(&[Kind::Value]) {
+            let labels = [("name", s.name), ("window", window), ("quantile", "0.99")];
+            t.sample("inbox_value_window", &labels, s.windowed(*w).p99);
         }
     }
 
-    // -- SLOs ---------------------------------------------------------------
-    out.push_str("# TYPE inbox_slo_good_total counter\n");
-    out.push_str("# TYPE inbox_slo_events_total counter\n");
-    out.push_str("# TYPE inbox_slo_objective_seconds gauge\n");
-    out.push_str("# TYPE inbox_slo_burn_rate gauge\n");
-    for window in EXPO_WINDOWS {
-        for (name, s) in slo::all_slos(window) {
-            let name = escape_label(&name);
-            if window == EXPO_WINDOWS[0] {
-                let _ = writeln!(out, "inbox_slo_good_total{{name=\"{name}\"}} {}", s.good);
-                let _ = writeln!(out, "inbox_slo_events_total{{name=\"{name}\"}} {}", s.total);
-                let _ = writeln!(
-                    out,
-                    "inbox_slo_objective_seconds{{name=\"{name}\"}} {}",
-                    ns_to_secs(s.objective_ns)
-                );
+    // -- SLOs: read from their `slo:` series; burn rate computed here -------
+    t.types(
+        "counter",
+        &["inbox_slo_good_total", "inbox_slo_events_total"],
+    );
+    t.types(
+        "gauge",
+        &["inbox_slo_objective_seconds", "inbox_slo_burn_rate"],
+    );
+    for (i, (w, window)) in windows.iter().enumerate() {
+        for name in slo::names(&table) {
+            let Some(s) = slo::slo_snapshot(name, *w) else {
+                continue;
+            };
+            if i == 0 {
+                t.sample("inbox_slo_good_total", &[("name", name)], s.good);
+                t.sample("inbox_slo_events_total", &[("name", name)], s.total);
+                let objective = ns_to_secs(s.objective_ns);
+                t.sample("inbox_slo_objective_seconds", &[("name", name)], objective);
             }
-            let _ = writeln!(
-                out,
-                "inbox_slo_burn_rate{{name=\"{name}\",window=\"{window}s\"}} {}",
-                s.burn_rate
-            );
+            let labels = [("name", name), ("window", window)];
+            t.sample("inbox_slo_burn_rate", &labels, s.burn_rate);
         }
     }
 
     // -- allocation accounting ----------------------------------------------
+    // Kept outside the table (the allocator path cannot take its lock).
     // Scope rows exist once a scope registered (counts stay 0 unless the
-    // binary installed the instrumented allocator and tracking is on);
-    // the windowed series aggregate across all scopes.
-    out.push_str("# TYPE inbox_alloc_total counter\n");
-    out.push_str("# TYPE inbox_alloc_bytes_total counter\n");
-    for (scope, stats) in crate::alloc::all_alloc_scopes() {
-        let scope = escape_label(&scope);
-        let _ = writeln!(
-            out,
-            "inbox_alloc_total{{scope=\"{scope}\"}} {}",
-            stats.allocs
-        );
-        let _ = writeln!(
-            out,
-            "inbox_alloc_bytes_total{{scope=\"{scope}\"}} {}",
-            stats.bytes
-        );
+    // binary installed the instrumented allocator and tracking is on); the
+    // windowed series aggregate across all scopes.
+    t.types("counter", &["inbox_alloc_total", "inbox_alloc_bytes_total"]);
+    for (scope, stats) in alloc::all_alloc_scopes() {
+        let label = [("scope", scope.as_str())];
+        t.sample("inbox_alloc_total", &label, stats.allocs);
+        t.sample("inbox_alloc_bytes_total", &label, stats.bytes);
     }
-    out.push_str("# TYPE inbox_alloc_window gauge\n");
-    out.push_str("# TYPE inbox_alloc_bytes_window gauge\n");
-    for window in EXPO_WINDOWS {
-        let (allocs, bytes) = crate::alloc::alloc_window(window);
-        let _ = writeln!(out, "inbox_alloc_window{{window=\"{window}s\"}} {allocs}");
-        let _ = writeln!(
-            out,
-            "inbox_alloc_bytes_window{{window=\"{window}s\"}} {bytes}"
-        );
+    t.types("gauge", &["inbox_alloc_window", "inbox_alloc_bytes_window"]);
+    for (w, window) in &windows {
+        let (allocs, bytes) = alloc::alloc_window(*w);
+        t.sample("inbox_alloc_window", &[("window", window)], allocs);
+        t.sample("inbox_alloc_bytes_window", &[("window", window)], bytes);
     }
 
-    // -- shadow-oracle audit + drift ----------------------------------------
-    // Queue accounting is cumulative; quality series are windowed gauges so
-    // a scrape answers "how honest is the index right now".
-    out.push_str("# TYPE inbox_audit_sampled_total counter\n");
-    out.push_str("# TYPE inbox_audit_audited_total counter\n");
-    out.push_str("# TYPE inbox_audit_shed_total counter\n");
-    out.push_str("# TYPE inbox_audit_stale_total counter\n");
-    out.push_str("# TYPE inbox_audit_mismatch_total counter\n");
-    out.push_str("# TYPE inbox_audit_recall gauge\n");
-    out.push_str("# TYPE inbox_audit_agreement gauge\n");
-    out.push_str("# TYPE inbox_audit_displacement gauge\n");
-    out.push_str("# TYPE inbox_audit_degraded gauge\n");
-    out.push_str("# TYPE inbox_audit_degraded_total counter\n");
-    out.push_str("# TYPE inbox_audit_burn_total counter\n");
-    out.push_str("# TYPE inbox_audit_floor gauge\n");
-    out.push_str("# TYPE inbox_audit_drift gauge\n");
-    for (i, window) in EXPO_WINDOWS.into_iter().enumerate() {
-        let a = crate::audit::audit_snapshot(window);
-        if i == 0 {
-            let _ = writeln!(out, "inbox_audit_sampled_total {}", a.sampled);
-            let _ = writeln!(out, "inbox_audit_audited_total {}", a.audited);
-            let _ = writeln!(out, "inbox_audit_shed_total {}", a.shed);
-            let _ = writeln!(out, "inbox_audit_stale_total {}", a.stale);
-            let _ = writeln!(out, "inbox_audit_mismatch_total {}", a.mismatched);
-            let _ = writeln!(out, "inbox_audit_degraded {}", u8::from(a.degraded));
-            let _ = writeln!(out, "inbox_audit_degraded_total {}", a.degraded_events);
-            let _ = writeln!(out, "inbox_audit_burn_total {}", a.burn);
-            if let Some(floor) = a.floor {
-                let _ = writeln!(out, "inbox_audit_floor {floor}");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "inbox_audit_recall{{window=\"{window}s\"}} {}",
-            a.window_recall
-        );
-        let _ = writeln!(
-            out,
-            "inbox_audit_agreement{{window=\"{window}s\"}} {}",
-            a.window_agreement
-        );
-        for (q, v) in [
-            ("0.5", a.window_displacement_p50),
-            ("0.99", a.window_displacement_p99),
-        ] {
-            let _ = writeln!(
-                out,
-                "inbox_audit_displacement{{window=\"{window}s\",quantile=\"{q}\"}} {v}"
-            );
-        }
-    }
-    for (name, value) in crate::drift::all_drift_stats() {
-        let _ = writeln!(
-            out,
-            "inbox_audit_drift{{stat=\"{}\"}} {value}",
-            escape_label(&name)
-        );
+    audit_families(&mut t, &windows);
+    // Drift statistics are the generic gauges (see `drift`).
+    for s in of(&[Kind::Gauge]) {
+        t.sample("inbox_audit_drift", &[("stat", s.name)], s.gauge());
     }
 
     // -- flight recorder ----------------------------------------------------
-    out.push_str("# TYPE inbox_traces_retained gauge\n");
-    let _ = writeln!(
-        out,
-        "inbox_traces_retained{{ring=\"recent\"}} {}",
-        trace::recent_traces().len()
-    );
-    let _ = writeln!(
-        out,
-        "inbox_traces_retained{{ring=\"notable\"}} {}",
-        trace::notable_traces().len()
-    );
+    t.types("gauge", &["inbox_traces_retained"]);
+    let recent = trace::recent_traces().len();
+    t.sample("inbox_traces_retained", &[("ring", "recent")], recent);
+    let notable = trace::notable_traces().len();
+    t.sample("inbox_traces_retained", &[("ring", "notable")], notable);
+    t.0
+}
 
-    out
+/// The shadow-oracle audit, read from its `audit:` series: queue
+/// accounting is cumulative; quality series are windowed gauges, so a
+/// scrape answers "how honest is the index right now".
+fn audit_families(t: &mut Text, windows: &[(u64, String)]) {
+    t.types(
+        "counter",
+        &[
+            "inbox_audit_sampled_total",
+            "inbox_audit_audited_total",
+            "inbox_audit_shed_total",
+            "inbox_audit_stale_total",
+            "inbox_audit_mismatch_total",
+        ],
+    );
+    t.types(
+        "gauge",
+        &[
+            "inbox_audit_recall",
+            "inbox_audit_agreement",
+            "inbox_audit_displacement",
+            "inbox_audit_degraded",
+        ],
+    );
+    t.types(
+        "counter",
+        &["inbox_audit_degraded_total", "inbox_audit_burn_total"],
+    );
+    t.types("gauge", &["inbox_audit_floor", "inbox_audit_drift"]);
+    for (i, (w, window)) in windows.iter().enumerate() {
+        let a = audit::audit_snapshot(*w);
+        if i == 0 {
+            t.sample("inbox_audit_sampled_total", &[], a.sampled);
+            t.sample("inbox_audit_audited_total", &[], a.audited);
+            t.sample("inbox_audit_shed_total", &[], a.shed);
+            t.sample("inbox_audit_stale_total", &[], a.stale);
+            t.sample("inbox_audit_mismatch_total", &[], a.mismatched);
+            t.sample("inbox_audit_degraded", &[], u8::from(a.degraded));
+            t.sample("inbox_audit_degraded_total", &[], a.degraded_events);
+            t.sample("inbox_audit_burn_total", &[], a.burn);
+            if let Some(floor) = a.floor {
+                t.sample("inbox_audit_floor", &[], floor);
+            }
+        }
+        let label = [("window", window.as_str())];
+        t.sample("inbox_audit_recall", &label, a.window_recall);
+        t.sample("inbox_audit_agreement", &label, a.window_agreement);
+        let displacement = [a.window_displacement_p50, a.window_displacement_p99];
+        for (q, v) in ["0.5", "0.99"].into_iter().zip(displacement) {
+            let labels = [("window", window.as_str()), ("quantile", q)];
+            t.sample("inbox_audit_displacement", &labels, v);
+        }
+    }
 }
 
 /// Everything the flight recorder currently retains.
@@ -253,24 +247,16 @@ pub struct TraceDump {
     pub notable: Vec<TraceRecord>,
 }
 
-/// Snapshots both flight-recorder rings.
-pub fn trace_dump() -> TraceDump {
-    TraceDump {
-        recent: trace::recent_traces()
-            .into_iter()
-            .map(|r| (*r).clone())
-            .collect(),
-        notable: trace::notable_traces()
-            .into_iter()
-            .map(|r| (*r).clone())
-            .collect(),
-    }
-}
-
 /// The flight recorder's contents as a JSON document
 /// (`{"recent": [...], "notable": [...]}`), for `GET /traces`.
 pub fn traces_json() -> String {
-    serde_json::to_string(&trace_dump()).expect("trace dumps always serialise")
+    let owned =
+        |ring: Vec<std::sync::Arc<TraceRecord>>| ring.iter().map(|r| (**r).clone()).collect();
+    let dump = TraceDump {
+        recent: owned(trace::recent_traces()),
+        notable: owned(trace::notable_traces()),
+    };
+    serde_json::to_string(&dump).expect("trace dumps always serialise")
 }
 
 /// One parsed Prometheus text sample: `(metric, labels, value)`.

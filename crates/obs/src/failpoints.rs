@@ -84,15 +84,10 @@ impl SiteState {
             rng: 0,
             hits: 0,
             fired: 0,
-            hits_counter: leak(format!("failpoint.hit.{site}")),
-            fired_counter: leak(format!("failpoint.fired.{site}")),
+            hits_counter: crate::registry::intern(format!("failpoint.hit.{site}")),
+            fired_counter: crate::registry::intern(format!("failpoint.fired.{site}")),
         }
     }
-}
-
-/// Leaks a counter name. Bounded: once per distinct failpoint site.
-fn leak(name: String) -> &'static str {
-    Box::leak(name.into_boxed_str())
 }
 
 fn registry() -> &'static Mutex<HashMap<&'static str, SiteState>> {
@@ -134,16 +129,6 @@ pub fn configure(site: &'static str, trigger: Trigger) {
 /// Disarms `site` (equivalent to configuring [`Trigger::Off`]).
 pub fn clear(site: &'static str) {
     configure(site, Trigger::Off);
-}
-
-/// Disarms every configured site. Lifetime hit/fire counts are preserved.
-pub fn clear_all() {
-    let mut sites = registry().lock().unwrap();
-    for state in sites.values_mut() {
-        state.trigger = Trigger::Off;
-        state.calls = 0;
-        state.rng = 0;
-    }
 }
 
 /// Evaluates `site` against its trigger; returns whether the fault fires.
@@ -234,11 +219,6 @@ impl FailGuard {
     pub fn new(site: &'static str, trigger: Trigger) -> Self {
         configure(site, trigger);
         Self { site }
-    }
-
-    /// The guarded site name.
-    pub fn site(&self) -> &'static str {
-        self.site
     }
 }
 

@@ -11,9 +11,9 @@
 //!
 //! The 2 extra resolution bits exist because serve latencies cluster in the
 //! 0.1–2 ms band: with plain power-of-two buckets the whole band collapsed
-//! into two buckets and p50 == p95 in BENCH_serve.json. Four sub-buckets per
-//! octave keep the footprint small (252 buckets cover all of `u64`) while
-//! making sub-millisecond percentiles distinguishable.
+//! into two buckets and the served p50 read the same as the p95. Four
+//! sub-buckets per octave keep the footprint small (252 buckets cover all
+//! of `u64`) while making sub-millisecond percentiles distinguishable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,37 +108,22 @@ impl LogHistogram {
         self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
-    /// Approximate `q`-quantile (`0.0 ..= 1.0`), or 0 when empty.
-    ///
-    /// Walks the cumulative bucket counts and returns the midpoint of the
-    /// bucket containing the rank-`ceil(q·n)` sample.
+    /// Approximate `q`-quantile (`0.0 ..= 1.0`), or 0 when empty; see
+    /// [`HistogramBuckets::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_mid(i);
-            }
-        }
-        // Counts raced upward between loads; the top non-empty bucket wins.
-        bucket_mid(N_BUCKETS - 1)
+        self.buckets().quantile(q)
     }
 
     /// Immutable snapshot of the aggregate statistics.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-        }
+        self.buckets().snapshot()
+    }
+
+    /// A plain copy of the buckets, count and sum.
+    pub fn buckets(&self) -> HistogramBuckets {
+        let mut acc = HistogramBuckets::new();
+        self.accumulate_into(&mut acc);
+        acc
     }
 
     /// Adds this histogram's buckets into `acc`. The per-bucket loads are
@@ -227,8 +212,8 @@ impl HistogramBuckets {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Approximate `q`-quantile — same reconstruction as
-    /// [`LogHistogram::quantile`], or 0 when empty.
+    /// Approximate `q`-quantile (`0.0 ..= 1.0`), or 0 when empty: the
+    /// midpoint of the bucket holding the rank-`ceil(q·n)` sample.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -244,8 +229,7 @@ impl HistogramBuckets {
         bucket_mid(N_BUCKETS - 1)
     }
 
-    /// The same summary a [`LogHistogram::snapshot`] would produce for this
-    /// accumulated distribution.
+    /// Count, sum, mean and p50/p95/p99 of the accumulated distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,

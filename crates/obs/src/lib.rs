@@ -1,28 +1,27 @@
 //! `inbox-obs`: the workspace's instrumentation layer.
 //!
-//! Three pieces, all behind one global enable gate ([`set_enabled`]):
+//! Everything sits behind one global enable gate ([`set_enabled`]):
 //!
-//! - **Spans** ([`span`], [`time`]) — scoped wall-clock timers aggregating
-//!   into per-name log-scale histograms; query p50/p95/p99 via
-//!   [`span_snapshot`] / [`all_spans`].
-//! - **Counters** ([`counter`]) — lock-free named event counts for hot paths
-//!   (sampled triplets, gradient batches, box intersections, ranked users).
-//! - **Value histograms** ([`record_value`]) — dimensionless sample
-//!   distributions (serve batch sizes, queue depths) sharing the spans'
-//!   log-scale aggregation but kept in their own namespace.
+//! - **Registry** ([`registry`]) — one table of series keyed by
+//!   `(name, Kind)`: spans ([`span`], [`time`]) and value histograms
+//!   ([`record_value`]), each cumulative and windowed; counters
+//!   ([`counter`]) and rate counters ([`rate_counter`]); and gauges
+//!   ([`set_drift_stat`] and the SLO and audit producers). [`series`]
+//!   lists it, [`find_series`] reads one row, and every consumer below
+//!   reads through those two.
 //! - **Telemetry** ([`telemetry`]) — structured [`EpochRecord`] events fanned
 //!   out to pluggable sinks: console (leveled), JSONL file, in-memory capture.
 //! - **Failpoints** ([`failpoints`]) — deterministic fault-injection sites
 //!   for chaos testing, compiled to no-ops unless an instrumented crate is
 //!   built with its `failpoints` feature.
-//! - **Windows** ([`window`]) — sliding last-10s/last-60s aggregation over
-//!   every span and value histogram, plus opt-in [`rate_counter`]s, so the
-//!   registry answers "right now" as well as "since boot".
+//! - **Windows** ([`window`]) — the per-second rings behind every
+//!   histogram and rate counter, so the registry answers "right now" as
+//!   well as "since boot".
 //! - **Traces** ([`trace`]) — request-scoped causal span trees retained in
 //!   a flight recorder, propagated through thread boundaries explicitly or
 //!   via a thread-local context ([`ctx_span`]).
-//! - **SLOs** ([`slo`]) — per-endpoint good/total tracking against a
-//!   latency objective, with windowed burn rates.
+//! - **SLOs** ([`slo`]) — per-endpoint good/total rate counters against a
+//!   latency objective gauge, with burn rates computed on read.
 //! - **Exposition** ([`expo`]) — the registry rendered as Prometheus text
 //!   and flight-recorder JSON for live `GET /metrics` / `GET /traces`.
 //! - **Allocation accounting** ([`alloc`]) — an opt-in instrumented
@@ -37,8 +36,8 @@
 //! - **Audit** ([`audit`]) — shadow-oracle ranking-quality series
 //!   (recall@k / agreement@k / rank displacement, cumulative and windowed)
 //!   with a latched degradation alert against a configured recall floor.
-//! - **Drift** ([`drift`]) — PSI-style divergence of live distributions
-//!   against startup reference snapshots, plus named drift gauges.
+//! - **Drift** ([`drift`]) — the PSI divergence statistic and the drift
+//!   gauges it publishes.
 //!
 //! Everything is process-global by design: instrumented crates call free
 //! functions and never thread handles through their APIs, so adding or
@@ -70,25 +69,20 @@ pub use audit::{
     note_audit_stale, record_audit, set_audit_floor, AuditObservation, AuditSnapshot,
     ALERT_WINDOW_SECS, MIN_ALERT_SAMPLES,
 };
-pub use drift::{
-    all_drift_stats, drift_stat, psi, psi_vs_reference, reference, set_drift_stat, set_reference,
-    PSI_EPS,
-};
-pub use expo::{prometheus_text, trace_dump, traces_json, TraceDump};
+pub use drift::{psi, set_drift_stat, PSI_EPS};
+pub use expo::{prometheus_text, traces_json, TraceDump};
 pub use histogram::{HistogramBuckets, HistogramSnapshot, LogHistogram};
-pub use lock::{ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
+pub use lock::{ObsGuard, ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
 pub use profile::{folded_stacks, folded_text};
 pub use registry::{
-    all_counters, all_spans, all_values, all_windowed_counters, all_windowed_spans,
-    all_windowed_values, counter, counter_value, counter_window_sum, enabled, rate_counter,
-    record_duration, record_value, reset, set_enabled, span, span_snapshot, time, value_buckets,
-    value_snapshot, windowed_span, windowed_value, windowed_value_buckets, Counter, RateCounter,
-    SpanGuard,
+    counter, counter_value, enabled, find_series, rate_counter, record_duration, record_value,
+    reset, series, set_enabled, span, span_snapshot, time, value_snapshot, Counter, Kind,
+    RateCounter, Series, SpanGuard,
 };
-pub use slo::{all_slos, slo, slo_snapshot, Slo, SloSnapshot};
+pub use slo::{slo, slo_snapshot, Slo, SloSnapshot};
 pub use telemetry::{
-    add_sink, clear_sinks, emit_epoch, emit_run_summary, emit_trace, flush_sinks, next_run_id,
-    BoxHealth, CaptureSink, ConsoleSink, CounterSummary, EpochRecord, JsonlSink, RunSummary, Sink,
+    add_sink, emit_epoch, emit_run_summary, emit_trace, flush_sinks, next_run_id, BoxHealth,
+    CaptureSink, ConsoleSink, CounterSummary, EpochRecord, JsonlSink, RunSummary, Sink,
     SpanSummary, TelemetryEvent, ValueSummary, Verbosity, WindowedSummary,
 };
 pub use trace::{
@@ -96,4 +90,4 @@ pub use trace::{
     set_trace_sampling, start_trace, with_context, ActiveTrace, CtxSpan, TraceId, TraceOutcome,
     TraceRecord, TraceSpan, TraceSpanGuard,
 };
-pub use window::{now_sec, WindowedHistogram, WindowedSnapshot};
+pub use window::{now_sec, Ring, WindowedCounter, WindowedHistogram, WindowedSnapshot};

@@ -28,26 +28,19 @@
 //! locks with the same name share registry cells, so short-lived engines
 //! in tests accumulate into one series rather than leaking new ones.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::{
     Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError, WaitTimeoutResult,
+    TryLockError, TryLockResult, WaitTimeoutResult,
 };
 use std::time::{Duration, Instant};
 
 use crate::registry::RateCounter;
 
-/// `"lock.<name>.<suffix>"` as a `&'static str`, interned so constructing
-/// the same lock name twice reuses one leak.
+/// `"lock.<name>.<suffix>"`, interned so constructing the same lock name
+/// twice reuses one leak.
 fn intern_series(name: &str, suffix: &str) -> &'static str {
-    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let full = format!("lock.{name}.{suffix}");
-    let mut tab = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&existing) = tab.iter().find(|&&s| s == full) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(full.into_boxed_str());
-    tab.push(leaked);
-    leaked
+    crate::registry::intern(format!("lock.{name}.{suffix}"))
 }
 
 struct Series {
@@ -63,6 +56,43 @@ impl Series {
             wait: intern_series(name, "wait"),
             hold: intern_series(name, "hold"),
             contended,
+        }
+    }
+
+    /// One timed acquire: a `try_acquire` probe first, so an acquire that
+    /// has to block counts as contended, then the blocking `acquire`.
+    fn acquire<G>(
+        &self,
+        try_acquire: impl FnOnce() -> TryLockResult<G>,
+        acquire: impl FnOnce() -> LockResult<G>,
+    ) -> LockResult<ObsGuard<G>> {
+        if !crate::enabled() {
+            return self.wrap(acquire(), false);
+        }
+        let start = Instant::now();
+        let result = match try_acquire() {
+            Ok(g) => Ok(g),
+            Err(TryLockError::Poisoned(p)) => Err(p),
+            Err(TryLockError::WouldBlock) => {
+                self.contended.incr();
+                acquire()
+            }
+        };
+        crate::record_duration(self.wait, start.elapsed());
+        self.wrap(result, true)
+    }
+
+    /// Wraps a std guard (poisoned or not), starting its hold clock when
+    /// `timed`.
+    fn wrap<G>(&self, result: LockResult<G>, timed: bool) -> LockResult<ObsGuard<G>> {
+        let make = |inner| ObsGuard {
+            inner: Some(inner),
+            hold: self.hold,
+            since: timed.then(Instant::now),
+        };
+        match result {
+            Ok(g) => Ok(make(g)),
+            Err(p) => Err(PoisonError::new(make(p.into_inner()))),
         }
     }
 }
@@ -88,20 +118,8 @@ impl<T> ObsMutex<T> {
     /// already held). Poisoning passes through exactly as with
     /// [`Mutex::lock`].
     pub fn lock(&self) -> LockResult<ObsMutexGuard<'_, T>> {
-        if !crate::enabled() {
-            return wrap_mutex(&self.series, self.inner.lock(), false);
-        }
-        let start = Instant::now();
-        let result = match self.inner.try_lock() {
-            Ok(g) => Ok(g),
-            Err(TryLockError::Poisoned(p)) => Err(p),
-            Err(TryLockError::WouldBlock) => {
-                self.series.contended.incr();
-                self.inner.lock()
-            }
-        };
-        crate::record_duration(self.series.wait, start.elapsed());
-        wrap_mutex(&self.series, result, true)
+        self.series
+            .acquire(|| self.inner.try_lock(), || self.inner.lock())
     }
 
     /// [`Condvar::wait`] through the instrumented guard. Hold time pauses
@@ -113,10 +131,7 @@ impl<T> ObsMutex<T> {
     ) -> LockResult<ObsMutexGuard<'a, T>> {
         guard.record_hold();
         let inner = guard.inner.take().expect("guard holds until consumed");
-        match cv.wait(inner) {
-            Ok(g) => wrap_mutex(&self.series, Ok(g), crate::enabled()),
-            Err(p) => wrap_mutex(&self.series, Err(p), crate::enabled()),
-        }
+        self.series.wrap(cv.wait(inner), crate::enabled())
     }
 
     /// [`Condvar::wait_timeout`] through the instrumented guard; same
@@ -130,18 +145,16 @@ impl<T> ObsMutex<T> {
         guard.record_hold();
         let inner = guard.inner.take().expect("guard holds until consumed");
         let timed = crate::enabled();
-        match cv.wait_timeout(inner, dur) {
-            Ok((g, timeout)) => match wrap_mutex(&self.series, Ok(g), timed) {
-                Ok(g) => Ok((g, timeout)),
-                Err(_) => unreachable!("Ok input cannot wrap to Err"),
-            },
+        let (result, timeout) = match cv.wait_timeout(inner, dur) {
+            Ok((g, timeout)) => (Ok(g), timeout),
             Err(p) => {
                 let (g, timeout) = p.into_inner();
-                match wrap_mutex(&self.series, Ok(g), timed) {
-                    Ok(g) => Err(PoisonError::new((g, timeout))),
-                    Err(_) => unreachable!("Ok input cannot wrap to Err"),
-                }
+                (Err(PoisonError::new(g)), timeout)
             }
+        };
+        match self.series.wrap(result, timed) {
+            Ok(g) => Ok((g, timeout)),
+            Err(p) => Err(PoisonError::new((p.into_inner(), timeout))),
         }
     }
 }
@@ -151,56 +164,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ObsMutex<T> {
         f.debug_struct("ObsMutex")
             .field("inner", &self.inner)
             .finish()
-    }
-}
-
-fn wrap_mutex<'a, T>(
-    series: &Series,
-    result: LockResult<MutexGuard<'a, T>>,
-    timed: bool,
-) -> LockResult<ObsMutexGuard<'a, T>> {
-    let make = |inner: MutexGuard<'a, T>| ObsMutexGuard {
-        inner: Some(inner),
-        hold: series.hold,
-        since: timed.then(Instant::now),
-    };
-    match result {
-        Ok(g) => Ok(make(g)),
-        Err(p) => Err(PoisonError::new(make(p.into_inner()))),
-    }
-}
-
-/// Guard of an [`ObsMutex`]; records hold time when dropped.
-pub struct ObsMutexGuard<'a, T> {
-    inner: Option<MutexGuard<'a, T>>,
-    hold: &'static str,
-    since: Option<Instant>,
-}
-
-impl<T> ObsMutexGuard<'_, T> {
-    fn record_hold(&mut self) {
-        if let Some(since) = self.since.take() {
-            crate::record_duration(self.hold, since.elapsed());
-        }
-    }
-}
-
-impl<T> std::ops::Deref for ObsMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard holds until dropped")
-    }
-}
-
-impl<T> std::ops::DerefMut for ObsMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard holds until dropped")
-    }
-}
-
-impl<T> Drop for ObsMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.record_hold();
     }
 }
 
@@ -224,39 +187,15 @@ impl<T> ObsRwLock<T> {
     /// Acquires shared access, recording wait time (and contention when a
     /// writer holds the lock).
     pub fn read(&self) -> LockResult<ObsReadGuard<'_, T>> {
-        if !crate::enabled() {
-            return wrap_read(&self.series, self.inner.read(), false);
-        }
-        let start = Instant::now();
-        let result = match self.inner.try_read() {
-            Ok(g) => Ok(g),
-            Err(TryLockError::Poisoned(p)) => Err(p),
-            Err(TryLockError::WouldBlock) => {
-                self.series.contended.incr();
-                self.inner.read()
-            }
-        };
-        crate::record_duration(self.series.wait, start.elapsed());
-        wrap_read(&self.series, result, true)
+        self.series
+            .acquire(|| self.inner.try_read(), || self.inner.read())
     }
 
     /// Acquires exclusive access, recording wait time (and contention when
     /// any other holder exists).
     pub fn write(&self) -> LockResult<ObsWriteGuard<'_, T>> {
-        if !crate::enabled() {
-            return wrap_write(&self.series, self.inner.write(), false);
-        }
-        let start = Instant::now();
-        let result = match self.inner.try_write() {
-            Ok(g) => Ok(g),
-            Err(TryLockError::Poisoned(p)) => Err(p),
-            Err(TryLockError::WouldBlock) => {
-                self.series.contended.incr();
-                self.inner.write()
-            }
-        };
-        crate::record_duration(self.series.wait, start.elapsed());
-        wrap_write(&self.series, result, true)
+        self.series
+            .acquire(|| self.inner.try_write(), || self.inner.write())
     }
 }
 
@@ -268,85 +207,48 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ObsRwLock<T> {
     }
 }
 
-fn wrap_read<'a, T>(
-    series: &Series,
-    result: LockResult<RwLockReadGuard<'a, T>>,
-    timed: bool,
-) -> LockResult<ObsReadGuard<'a, T>> {
-    let make = |inner: RwLockReadGuard<'a, T>| ObsReadGuard {
-        inner,
-        hold: series.hold,
-        since: timed.then(Instant::now),
-    };
-    match result {
-        Ok(g) => Ok(make(g)),
-        Err(p) => Err(PoisonError::new(make(p.into_inner()))),
-    }
-}
-
-fn wrap_write<'a, T>(
-    series: &Series,
-    result: LockResult<RwLockWriteGuard<'a, T>>,
-    timed: bool,
-) -> LockResult<ObsWriteGuard<'a, T>> {
-    let make = |inner: RwLockWriteGuard<'a, T>| ObsWriteGuard {
-        inner,
-        hold: series.hold,
-        since: timed.then(Instant::now),
-    };
-    match result {
-        Ok(g) => Ok(make(g)),
-        Err(p) => Err(PoisonError::new(make(p.into_inner()))),
-    }
-}
-
-/// Shared guard of an [`ObsRwLock`]; records hold time when dropped.
-pub struct ObsReadGuard<'a, T> {
-    inner: RwLockReadGuard<'a, T>,
+/// Guard of an [`ObsMutex`] or [`ObsRwLock`]: derefs like the std guard it
+/// wraps and records hold time when dropped.
+pub struct ObsGuard<G> {
+    /// `None` only while a condvar wait has the std guard.
+    inner: Option<G>,
     hold: &'static str,
     since: Option<Instant>,
 }
 
-impl<T> std::ops::Deref for ObsReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
+/// Guard of an [`ObsMutex`].
+pub type ObsMutexGuard<'a, T> = ObsGuard<MutexGuard<'a, T>>;
+/// Shared guard of an [`ObsRwLock`].
+pub type ObsReadGuard<'a, T> = ObsGuard<RwLockReadGuard<'a, T>>;
+/// Exclusive guard of an [`ObsRwLock`].
+pub type ObsWriteGuard<'a, T> = ObsGuard<RwLockWriteGuard<'a, T>>;
 
-impl<T> Drop for ObsReadGuard<'_, T> {
-    fn drop(&mut self) {
+impl<G> ObsGuard<G> {
+    fn record_hold(&mut self) {
         if let Some(since) = self.since.take() {
             crate::record_duration(self.hold, since.elapsed());
         }
     }
 }
 
-/// Exclusive guard of an [`ObsRwLock`]; records hold time when dropped.
-pub struct ObsWriteGuard<'a, T> {
-    inner: RwLockWriteGuard<'a, T>,
-    hold: &'static str,
-    since: Option<Instant>,
-}
-
-impl<T> std::ops::Deref for ObsWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
+impl<G: Deref> Deref for ObsGuard<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        self.inner.as_deref().expect("guard holds until dropped")
     }
 }
 
-impl<T> std::ops::DerefMut for ObsWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+impl<G: DerefMut> DerefMut for ObsGuard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        self.inner
+            .as_deref_mut()
+            .expect("guard holds until dropped")
     }
 }
 
-impl<T> Drop for ObsWriteGuard<'_, T> {
+impl<G> Drop for ObsGuard<G> {
     fn drop(&mut self) {
-        if let Some(since) = self.since.take() {
-            crate::record_duration(self.hold, since.elapsed());
-        }
+        self.record_hold();
     }
 }
 

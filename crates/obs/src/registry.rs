@@ -1,27 +1,29 @@
-//! Global span/counter registry.
+//! The metric registry: one process-wide table of named series.
 //!
-//! Spans aggregate wall-clock durations into per-name [`LogHistogram`]s;
-//! counters are plain atomics. Both live in a process-wide registry so
-//! instrumentation can be dropped into any crate without threading handles
-//! through APIs. The whole layer sits behind one atomic enable gate:
-//! when disabled, [`span`] does not even read the clock, so instrumented
-//! code pays a single relaxed atomic load per call site.
+//! Every series is keyed by `(name, Kind)`: a plain [`counter`], a
+//! [`rate_counter`] (a counter plus a sliding-window ring, for "events in
+//! the last 10 s"), a [`Kind::Span`] or [`Kind::Value`] histogram, or a
+//! [`Kind::Gauge`]. Each histogram records into its cumulative-since-boot
+//! [`LogHistogram`] and its [`WindowedHistogram`] together, so every name
+//! answers both "over the whole run" and "over the last 10/60 seconds".
 //!
-//! Every span and value histogram records into two aggregations at once:
-//! the cumulative-since-boot [`LogHistogram`] and a sliding
-//! [`WindowedHistogram`], so each name answers both "over the whole run"
-//! and "over the last 10/60 seconds" ([`windowed_span`],
-//! [`all_windowed_spans`], …). Plain [`counter`]s stay a single
-//! `fetch_add` — training hot loops increment them per-sample — while
-//! call sites that want rates opt in via [`rate_counter`], which feeds a
-//! windowed ring alongside the same cumulative cell.
+//! [`series`] lists the table and is the one read path: `/metrics`
+//! ([`crate::expo`]), [`crate::RunSummary`], the SLO and audit producers
+//! and [`reset`] all go through it. Series whose name contains `:` belong
+//! to a producer module (`slo:…`, `audit:…`) that renders them in its own
+//! families; see [`Series::owned`].
+//!
+//! The whole layer sits behind one atomic enable gate: when disabled,
+//! [`span`] does not even read the clock, so instrumented code pays a
+//! single relaxed atomic load per call site. Recording by name takes the
+//! table's read lock once and writes under it, with no handle clone.
 
-use crate::histogram::{HistogramSnapshot, LogHistogram};
-use crate::window::{self, WindowedHistogram, WindowedSnapshot};
+use crate::histogram::{HistogramBuckets, HistogramSnapshot, LogHistogram};
+use crate::window::{now_sec, WindowedCounter, WindowedHistogram, WindowedSnapshot};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
@@ -36,72 +38,134 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// One named duration/value series: cumulative histogram + sliding window,
-/// recorded together.
-#[derive(Default)]
-struct TimedCell {
-    hist: LogHistogram,
-    windowed: WindowedHistogram,
+/// What a series measures: the second half of its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Kind {
+    /// A monotonic count ([`counter`]).
+    Counter,
+    /// A monotonic count with a sliding-window ring ([`rate_counter`]).
+    Rate,
+    /// A histogram of durations in nanoseconds ([`span`],
+    /// [`record_duration`]).
+    Span,
+    /// A histogram of dimensionless samples ([`record_value`]).
+    Value,
+    /// A last-written `f64` ([`crate::set_drift_stat`], and the SLO and
+    /// audit producers' settings and latch).
+    Gauge,
 }
 
-impl TimedCell {
+enum Cell {
+    Count(AtomicU64),
+    Rate(AtomicU64, WindowedCounter),
+    /// Boxed so counters and gauges do not take a histogram's 2 KiB.
+    Hist(Box<LogHistogram>, WindowedHistogram),
+    /// `f64` bits.
+    Gauge(AtomicU64),
+}
+
+impl Cell {
+    fn new(kind: Kind) -> Self {
+        match kind {
+            Kind::Counter => Cell::Count(AtomicU64::new(0)),
+            Kind::Rate => Cell::Rate(AtomicU64::new(0), WindowedCounter::new()),
+            Kind::Span | Kind::Value => Cell::Hist(Box::default(), WindowedHistogram::new()),
+            Kind::Gauge => Cell::Gauge(AtomicU64::new(0f64.to_bits())),
+        }
+    }
+
+    fn add(&self, n: u64) {
+        match self {
+            Cell::Count(total) => {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+            Cell::Rate(total, window) => {
+                total.fetch_add(n, Ordering::Relaxed);
+                window.add(n);
+            }
+            Cell::Hist(..) | Cell::Gauge(_) => {}
+        }
+    }
+
     fn record(&self, value: u64) {
-        self.hist.record(value);
-        self.windowed.record(value);
+        if let Cell::Hist(cumulative, window) = self {
+            cumulative.record(value);
+            window.record(value);
+        }
+    }
+
+    /// Counters: the cumulative count. Histograms: samples recorded.
+    fn count(&self) -> u64 {
+        match self {
+            Cell::Count(total) | Cell::Rate(total, _) => total.load(Ordering::Relaxed),
+            Cell::Hist(cumulative, _) => cumulative.count(),
+            Cell::Gauge(_) => 0,
+        }
+    }
+
+    /// Rate counters: events in the last `window` seconds.
+    fn window_sum(&self, window: u64) -> u64 {
+        match self {
+            Cell::Rate(_, ring) => ring.sum_at(now_sec(), window),
+            _ => 0,
+        }
     }
 }
 
-struct Registry {
-    spans: RwLock<HashMap<&'static str, Arc<TimedCell>>>,
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    values: RwLock<HashMap<&'static str, Arc<TimedCell>>>,
-    /// Windowed rings for counters that opted in via [`rate_counter`].
-    counter_windows: RwLock<HashMap<&'static str, Arc<window::WindowedCounter>>>,
+/// Each row repeats its `'static` name beside the cell, so a lookup by a
+/// borrowed name can still hand out a [`Series`] naming it.
+type Table = RwLock<HashMap<(&'static str, Kind), (&'static str, Arc<Cell>)>>;
+
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        spans: RwLock::new(HashMap::new()),
-        counters: RwLock::new(HashMap::new()),
-        values: RwLock::new(HashMap::new()),
-        counter_windows: RwLock::new(HashMap::new()),
-    })
-}
-
-fn span_cell(name: &'static str) -> Arc<TimedCell> {
-    if let Some(h) = registry().spans.read().get(name) {
-        return Arc::clone(h);
-    }
-    let mut map = registry().spans.write();
-    Arc::clone(map.entry(name).or_default())
-}
-
-fn value_cell(name: &'static str) -> Arc<TimedCell> {
-    if let Some(h) = registry().values.read().get(name) {
-        return Arc::clone(h);
-    }
-    let mut map = registry().values.write();
-    Arc::clone(map.entry(name).or_default())
-}
-
-fn counter_cell(name: &'static str) -> Arc<AtomicU64> {
-    if let Some(c) = registry().counters.read().get(name) {
+/// The cell of `(name, kind)`, created on first use.
+fn cell(name: &'static str, kind: Kind) -> Arc<Cell> {
+    if let Some((_, c)) = table().read().get(&(name, kind)) {
         return Arc::clone(c);
     }
-    let mut map = registry().counters.write();
-    Arc::clone(map.entry(name).or_default())
+    insert(name, kind)
 }
 
-fn counter_window(name: &'static str) -> Arc<window::WindowedCounter> {
-    if let Some(w) = registry().counter_windows.read().get(name) {
-        return Arc::clone(w);
+/// The slow path of [`cell`], kept out of line: building a histogram cell
+/// needs a large stack frame, and every caller that inlined it would probe
+/// that whole frame on each call (tens of microseconds on a fresh thread).
+#[cold]
+#[inline(never)]
+fn insert(name: &'static str, kind: Kind) -> Arc<Cell> {
+    let mut map = table().write();
+    let row = map
+        .entry((name, kind))
+        .or_insert_with(|| (name, Arc::new(Cell::new(kind))));
+    Arc::clone(&row.1)
+}
+
+/// Records into the histogram `(name, kind)` under one read of the table.
+fn record(name: &'static str, kind: Kind, value: u64) {
+    if let Some((_, c)) = table().read().get(&(name, kind)) {
+        return c.record(value);
     }
-    let mut map = registry().counter_windows.write();
-    Arc::clone(
-        map.entry(name)
-            .or_insert_with(|| Arc::new(window::WindowedCounter::new())),
-    )
+    insert(name, kind).record(value);
+}
+
+/// `name` as a `&'static str`, leaked once per distinct string. For series
+/// names built at run time (lock and SLO series); bounded by the number of
+/// distinct names.
+pub(crate) fn intern(name: String) -> &'static str {
+    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut tab = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&existing) = tab.iter().find(|&&s| s == name) {
+        return existing;
+    }
+    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    tab.push(leaked);
+    leaked
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Times a region of code; records into the named span histogram on drop.
@@ -119,7 +183,7 @@ impl SpanGuard {
         match self.start.take() {
             Some(start) => {
                 let elapsed = start.elapsed();
-                span_cell(self.name).record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+                record(self.name, Kind::Span, nanos(elapsed));
                 elapsed
             }
             None => Duration::ZERO,
@@ -157,11 +221,11 @@ pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Records a dimensionless sample (batch size, queue depth, list length)
 /// into the named value histogram. Same log-scale aggregation as spans, but
-/// kept in a separate namespace so consumers never mistake a size
-/// distribution for nanoseconds. No-op while instrumentation is disabled.
+/// a separate kind, so consumers never mistake a size distribution for
+/// nanoseconds. No-op while instrumentation is disabled.
 pub fn record_value(name: &'static str, value: u64) {
     if enabled() {
-        value_cell(name).record(value);
+        record(name, Kind::Value, value);
     }
 }
 
@@ -170,83 +234,26 @@ pub fn record_value(name: &'static str, value: u64) {
 /// end-to-end time measured from enqueue to response across threads.
 pub fn record_duration(name: &'static str, duration: Duration) {
     if enabled() {
-        span_cell(name).record(duration.as_nanos().min(u128::from(u64::MAX)) as u64);
+        record(name, Kind::Span, nanos(duration));
     }
-}
-
-/// Snapshot of one value histogram, if it ever recorded.
-pub fn value_snapshot(name: &str) -> Option<HistogramSnapshot> {
-    registry()
-        .values
-        .read()
-        .get(name)
-        .map(|h| h.hist.snapshot())
-        .filter(|s| s.count > 0)
-}
-
-/// Snapshots of every value histogram that recorded at least once, sorted by
-/// name.
-pub fn all_values() -> Vec<(String, HistogramSnapshot)> {
-    let mut out: Vec<(String, HistogramSnapshot)> = registry()
-        .values
-        .read()
-        .iter()
-        .map(|(name, h)| (name.to_string(), h.hist.snapshot()))
-        .filter(|(_, s)| s.count > 0)
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
 }
 
 /// A named monotonic counter. Cheap to clone; cache one outside hot loops.
 #[derive(Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Arc<Cell>,
 }
+
+/// A [`Counter`] obtained from [`rate_counter`]: it also feeds a
+/// sliding-window ring, so [`Counter::in_window`] answers rate queries
+/// ("sheds in the last 10 s") alongside the cumulative total.
+pub type RateCounter = Counter;
 
 impl Counter {
     /// Adds `n` (no-op while instrumentation is disabled).
     pub fn add(&self, n: u64) {
         if enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Looks up (creating on first use) the named counter.
-pub fn counter(name: &'static str) -> Counter {
-    Counter {
-        cell: counter_cell(name),
-    }
-}
-
-/// A counter that also feeds a sliding-window ring, so it answers rate
-/// queries ("sheds in the last 10 s") alongside the cumulative total. The
-/// cumulative side shares the cell of [`counter`] under the same name —
-/// `/stats`-style consumers see one number, not two. Each `add` costs two
-/// atomic ops plus a clock read; keep it off per-sample training loops.
-#[derive(Clone)]
-pub struct RateCounter {
-    cum: Counter,
-    win: Arc<window::WindowedCounter>,
-}
-
-impl RateCounter {
-    /// Adds `n` to both aggregations (no-op while disabled).
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.cum.add(n);
-            self.win.add(n);
+            self.cell.add(n);
         }
     }
 
@@ -257,194 +264,198 @@ impl RateCounter {
 
     /// Cumulative value since boot.
     pub fn get(&self) -> u64 {
-        self.cum.get()
+        self.cell.count()
     }
 
-    /// Events in the last `window` seconds.
+    /// Events in the last `window` seconds (0 unless this counter came
+    /// from [`rate_counter`]).
     pub fn in_window(&self, window: u64) -> u64 {
-        self.win.sum(window)
-    }
-
-    /// Events per second over the last `window` seconds.
-    pub fn rate(&self, window: u64) -> f64 {
-        self.win.rate(window)
+        self.cell.window_sum(window)
     }
 }
 
-/// Looks up (creating on first use) the named rate counter. The cumulative
-/// side is the same cell [`counter`] returns for this name.
+/// Looks up (creating on first use) the named counter. Its `add` is one
+/// relaxed `fetch_add`, cheap enough for per-sample training loops.
+pub fn counter(name: &'static str) -> Counter {
+    Counter {
+        cell: cell(name, Kind::Counter),
+    }
+}
+
+/// Looks up (creating on first use) the named rate counter. Each `add`
+/// costs two atomic ops plus a clock read; keep it off per-sample loops.
 pub fn rate_counter(name: &'static str) -> RateCounter {
-    RateCounter {
-        cum: counter(name),
-        win: counter_window(name),
+    Counter {
+        cell: cell(name, Kind::Rate),
     }
 }
 
-/// Current value of a named counter (0 if never touched).
-pub fn counter_value(name: &'static str) -> u64 {
-    registry()
-        .counters
-        .read()
-        .get(name)
-        .map(|c| c.load(Ordering::Relaxed))
-        .unwrap_or(0)
+/// A named `f64` gauge holding the last value written. Cheap to clone.
+#[derive(Clone)]
+pub(crate) struct Gauge {
+    cell: Arc<Cell>,
 }
 
-/// Windowed sum of a named counter over the last `window` seconds, if that
-/// counter has a windowed ring (i.e. was obtained via [`rate_counter`]).
-pub fn counter_window_sum(name: &str, window: u64) -> Option<u64> {
-    registry()
-        .counter_windows
-        .read()
-        .get(name)
-        .map(|w| w.sum(window))
+impl Gauge {
+    fn bits(&self) -> &AtomicU64 {
+        match &*self.cell {
+            Cell::Gauge(bits) => bits,
+            _ => unreachable!("gauge handles wrap gauge cells"),
+        }
+    }
+
+    /// Publishes `value` (recorded even while instrumentation is disabled:
+    /// gauges carry configuration and derived state, not hot-path samples).
+    pub(crate) fn set(&self, value: f64) {
+        self.bits().store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The last value written (0.0 before the first).
+    pub(crate) fn get(&self) -> f64 {
+        f64::from_bits(self.bits().load(Ordering::Relaxed))
+    }
+
+    /// Writes `value`, returning the previous one.
+    pub(crate) fn swap(&self, value: f64) -> f64 {
+        f64::from_bits(self.bits().swap(value.to_bits(), Ordering::Relaxed))
+    }
 }
 
-/// Windowed sums of every rate counter, sorted by name.
-pub fn all_windowed_counters(window: u64) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = registry()
-        .counter_windows
+/// Looks up (creating on first use) the named gauge. Crate-private: a
+/// gauge whose name has no `:` renders as a drift statistic, so code
+/// outside the crate publishes gauges through [`crate::set_drift_stat`].
+pub(crate) fn gauge(name: &'static str) -> Gauge {
+    Gauge {
+        cell: cell(name, Kind::Gauge),
+    }
+}
+
+/// One row of the registry table: a read handle on a live series.
+#[derive(Clone)]
+pub struct Series {
+    /// The series name, e.g. `serve.request` or `lock.engine.live.wait`.
+    pub name: &'static str,
+    /// What the series measures.
+    pub kind: Kind,
+    cell: Arc<Cell>,
+}
+
+impl Series {
+    /// Whether a producer module owns the series and renders it in its own
+    /// Prometheus families (its name contains `:`, as in `slo:…` and
+    /// `audit:…`). Generic listings — `inbox_counter_*`, `inbox_span_*`,
+    /// `inbox_value_*`, `RunSummary` — skip owned series.
+    pub fn owned(&self) -> bool {
+        self.name.contains(':')
+    }
+
+    /// Counters: the cumulative count. Histograms: samples recorded.
+    /// Gauges: 0.
+    pub fn count(&self) -> u64 {
+        self.cell.count()
+    }
+
+    /// Rate counters: events in the last `window` seconds (0 for other
+    /// kinds).
+    pub fn window_sum(&self, window: u64) -> u64 {
+        self.cell.window_sum(window)
+    }
+
+    /// Histograms: the raw buckets since boot (`window` = `None`) or over
+    /// the last `window` seconds. Empty for other kinds.
+    pub fn buckets(&self, window: Option<u64>) -> HistogramBuckets {
+        match (&*self.cell, window) {
+            (Cell::Hist(cumulative, _), None) => cumulative.buckets(),
+            (Cell::Hist(_, ring), Some(w)) => ring.merged_at(now_sec(), w),
+            _ => HistogramBuckets::new(),
+        }
+    }
+
+    /// Histograms: the cumulative summary (all-zero for other kinds).
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        match &*self.cell {
+            Cell::Hist(cumulative, _) => cumulative.snapshot(),
+            _ => HistogramBuckets::new().snapshot(),
+        }
+    }
+
+    /// Histograms: the summary over the last `window` seconds.
+    pub fn windowed(&self, window: u64) -> WindowedSnapshot {
+        let window = window.clamp(1, crate::window::MAX_WINDOW_SECS);
+        WindowedSnapshot::from_buckets(window, &self.buckets(Some(window)))
+    }
+
+    /// Gauges: the last value written (NaN for other kinds).
+    pub fn gauge(&self) -> f64 {
+        match &*self.cell {
+            Cell::Gauge(bits) => f64::from_bits(bits.load(Ordering::Relaxed)),
+            _ => f64::NAN,
+        }
+    }
+}
+
+/// Every series in the table, sorted by name, then kind.
+pub fn series() -> Vec<Series> {
+    let mut out: Vec<Series> = table()
         .read()
         .iter()
-        .map(|(name, w)| (name.to_string(), w.sum(window)))
+        .map(|(&(_, kind), (name, cell))| Series {
+            name,
+            kind,
+            cell: Arc::clone(cell),
+        })
         .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out.sort_by_key(|s| (s.name, s.kind));
     out
+}
+
+/// The series `(name, kind)`, if it exists. Never creates one.
+pub fn find_series(name: &str, kind: Kind) -> Option<Series> {
+    let map = table().read();
+    // Shorten the key lifetime so a borrowed `name` can look it up.
+    let map: &HashMap<(&str, Kind), (&'static str, Arc<Cell>)> = &map;
+    map.get(&(name, kind)).map(|(name, cell)| Series {
+        name,
+        kind,
+        cell: Arc::clone(cell),
+    })
+}
+
+/// Current value of a named counter or rate counter (0 if never touched).
+pub fn counter_value(name: &str) -> u64 {
+    find_series(name, Kind::Counter)
+        .or_else(|| find_series(name, Kind::Rate))
+        .map_or(0, |s| s.count())
+}
+
+fn histogram(name: &str, kind: Kind) -> Option<HistogramSnapshot> {
+    find_series(name, kind)
+        .map(|s| s.snapshot())
+        .filter(|s| s.count > 0)
 }
 
 /// Snapshot of one span's histogram, if that span ever recorded.
 pub fn span_snapshot(name: &str) -> Option<HistogramSnapshot> {
-    registry()
-        .spans
-        .read()
-        .get(name)
-        .map(|h| h.hist.snapshot())
-        .filter(|s| s.count > 0)
+    histogram(name, Kind::Span)
 }
 
-/// Windowed summary of one span over the last `window` seconds, if that
-/// span ever recorded (the window itself may be empty).
-pub fn windowed_span(name: &str, window: u64) -> Option<WindowedSnapshot> {
-    registry()
-        .spans
-        .read()
-        .get(name)
-        .filter(|h| h.hist.count() > 0)
-        .map(|h| h.windowed.window(window))
+/// Snapshot of one value histogram, if it ever recorded.
+pub fn value_snapshot(name: &str) -> Option<HistogramSnapshot> {
+    histogram(name, Kind::Value)
 }
 
-/// Windowed summary of one value histogram over the last `window` seconds.
-pub fn windowed_value(name: &str, window: u64) -> Option<WindowedSnapshot> {
-    registry()
-        .values
-        .read()
-        .get(name)
-        .filter(|h| h.hist.count() > 0)
-        .map(|h| h.windowed.window(window))
-}
-
-/// Raw merged bucket counts of one value histogram over the last `window`
-/// seconds, if that value ever recorded. The full distribution — not just
-/// summary quantiles — so drift monitors can compare live traffic against a
-/// reference snapshot bucket by bucket (see [`crate::drift::psi`]).
-pub fn windowed_value_buckets(name: &str, window: u64) -> Option<crate::HistogramBuckets> {
-    registry()
-        .values
-        .read()
-        .get(name)
-        .filter(|h| h.hist.count() > 0)
-        .map(|h| h.windowed.merged_at(window::now_sec(), window))
-}
-
-/// Cumulative bucket counts of one value histogram since boot, if that
-/// value ever recorded. Used to capture drift *reference* distributions at
-/// startup.
-pub fn value_buckets(name: &str) -> Option<crate::HistogramBuckets> {
-    registry()
-        .values
-        .read()
-        .get(name)
-        .filter(|h| h.hist.count() > 0)
-        .map(|h| {
-            let mut acc = crate::HistogramBuckets::new();
-            h.hist.accumulate_into(&mut acc);
-            acc
-        })
-}
-
-/// Snapshots of every span that recorded at least once, sorted by name.
-pub fn all_spans() -> Vec<(String, HistogramSnapshot)> {
-    let mut out: Vec<(String, HistogramSnapshot)> = registry()
-        .spans
-        .read()
-        .iter()
-        .map(|(name, h)| (name.to_string(), h.hist.snapshot()))
-        .filter(|(_, s)| s.count > 0)
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Windowed summaries of every span that ever recorded, sorted by name.
-/// Spans quiet for the whole window appear with zero counts — their absence
-/// from recent traffic is itself signal.
-pub fn all_windowed_spans(window: u64) -> Vec<(String, WindowedSnapshot)> {
-    let now = window::now_sec();
-    let mut out: Vec<(String, WindowedSnapshot)> = registry()
-        .spans
-        .read()
-        .iter()
-        .filter(|(_, h)| h.hist.count() > 0)
-        .map(|(name, h)| (name.to_string(), h.windowed.window_at(now, window)))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Windowed summaries of every value histogram that ever recorded, sorted
-/// by name.
-pub fn all_windowed_values(window: u64) -> Vec<(String, WindowedSnapshot)> {
-    let now = window::now_sec();
-    let mut out: Vec<(String, WindowedSnapshot)> = registry()
-        .values
-        .read()
-        .iter()
-        .filter(|(_, h)| h.hist.count() > 0)
-        .map(|(name, h)| (name.to_string(), h.windowed.window_at(now, window)))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Values of every counter ever touched, sorted by name.
-pub fn all_counters() -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = registry()
-        .counters
-        .read()
-        .iter()
-        .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed)))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Clears **every** observability namespace: span histograms (cumulative
-/// and windowed), counters, counter rate rings, value histograms, SLO
-/// cells, retained flight-recorder traces, audit and drift state, and the
-/// failpoint registry's lifetime hit/fired mirrors. Handles obtained before
-/// the reset keep writing into detached cells, so re-fetch them afterwards;
-/// intended for test isolation and the start of independent runs.
+/// Clears **every** observability namespace: the whole series table
+/// (counters, rate windows, span and value histograms, gauges, and so the
+/// SLO, audit and drift series), retained flight-recorder traces,
+/// allocation stats, and the failpoint hit/fired mirrors. Handles obtained
+/// before the reset keep writing into detached cells, so re-fetch them
+/// afterwards; intended for test isolation and the start of independent
+/// runs.
 pub fn reset() {
-    registry().spans.write().clear();
-    registry().counters.write().clear();
-    registry().values.write().clear();
-    registry().counter_windows.write().clear();
-    crate::slo::clear_slos();
+    table().write().clear();
     crate::trace::clear_traces();
     crate::failpoints::reset_counts();
     crate::alloc::reset_alloc_stats();
-    crate::audit::clear_audit();
-    crate::drift::clear_drift();
 }
 
 #[cfg(test)]
@@ -504,9 +515,15 @@ mod tests {
         assert_eq!(counter_value("test.registry.never_touched"), 0);
         assert!(span_snapshot("test.registry.never_opened").is_none());
         assert!(value_snapshot("test.registry.never_recorded").is_none());
-        assert!(windowed_span("test.registry.never_opened", 10).is_none());
-        assert!(windowed_value("test.registry.never_recorded", 10).is_none());
-        assert!(counter_window_sum("test.registry.never_touched", 10).is_none());
+        for kind in [
+            Kind::Counter,
+            Kind::Rate,
+            Kind::Span,
+            Kind::Value,
+            Kind::Gauge,
+        ] {
+            assert!(find_series("test.registry.never_touched", kind).is_none());
+        }
     }
 
     #[test]
@@ -519,10 +536,10 @@ mod tests {
         // Log-scale buckets: p50 lands in the [4,8) bucket, max in [64,128).
         assert!(snap.p50 >= 4 && snap.p50 < 8, "p50 {}", snap.p50);
         assert!(snap.p99 >= 64, "p99 {}", snap.p99);
-        assert!(all_values()
+        assert!(series()
             .iter()
-            .any(|(name, _)| name == "test.registry.values"));
-        // Value histograms live in their own namespace, not the span one.
+            .any(|s| s.name == "test.registry.values" && s.kind == Kind::Value));
+        // Value histograms are their own kind, not spans.
         assert!(span_snapshot("test.registry.values").is_none());
     }
 
@@ -535,25 +552,18 @@ mod tests {
     }
 
     #[test]
-    fn spans_expose_windowed_summaries() {
+    fn histograms_expose_windowed_summaries() {
         record_duration("test.registry.windowed_span", Duration::from_micros(100));
-        // Recorded "now", so any window ending now contains it.
-        let w = windowed_span("test.registry.windowed_span", 60).unwrap();
-        assert_eq!(w.count, 1);
-        assert!(w.p99 >= 64_000, "p99 {} ns", w.p99);
-        assert!(all_windowed_spans(60)
-            .iter()
-            .any(|(n, s)| n == "test.registry.windowed_span" && s.count == 1));
-    }
-
-    #[test]
-    fn values_expose_windowed_summaries() {
         record_value("test.registry.windowed_value", 32);
-        let w = windowed_value("test.registry.windowed_value", 60).unwrap();
-        assert_eq!(w.count, 1);
-        assert!(all_windowed_values(60)
-            .iter()
-            .any(|(n, _)| n == "test.registry.windowed_value"));
+        // Recorded "now", so any window ending now contains it.
+        let span = find_series("test.registry.windowed_span", Kind::Span).unwrap();
+        let w = span.windowed(60);
+        assert_eq!((w.window_secs, w.count), (60, 1));
+        assert!(w.p99 >= 64_000, "p99 {} ns", w.p99);
+        assert_eq!(span.buckets(Some(60)).count(), 1);
+        assert_eq!(span.buckets(None).count(), 1);
+        let value = find_series("test.registry.windowed_value", Kind::Value).unwrap();
+        assert_eq!(value.windowed(60).count, 1);
     }
 
     #[test]
@@ -563,30 +573,39 @@ mod tests {
         rc.incr();
         assert_eq!(rc.get(), 4);
         assert_eq!(rc.in_window(60), 4);
-        assert!(rc.rate(60) > 0.0);
-        // The cumulative side is the plain counter under the same name.
         assert_eq!(counter_value("test.registry.rate"), 4);
-        assert_eq!(counter_window_sum("test.registry.rate", 60), Some(4));
-        assert!(all_windowed_counters(60)
-            .iter()
-            .any(|(n, v)| n == "test.registry.rate" && *v == 4));
+        let listed = series()
+            .into_iter()
+            .find(|s| s.name == "test.registry.rate")
+            .unwrap();
+        assert_eq!((listed.kind, listed.window_sum(60)), (Kind::Rate, 4));
+        // Plain counters keep no window.
+        counter("test.registry.plain").incr();
+        assert_eq!(counter("test.registry.plain").in_window(60), 0);
     }
 
     #[test]
-    fn disabled_gate_suppresses_recording() {
-        // Serialise with other tests that might toggle the gate: none do,
-        // but keep the window tiny regardless.
-        set_enabled(false);
-        let g = span("test.registry.disabled");
-        let d = g.stop();
-        let c = counter("test.registry.disabled_counter");
-        c.add(5);
-        let rc = rate_counter("test.registry.disabled_rate");
-        rc.add(5);
-        set_enabled(true);
-        assert_eq!(d, Duration::ZERO);
-        assert!(span_snapshot("test.registry.disabled").is_none());
-        assert_eq!(counter_value("test.registry.disabled_counter"), 0);
-        assert_eq!(rc.in_window(60), 0);
+    fn gauges_hold_the_last_value() {
+        let g = gauge("test.registry.gauge");
+        assert_eq!(g.get(), 0.0);
+        g.set(0.25);
+        assert_eq!(g.swap(2.0), 0.25);
+        let s = find_series("test.registry.gauge", Kind::Gauge).unwrap();
+        assert_eq!(s.gauge(), 2.0);
+        assert!(!s.owned());
+    }
+
+    #[test]
+    fn colon_names_are_owned_by_their_producer() {
+        counter("test:registry:owned").incr();
+        let s = find_series("test:registry:owned", Kind::Counter).unwrap();
+        assert!(s.owned());
+    }
+
+    #[test]
+    fn interning_reuses_one_leak_per_name() {
+        let a = intern("test.registry.interned".to_string());
+        let b = intern("test.registry.interned".to_string());
+        assert!(std::ptr::eq(a, b));
     }
 }

@@ -3,42 +3,26 @@
 //!
 //! An SLO here is "fraction of requests under `objective` latency ≥
 //! `target`" (e.g. 99% under 50 ms). Each observation classifies one
-//! request as good or bad; the cell keeps cumulative good/total counts
-//! plus windowed rings of both, so the **burn rate** — how fast the error
-//! budget is being consumed *right now*, relative to the rate the target
-//! allows — comes from recent traffic instead of being diluted by hours
-//! of healthy history. Burn rate 1.0 means errors arrive exactly at
-//! budget; 10× means the budget burns ten times too fast; 0 means no
-//! recent misses.
+//! request as good or bad. The SLO keeps no store of its own: it writes
+//! four registry series, `slo:<name>:good` and `slo:<name>:total` (rate
+//! counters) and `slo:<name>:objective_ns` and `slo:<name>:target`
+//! (gauges). The **burn rate** — how fast the error budget is being
+//! consumed *right now*, relative to the rate the target allows — is
+//! computed on read from the windowed counts, so it reflects recent traffic
+//! instead of being diluted by hours of healthy history. Burn rate 1.0
+//! means errors arrive exactly at budget; 10× means the budget burns ten
+//! times too fast; 0 means no recent misses.
 
-use crate::window::WindowedCounter;
-use parking_lot::RwLock;
+use crate::registry::{self, Gauge, Kind, RateCounter, Series};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-struct SloCell {
-    /// Latency objective in nanoseconds; observations under it are good.
-    objective_ns: AtomicU64,
-    /// Target good fraction in `[0, 1]`, stored as f64 bits.
-    target_bits: AtomicU64,
-    good: AtomicU64,
-    total: AtomicU64,
-    w_good: WindowedCounter,
-    w_total: WindowedCounter,
-}
-
-fn cells() -> &'static RwLock<HashMap<&'static str, Arc<SloCell>>> {
-    static CELLS: OnceLock<RwLock<HashMap<&'static str, Arc<SloCell>>>> = OnceLock::new();
-    CELLS.get_or_init(|| RwLock::new(HashMap::new()))
-}
 
 /// Handle to one registered SLO. Cheap to clone.
 #[derive(Clone)]
 pub struct Slo {
-    cell: Arc<SloCell>,
+    good: RateCounter,
+    total: RateCounter,
+    objective_ns: Gauge,
 }
 
 impl Slo {
@@ -48,44 +32,28 @@ impl Slo {
         if !crate::enabled() {
             return;
         }
-        let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let good = ns < self.cell.objective_ns.load(Ordering::Relaxed);
-        self.cell.total.fetch_add(1, Ordering::Relaxed);
-        self.cell.w_total.add(1);
-        if good {
-            self.cell.good.fetch_add(1, Ordering::Relaxed);
-            self.cell.w_good.add(1);
+        self.total.incr();
+        if (latency.as_nanos() as f64) < self.objective_ns.get() {
+            self.good.incr();
         }
     }
+}
+
+fn part(name: &str, suffix: &str) -> &'static str {
+    registry::intern(format!("slo:{name}:{suffix}"))
 }
 
 /// Registers (or re-targets) the named SLO and returns its handle.
 /// `target` is the required good fraction, e.g. `0.99`.
 pub fn slo(name: &'static str, objective: Duration, target: f64) -> Slo {
-    let objective_ns = objective.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let cell = {
-        let map = cells().read();
-        map.get(name).cloned()
-    };
-    let cell = match cell {
-        Some(c) => c,
-        None => {
-            let mut map = cells().write();
-            Arc::clone(map.entry(name).or_insert_with(|| {
-                Arc::new(SloCell {
-                    objective_ns: AtomicU64::new(objective_ns),
-                    target_bits: AtomicU64::new(target.to_bits()),
-                    good: AtomicU64::new(0),
-                    total: AtomicU64::new(0),
-                    w_good: WindowedCounter::new(),
-                    w_total: WindowedCounter::new(),
-                })
-            }))
-        }
-    };
-    cell.objective_ns.store(objective_ns, Ordering::Relaxed);
-    cell.target_bits.store(target.to_bits(), Ordering::Relaxed);
-    Slo { cell }
+    let objective_ns = registry::gauge(part(name, "objective_ns"));
+    objective_ns.set(objective.as_nanos() as f64);
+    registry::gauge(part(name, "target")).set(target);
+    Slo {
+        good: registry::rate_counter(part(name, "good")),
+        total: registry::rate_counter(part(name, "total")),
+        objective_ns,
+    }
 }
 
 /// Point-in-time view of one SLO over one sliding window.
@@ -111,54 +79,45 @@ pub struct SloSnapshot {
     pub burn_rate: f64,
 }
 
-fn snapshot_cell(cell: &SloCell, window: u64) -> SloSnapshot {
-    let target = f64::from_bits(cell.target_bits.load(Ordering::Relaxed));
-    let window_good = cell.w_good.sum(window);
-    let window_total = cell.w_total.sum(window);
+/// Snapshot of the named SLO over the last `window` seconds, if registered.
+pub fn slo_snapshot(name: &str, window: u64) -> Option<SloSnapshot> {
+    let find = |suffix: &str, kind| registry::find_series(&format!("slo:{name}:{suffix}"), kind);
+    let objective_ns = find("objective_ns", Kind::Gauge)?.gauge() as u64;
+    let target = find("target", Kind::Gauge).map_or(1.0, |s| s.gauge());
+    let (good, total) = (find("good", Kind::Rate), find("total", Kind::Rate));
+    let count = |s: &Option<Series>| s.as_ref().map_or(0, Series::count);
+    let in_window = |s: &Option<Series>| s.as_ref().map_or(0, |s| s.window_sum(window));
+    let (window_good, window_total) = (in_window(&good), in_window(&total));
     let window_good_ratio = if window_total == 0 {
         1.0
     } else {
         window_good as f64 / window_total as f64
     };
-    let allowed_error = (1.0 - target).max(1e-9);
-    SloSnapshot {
-        objective_ns: cell.objective_ns.load(Ordering::Relaxed),
+    Some(SloSnapshot {
+        objective_ns,
         target,
-        good: cell.good.load(Ordering::Relaxed),
-        total: cell.total.load(Ordering::Relaxed),
+        good: count(&good),
+        total: count(&total),
         window_good,
         window_total,
         window_good_ratio,
-        burn_rate: (1.0 - window_good_ratio) / allowed_error,
-    }
+        burn_rate: (1.0 - window_good_ratio) / (1.0 - target).max(1e-9),
+    })
 }
 
-/// Snapshot of the named SLO over the last `window` seconds, if registered.
-pub fn slo_snapshot(name: &str, window: u64) -> Option<SloSnapshot> {
-    cells().read().get(name).map(|c| snapshot_cell(c, window))
-}
-
-/// Snapshots of every registered SLO, sorted by name.
-pub fn all_slos(window: u64) -> Vec<(String, SloSnapshot)> {
-    let mut out: Vec<(String, SloSnapshot)> = cells()
-        .read()
+/// Names of the SLOs registered in `series` (a [`registry::series`]
+/// listing), in its order.
+pub(crate) fn names(series: &[Series]) -> impl Iterator<Item = &'static str> + '_ {
+    series
         .iter()
-        .map(|(name, c)| (name.to_string(), snapshot_cell(c, window)))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Drops every registered SLO (part of [`crate::reset`]).
-pub(crate) fn clear_slos() {
-    cells().write().clear();
+        .filter_map(|s| s.name.strip_prefix("slo:")?.strip_suffix(":objective_ns"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Process-global map, concurrent tests: unique names, no clear_slos().
+    // Process-global registry, concurrent tests: unique names, no reset().
 
     #[test]
     fn observations_split_into_good_and_bad() {
@@ -219,8 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn listed_in_all_slos() {
+    fn slo_series_are_owned_and_listed_by_name() {
         let _ = slo("test.slo.listed", Duration::from_millis(10), 0.99);
-        assert!(all_slos(10).iter().any(|(n, _)| n == "test.slo.listed"));
+        let all = registry::series();
+        assert!(names(&all).any(|n| n == "test.slo.listed"));
+        assert!(all
+            .iter()
+            .filter(|s| s.name.starts_with("slo:test.slo.listed:"))
+            .all(Series::owned));
     }
 }

@@ -9,7 +9,7 @@
 //! parallel tests — can be told apart.
 
 use crate::histogram::HistogramSnapshot;
-use crate::registry;
+use crate::registry::{self, Kind};
 use crate::trace::TraceRecord;
 use crate::window::WindowedSnapshot;
 use parking_lot::{Mutex, RwLock};
@@ -420,14 +420,6 @@ pub fn add_sink(sink: Arc<dyn Sink>) {
     SINKS.write().push(sink);
 }
 
-/// Removes every registered sink (flushing them first).
-pub fn clear_sinks() {
-    let drained: Vec<Arc<dyn Sink>> = std::mem::take(&mut *SINKS.write());
-    for s in &drained {
-        s.flush();
-    }
-}
-
 /// Flushes every registered sink.
 pub fn flush_sinks() {
     for s in SINKS.read().iter() {
@@ -458,36 +450,38 @@ pub fn emit_trace(record: &TraceRecord) {
     emit(&TelemetryEvent::Trace(record.clone()));
 }
 
-/// Builds a [`RunSummary`] from the current registry contents and emits it.
+/// Builds a [`RunSummary`] from the registry table and emits it.
 pub fn emit_run_summary(run: u64) -> RunSummary {
-    let w10: std::collections::HashMap<String, WindowedSnapshot> =
-        registry::all_windowed_spans(10).into_iter().collect();
-    let summary = RunSummary {
+    let mut summary = RunSummary {
         run,
-        spans: registry::all_spans()
-            .into_iter()
-            .map(|(name, snap)| SpanSummary::from_snapshot(name, snap))
-            .collect(),
-        counters: registry::all_counters()
-            .into_iter()
-            .map(|(name, value)| CounterSummary { name, value })
-            .collect(),
-        values: registry::all_values()
-            .into_iter()
-            .map(|(name, snap)| ValueSummary::from_snapshot(name, snap))
-            .collect(),
-        windowed: registry::all_windowed_spans(60)
-            .into_iter()
-            .map(|(name, last_60s)| WindowedSummary {
-                last_10s: w10
-                    .get(&name)
-                    .copied()
-                    .unwrap_or_else(|| WindowedSnapshot::empty(10)),
-                name,
-                last_60s,
-            })
-            .collect(),
+        spans: Vec::new(),
+        counters: Vec::new(),
+        values: Vec::new(),
+        windowed: Vec::new(),
     };
+    for s in registry::series().into_iter().filter(|s| !s.owned()) {
+        let name = s.name.to_string();
+        match s.kind {
+            Kind::Counter | Kind::Rate => summary.counters.push(CounterSummary {
+                name,
+                value: s.count(),
+            }),
+            Kind::Span => {
+                summary.windowed.push(WindowedSummary {
+                    name: name.clone(),
+                    last_10s: s.windowed(10),
+                    last_60s: s.windowed(60),
+                });
+                summary
+                    .spans
+                    .push(SpanSummary::from_snapshot(name, s.snapshot()));
+            }
+            Kind::Value => summary
+                .values
+                .push(ValueSummary::from_snapshot(name, s.snapshot())),
+            Kind::Gauge => {}
+        }
+    }
     emit(&TelemetryEvent::Summary(summary.clone()));
     summary
 }

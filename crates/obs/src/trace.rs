@@ -278,16 +278,7 @@ pub fn start_trace(kind: &'static str) -> Option<ActiveTrace> {
     {
         return None;
     }
-    let trace = ActiveTrace {
-        inner: Arc::new(TraceInner {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            kind,
-            start: Instant::now(),
-            spans: Mutex::new(Vec::with_capacity(8)),
-        }),
-    };
-    trace.open_span(kind, None);
-    Some(trace)
+    force_trace(kind)
 }
 
 /// Starts a trace unconditionally, bypassing 1-in-N sampling (the global

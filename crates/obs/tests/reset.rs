@@ -1,7 +1,7 @@
 //! Full-namespace audit of [`inbox_obs::reset`]: populate every namespace
 //! the registry knows — spans, counters, rate-counter windows, value
-//! histograms, SLOs, traces, and failpoint hit/fired mirrors — then reset
-//! and prove nothing survives.
+//! histograms, gauges, SLOs, audit series, traces, and failpoint hit/fired
+//! mirrors — then reset and prove nothing survives.
 //!
 //! This lives in an integration test (its own process) because `reset` is
 //! process-global: inside the unit-test binary it would race every other
@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use inbox_obs::failpoints::{self, Trigger};
-use inbox_obs::TraceOutcome;
+use inbox_obs::{Kind, TraceOutcome};
 
 #[test]
 fn reset_clears_every_namespace() {
@@ -23,6 +23,8 @@ fn reset_clears_every_namespace() {
     inbox_obs::record_duration("audit.span", Duration::from_millis(2));
     inbox_obs::record_value("audit.value", 17);
     inbox_obs::slo("audit.slo", Duration::from_millis(10), 0.95).observe(Duration::from_millis(1));
+    inbox_obs::set_drift_stat("audit.drift", 0.5);
+    inbox_obs::note_audit_sampled();
     let trace = inbox_obs::start_trace("audit.trace").expect("tracing armed");
     trace.finish(TraceOutcome::Error);
     failpoints::configure("audit.failpoint", Trigger::Always);
@@ -33,11 +35,17 @@ fn reset_clears_every_namespace() {
     // against testing an instrument that never recorded).
     assert_eq!(inbox_obs::counter_value("audit.counter"), 3);
     assert_eq!(inbox_obs::counter_value("audit.rate"), 5);
-    assert_eq!(inbox_obs::counter_window_sum("audit.rate", 10), Some(5));
+    let rate = inbox_obs::find_series("audit.rate", Kind::Rate).expect("rate series");
+    assert_eq!(rate.window_sum(10), 5);
     assert!(inbox_obs::span_snapshot("audit.span").is_some());
-    assert!(inbox_obs::windowed_span("audit.span", 10).is_some());
+    let span = inbox_obs::find_series("audit.span", Kind::Span).expect("span series");
+    assert_eq!(span.windowed(10).count, 1);
     assert!(inbox_obs::value_snapshot("audit.value").is_some());
     assert!(inbox_obs::slo_snapshot("audit.slo", 10).is_some());
+    assert_eq!(inbox_obs::audit_snapshot(10).sampled, 1);
+    let kinds: std::collections::BTreeSet<Kind> =
+        inbox_obs::series().iter().map(|s| s.kind).collect();
+    assert_eq!(kinds.len(), 5, "every kind populated: {kinds:?}");
     assert!(!inbox_obs::recent_traces().is_empty());
     assert!(!inbox_obs::notable_traces().is_empty());
     assert_eq!(failpoints::hits("audit.failpoint"), 1);
@@ -47,31 +55,29 @@ fn reset_clears_every_namespace() {
     // --- the audit proper ----------------------------------------------
     inbox_obs::reset();
 
-    assert!(inbox_obs::all_counters().is_empty(), "counters survived");
-    assert!(inbox_obs::all_spans().is_empty(), "spans survived");
-    assert!(inbox_obs::all_values().is_empty(), "values survived");
-    assert!(
-        inbox_obs::all_windowed_spans(60).is_empty(),
-        "windowed spans survived"
-    );
-    assert!(
-        inbox_obs::all_windowed_values(60).is_empty(),
-        "windowed values survived"
-    );
-    assert!(
-        inbox_obs::all_windowed_counters(60).is_empty(),
-        "counter windows survived"
-    );
+    // The one listing covers counters, rate windows, spans and values
+    // (cumulative and windowed), gauges, and the SLO and audit series.
+    let survivors: Vec<_> = inbox_obs::series()
+        .iter()
+        .map(|s| (s.name, s.kind))
+        .collect();
+    assert!(survivors.is_empty(), "series survived: {survivors:?}");
     assert_eq!(inbox_obs::counter_value("audit.counter"), 0);
-    assert_eq!(inbox_obs::counter_window_sum("audit.rate", 60), None);
+    assert!(
+        inbox_obs::find_series("audit.rate", Kind::Rate).is_none(),
+        "counter window survived"
+    );
     assert_eq!(inbox_obs::span_snapshot("audit.span"), None);
-    assert_eq!(inbox_obs::windowed_span("audit.span", 60), None);
+    assert!(
+        inbox_obs::find_series("audit.span", Kind::Span).is_none(),
+        "windowed span survived"
+    );
     assert_eq!(inbox_obs::value_snapshot("audit.value"), None);
     assert!(
         inbox_obs::slo_snapshot("audit.slo", 60).is_none(),
         "SLO survived"
     );
-    assert!(inbox_obs::all_slos(60).is_empty(), "SLO listing survived");
+    assert_eq!(inbox_obs::audit_snapshot(60).sampled, 0, "audit survived");
     assert!(
         inbox_obs::recent_traces().is_empty(),
         "recent ring survived"

@@ -24,16 +24,18 @@
 //! deterministic user sample), candidate-set sizes are snapshotted from the
 //! first observed traffic, and each periodic tick publishes PSI divergence
 //! of the live windowed distributions against those references plus the
-//! ingest-stream tag-coverage fraction (`inbox_audit_drift`).
+//! ingest-stream tag-coverage fraction (`inbox_audit_drift`). The
+//! references are captured once per process, so later services (and
+//! throwaway set-ups) skip the oracle pass.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use inbox_kg::{ItemId, UserId};
-use inbox_obs::{AuditObservation, ObsMutex};
+use inbox_obs::{AuditObservation, HistogramBuckets, Kind, ObsMutex};
 
 use crate::engine::{Engine, Recommendation};
 use crate::ServeConfig;
@@ -48,6 +50,12 @@ const REFERENCE_USERS: usize = 64;
 
 /// List length used for the startup reference scan.
 const REFERENCE_K: usize = 20;
+
+/// Served top-score reference distribution, captured at the first start.
+static SCORE_REFERENCE: OnceLock<HistogramBuckets> = OnceLock::new();
+
+/// Candidate-set-size reference distribution, from the first traffic.
+static CANDIDATES_REFERENCE: OnceLock<HistogramBuckets> = OnceLock::new();
 
 /// One sampled answer awaiting its oracle re-rank.
 struct AuditSample {
@@ -301,11 +309,11 @@ fn score_key(score: f32) -> u64 {
 /// top-score distribution over a deterministic sample of users, captured
 /// before any live traffic so later PSI measures movement *since boot*.
 fn capture_score_reference(engine: &Engine) {
-    if inbox_obs::reference("audit.score.top").is_some() {
+    if SCORE_REFERENCE.get().is_some() {
         return;
     }
     let n = engine.n_users().min(REFERENCE_USERS);
-    let mut buckets = inbox_obs::HistogramBuckets::new();
+    let mut buckets = HistogramBuckets::new();
     for u in 0..n as u32 {
         let user = UserId(u);
         let Ok(version) = engine.version_of(user) else {
@@ -318,35 +326,40 @@ fn capture_score_reference(engine: &Engine) {
         }
     }
     if buckets.count() > 0 {
-        inbox_obs::set_reference("audit.score.top", buckets);
+        let _ = SCORE_REFERENCE.set(buckets);
     }
+}
+
+/// Raw buckets of the named value histogram: since boot (`None`) or over
+/// the alert window.
+fn value_buckets(name: &str, window: Option<u64>) -> Option<HistogramBuckets> {
+    inbox_obs::find_series(name, Kind::Value).map(|s| s.buckets(window))
 }
 
 /// Publishes the drift statistics: PSI of the live windowed served-score
 /// and candidate-set-size distributions against their references, and the
 /// untagged fraction of the ingest stream.
 fn drift_tick() {
-    if let Some(live) =
-        inbox_obs::windowed_value_buckets("audit.score.top", inbox_obs::ALERT_WINDOW_SECS)
-    {
-        if let Some(p) = inbox_obs::psi_vs_reference("audit.score.top", &live) {
-            inbox_obs::set_drift_stat("psi.score", p);
-        }
+    let window = Some(inbox_obs::ALERT_WINDOW_SECS);
+    if let (Some(reference), Some(live)) = (
+        SCORE_REFERENCE.get(),
+        value_buckets("audit.score.top", window),
+    ) {
+        inbox_obs::set_drift_stat("psi.score", inbox_obs::psi(reference, &live));
     }
     // Candidate-set sizes only exist under an IVF index, and no traffic has
     // produced any at startup — the reference is the first observed
     // distribution instead.
-    if inbox_obs::reference("engine.candidates.size").is_none() {
-        if let Some(b) = inbox_obs::value_buckets("engine.candidates.size") {
-            inbox_obs::set_reference("engine.candidates.size", b);
+    if CANDIDATES_REFERENCE.get().is_none() {
+        if let Some(b) = value_buckets("engine.candidates.size", None) {
+            let _ = CANDIDATES_REFERENCE.set(b);
         }
     }
-    if let Some(live) =
-        inbox_obs::windowed_value_buckets("engine.candidates.size", inbox_obs::ALERT_WINDOW_SECS)
-    {
-        if let Some(p) = inbox_obs::psi_vs_reference("engine.candidates.size", &live) {
-            inbox_obs::set_drift_stat("psi.candidates", p);
-        }
+    if let (Some(reference), Some(live)) = (
+        CANDIDATES_REFERENCE.get(),
+        value_buckets("engine.candidates.size", window),
+    ) {
+        inbox_obs::set_drift_stat("psi.candidates", inbox_obs::psi(reference, &live));
     }
     let total = inbox_obs::counter_value("serve.ingest");
     if total > 0 {

@@ -443,9 +443,10 @@ fn respond(
             // queue backlog and the drift gauges the worker publishes.
             let snap = inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS);
             let audit = serde_json::to_string(&snap).unwrap_or_else(|_| "null".to_string());
-            let drift: Vec<String> = inbox_obs::all_drift_stats()
-                .into_iter()
-                .map(|(name, v)| format!("{}:{v}", json_string(&name)))
+            let drift: Vec<String> = inbox_obs::series()
+                .iter()
+                .filter(|s| s.kind == inbox_obs::Kind::Gauge && !s.owned())
+                .map(|s| format!("{}:{}", json_string(s.name), s.gauge()))
                 .collect();
             let body = format!(
                 "{{\"audit\":{audit},\"backlog\":{},\"drift\":{{{}}}}}",

@@ -154,10 +154,13 @@ fn every_registered_site_is_exercised_and_listed() {
             "site {site} was evaluated but never fired"
         );
     }
-    let counters: std::collections::BTreeMap<String, u64> =
-        inbox_obs::all_counters().into_iter().collect();
+    let counters: std::collections::BTreeMap<&str, u64> = inbox_obs::series()
+        .iter()
+        .filter(|s| s.kind == inbox_obs::Kind::Counter)
+        .map(|s| (s.name, s.count()))
+        .collect();
     for &site in sites::ALL {
-        let fired = counters.get(&format!("failpoint.fired.{site}"));
+        let fired = counters.get(format!("failpoint.fired.{site}").as_str());
         assert!(
             fired.is_some_and(|&n| n >= 1),
             "obs counter failpoint.fired.{site} missing or zero: {fired:?}"
