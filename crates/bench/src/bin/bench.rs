@@ -25,10 +25,8 @@ use std::process::Command;
 use inbox_bench::ledger::{self, Comparison, Direction, LedgerEntry};
 
 /// Reports the ledger tracks by default, as `(bench name, file name)`.
-const DEFAULT_REPORTS: &[(&str, &str)] = &[
-    ("throughput", "BENCH_throughput.json"),
-    ("serve", "BENCH_serve.json"),
-];
+/// Serving is measured by the separate `servebench/` crate.
+const DEFAULT_REPORTS: &[(&str, &str)] = &[("throughput", "BENCH_throughput.json")];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
