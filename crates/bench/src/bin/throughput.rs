@@ -2,13 +2,11 @@
 //! training stage and wall-clock for the inference path (`all_user_boxes`
 //! plus a full ranking pass).
 //!
-//! Writes `BENCH_throughput.json` at the repo root so successive PRs have a
-//! perf trajectory. Workflow:
+//! Writes `BENCH_throughput.json` at the repo root; `bench history` records
+//! it into `BENCH_LEDGER.jsonl`, which holds the perf trajectory, and
+//! `bench compare` diffs a fresh report against the latest entry:
 //!
 //! ```text
-//! # record the reference numbers (e.g. before an optimisation):
-//! cargo run --release -p inbox-bench --bin throughput -- --save-baseline
-//! # after the change, measure again and compare against the stored baseline:
 //! cargo run --release -p inbox-bench --bin throughput
 //! ```
 //!
@@ -33,10 +31,10 @@ use inbox_index::{auto_nprobe, BoxQuery, IvfIndex, IvfParams, QueryScratch};
 use inbox_kg::ItemId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One set of throughput measurements (higher is better except `*_ms`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Numbers {
     stage1_samples_per_sec: f64,
     stage2_samples_per_sec: f64,
@@ -48,23 +46,12 @@ struct Numbers {
     users_ranked_per_sec: f64,
 }
 
-/// Ratios of `current` over `baseline` (for `*_ms` fields: baseline/current,
-/// so >1 always means faster).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Speedup {
-    stage1: f64,
-    stage2: f64,
-    stage3: f64,
-    user_boxes: f64,
-    rank: f64,
-}
-
 /// The candidate-index stage: full-sort vs IVF top-20 ranking on the
 /// items-scaled catalog twin (`--items-scale`, default 100x) with item
 /// points warm-started to clustered (trained-like) geometry. `rank_speedup`
 /// is full-sort wall-clock over IVF wall-clock for the same user set;
 /// `recall_at_20` is measured against the exact full-sort top-20.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct IndexedStage {
     items_scale: usize,
     n_items: usize,
@@ -86,7 +73,7 @@ struct IndexedStage {
 /// between the int8 and f32 exact top-20 (the testkit contract requires
 /// ≥ 0.99); `bound_slack` is the conservative quantized-vs-f32 score gap
 /// the IVF prune widens by.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct QuantizedStage {
     n_items: usize,
     n_users_ranked: usize,
@@ -99,22 +86,16 @@ struct QuantizedStage {
     ivf_int8_agreement_at_20: f64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Report {
     dataset: String,
     dim: usize,
     threads: usize,
     batch_size: usize,
     reps: usize,
-    baseline: Option<Numbers>,
     current: Numbers,
-    speedup: Option<Speedup>,
-    /// Absent in reports written before the index subsystem existed.
-    #[serde(default)]
-    indexed: Option<IndexedStage>,
-    /// Absent in reports written before int8 inference existed.
-    #[serde(default)]
-    quantized: Option<QuantizedStage>,
+    indexed: IndexedStage,
+    quantized: QuantizedStage,
 }
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -392,7 +373,6 @@ fn measure_indexed(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let save_baseline = args.iter().any(|a| a == "--save-baseline");
     let threads = args
         .iter()
         .position(|a| a == "--threads")
@@ -441,41 +421,15 @@ fn main() {
     let current = measure(&ds, &cfg, reps);
     let (indexed, quantized) = measure_indexed(&synth, &cfg, reps, items_scale);
 
-    // A stored baseline (same dataset/threads) survives re-measurement runs;
-    // `--save-baseline` replaces it with the numbers just measured.
-    let previous: Option<Report> = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let baseline = if save_baseline {
-        Some(current.clone())
-    } else {
-        previous.and_then(|p| {
-            if p.dataset == synth.name && p.threads == threads {
-                p.baseline
-            } else {
-                None
-            }
-        })
-    };
-    let speedup = baseline.as_ref().map(|b| Speedup {
-        stage1: current.stage1_samples_per_sec / b.stage1_samples_per_sec,
-        stage2: current.stage2_samples_per_sec / b.stage2_samples_per_sec,
-        stage3: current.stage3_samples_per_sec / b.stage3_samples_per_sec,
-        user_boxes: b.user_boxes_ms / current.user_boxes_ms,
-        rank: b.rank_ms / current.rank_ms,
-    });
-
     let report = Report {
         dataset: synth.name.clone(),
         dim: cfg.dim,
         threads,
         batch_size: cfg.batch_size,
         reps,
-        baseline,
         current,
-        speedup,
-        indexed: Some(indexed),
-        quantized: Some(quantized),
+        indexed,
+        quantized,
     };
 
     println!(
@@ -488,32 +442,24 @@ fn main() {
         "user boxes {:>8.1} ms   ranking {:>8.1} ms ({:.0} users/s)",
         report.current.user_boxes_ms, report.current.rank_ms, report.current.users_ranked_per_sec,
     );
-    if let Some(s) = &report.speedup {
-        println!(
-            "speedup vs baseline: stage1 {:.2}x stage2 {:.2}x stage3 {:.2}x user_boxes {:.2}x rank {:.2}x",
-            s.stage1, s.stage2, s.stage3, s.user_boxes, s.rank
-        );
-    }
-    if let Some(ix) = &report.indexed {
-        println!(
-            "indexed @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
-            ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
-        );
-        println!(
-            "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
-            ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
-        );
-    }
-    if let Some(qz) = &report.quantized {
-        println!(
-            "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
-            qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
-        );
-        println!(
-            "  ivf+int8 {:>8.1} ms   agreement@20 {:.4}",
-            qz.ivf_int8_rank_ms, qz.ivf_int8_agreement_at_20,
-        );
-    }
+    let ix = &report.indexed;
+    println!(
+        "indexed @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
+        ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
+    );
+    println!(
+        "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
+        ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
+    );
+    let qz = &report.quantized;
+    println!(
+        "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
+        qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
+    );
+    println!(
+        "  ivf+int8 {:>8.1} ms   agreement@20 {:.4}",
+        qz.ivf_int8_rank_ms, qz.ivf_int8_agreement_at_20,
+    );
 
     let json = serde_json::to_string_pretty(&report).expect("serialise throughput report");
     std::fs::write(&out_path, json).expect("write BENCH_throughput.json");
