@@ -732,6 +732,216 @@ mod tests {
         (lo, hi, cen)
     }
 
+    /// The original scalar Lloyd build, kept verbatim as the oracle for
+    /// [`IvfIndex::build`]'s byte-identity contract: one dependent f32
+    /// add chain per (row, centroid), lowest index wins ties.
+    fn reference_build(items: &[f32], dim: usize, params: &IvfParams) -> IvfIndex {
+        fn nearest_centroid_l1(centroids: &[f32], dim: usize, row: &[f32]) -> u32 {
+            let mut best = 0u32;
+            let mut best_d = f32::MAX;
+            for (c, cen) in centroids.chunks_exact(dim).enumerate() {
+                let mut d = 0.0f32;
+                for k in 0..dim {
+                    d += (row[k] - cen[k]).abs();
+                }
+                if d < best_d {
+                    best_d = d;
+                    best = c as u32;
+                }
+            }
+            best
+        }
+        fn farthest_item(items: &[f32], dim: usize, centroids: &[f32], assign: &[u32]) -> usize {
+            let mut far = 0usize;
+            let mut far_d = f32::MIN;
+            for (i, row) in items.chunks_exact(dim).enumerate() {
+                let c = assign[i] as usize;
+                let cen = &centroids[c * dim..(c + 1) * dim];
+                let mut d = 0.0f32;
+                for k in 0..dim {
+                    d += (row[k] - cen[k]).abs();
+                }
+                if d > far_d {
+                    far_d = d;
+                    far = i;
+                }
+            }
+            far
+        }
+
+        let n = items.len() / dim;
+        let nlist = if params.nlist == 0 {
+            auto_nlist(n)
+        } else {
+            params.nlist.clamp(1, n)
+        };
+        let stride = (params.seed | 1) as usize % n.max(1);
+        let stride = if stride == 0 { 1 } else { stride };
+        let mut centroids = vec![0.0f32; nlist * dim];
+        let mut at = 0usize;
+        let mut taken = std::collections::HashSet::new();
+        for c in 0..nlist {
+            while !taken.insert(at) {
+                at = (at + 1) % n;
+            }
+            centroids[c * dim..(c + 1) * dim].copy_from_slice(&items[at * dim..(at + 1) * dim]);
+            at = (at + stride) % n;
+        }
+        let mut assign = vec![0u32; n];
+        let mut counts = vec![0u32; nlist];
+        let mut sums = vec![0.0f64; nlist * dim];
+        for _ in 0..params.iters.max(1) {
+            for (i, row) in items.chunks_exact(dim).enumerate() {
+                assign[i] = nearest_centroid_l1(&centroids, dim, row);
+            }
+            counts.fill(0);
+            sums.fill(0.0);
+            for (i, row) in items.chunks_exact(dim).enumerate() {
+                let c = assign[i] as usize;
+                counts[c] += 1;
+                for (k, &v) in row.iter().enumerate() {
+                    sums[c * dim + k] += v as f64;
+                }
+            }
+            for c in 0..nlist {
+                if counts[c] > 0 {
+                    for k in 0..dim {
+                        centroids[c * dim + k] = (sums[c * dim + k] / counts[c] as f64) as f32;
+                    }
+                } else {
+                    let far = farthest_item(items, dim, &centroids, &assign);
+                    centroids[c * dim..(c + 1) * dim]
+                        .copy_from_slice(&items[far * dim..(far + 1) * dim]);
+                }
+            }
+        }
+        for (i, row) in items.chunks_exact(dim).enumerate() {
+            assign[i] = nearest_centroid_l1(&centroids, dim, row);
+        }
+        counts.fill(0);
+        for &a in &assign {
+            counts[a as usize] += 1;
+        }
+        let mut offsets = vec![0u32; nlist + 1];
+        for c in 0..nlist {
+            offsets[c + 1] = offsets[c] + counts[c];
+        }
+        let mut cursor: Vec<u32> = offsets[..nlist].to_vec();
+        let mut members = vec![0u32; n];
+        for (i, &a) in assign.iter().enumerate() {
+            members[cursor[a as usize] as usize] = i as u32;
+            cursor[a as usize] += 1;
+        }
+        let mut rect_lo = vec![f32::MAX; nlist * dim];
+        let mut rect_hi = vec![f32::MIN; nlist * dim];
+        for c in 0..nlist {
+            for &item in &members[offsets[c] as usize..offsets[c + 1] as usize] {
+                let row = &items[item as usize * dim..(item as usize + 1) * dim];
+                for (k, &v) in row.iter().enumerate() {
+                    let lo = &mut rect_lo[c * dim + k];
+                    *lo = lo.min(v);
+                    let hi = &mut rect_hi[c * dim + k];
+                    *hi = hi.max(v);
+                }
+            }
+        }
+        IvfIndex {
+            dim,
+            n_items: n,
+            centroids,
+            rect_lo,
+            rect_hi,
+            offsets,
+            members,
+        }
+    }
+
+    fn assert_build_matches_reference(items: &[f32], dim: usize, nlist: usize, case: &str) {
+        let p = IvfParams {
+            nlist,
+            ..Default::default()
+        };
+        let got = IvfIndex::build(items, dim, &p).expect("build");
+        let want = reference_build(items, dim, &p);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.centroids),
+            bits(&want.centroids),
+            "{case}: centroids"
+        );
+        assert_eq!(bits(&got.rect_lo), bits(&want.rect_lo), "{case}: rect_lo");
+        assert_eq!(bits(&got.rect_hi), bits(&want.rect_hi), "{case}: rect_hi");
+        assert_eq!(got.offsets, want.offsets, "{case}: offsets");
+        assert_eq!(got.members, want.members, "{case}: members");
+    }
+
+    /// `n` points around `tags` centers in `[-0.5, 0.5)^dim`, jittered by
+    /// up to `jitter` per dimension; items take their tag round-robin, so
+    /// clusters interleave in id order like a tagged catalog.
+    fn tag_clustered_items(n: usize, dim: usize, tags: usize, jitter: f32, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centers: Vec<f32> = (0..tags * dim).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let mut items = Vec::with_capacity(n * dim);
+        for i in 0..n {
+            let t = i % tags;
+            for k in 0..dim {
+                items.push(centers[t * dim + k] + rng.gen_range(-jitter..jitter));
+            }
+        }
+        items
+    }
+
+    #[test]
+    fn build_is_bit_identical_to_the_scalar_lloyd_reference() {
+        for (dim, seed) in [(1, 2), (3, 3), (8, 5), (13, 7), (32, 11)] {
+            let items = random_items(700, dim, seed);
+            for nlist in [1, 13, 40, 0] {
+                assert_build_matches_reference(
+                    &items,
+                    dim,
+                    nlist,
+                    &format!("d={dim} nlist={nlist}"),
+                );
+            }
+        }
+
+        // One partition per item: every point is its own centroid.
+        let items = random_items(37, 5, 13);
+        assert_build_matches_reference(&items, 5, 37, "nlist = n");
+
+        // Exact ties everywhere: rows drawn from 6 distinct values, so
+        // equal distances to distinct centroids are the common case and
+        // the lowest index must win each one.
+        let mut rng = StdRng::seed_from_u64(17);
+        let distinct = random_items(6, 9, 19);
+        let dups: Vec<f32> = (0..500)
+            .flat_map(|_| {
+                let r: usize = rng.gen_range(0..6);
+                distinct[r * 9..(r + 1) * 9].to_vec()
+            })
+            .collect();
+        assert_build_matches_reference(&dups, 9, 21, "duplicate-heavy");
+
+        // Three distinct rows under 11 partitions: at most three seeds
+        // differ, every tie goes to the lowest index, so the first pass
+        // leaves at least eight partitions empty and the farthest-point
+        // reseed runs.
+        let three = random_items(3, 4, 23);
+        let emptying: Vec<f32> = (0..60)
+            .flat_map(|i| three[(i % 3) * 4..(i % 3 + 1) * 4].to_vec())
+            .collect();
+        assert_build_matches_reference(&emptying, 4, 11, "emptied partitions");
+
+        // Large offsets: coordinates near 1e6 carry ~0.06 absolute f32
+        // resolution, so distances sit on a coarse grid with many ties.
+        let far: Vec<f32> = random_items(600, 6, 29).iter().map(|v| v + 1e6).collect();
+        assert_build_matches_reference(&far, 6, 19, "offset 1e6");
+
+        // The serving regime: tag-clustered points, d = 32, auto nlist.
+        let clustered = tag_clustered_items(4000, 32, 40, 0.05, 31);
+        assert_build_matches_reference(&clustered, 32, 0, "tag-clustered 4000x32");
+    }
+
     #[test]
     fn build_partitions_every_item_exactly_once() {
         let dim = 4;
