@@ -41,6 +41,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use inbox_autodiff::simd::F32x8;
 use inbox_kg::ItemId;
 
 /// How the serving engine generates ranking candidates.
@@ -308,13 +309,14 @@ impl IvfIndex {
         // Lloyd iterations under L1 assignment with mean updates. Mean
         // (not median) updates are fine here: the index only needs a
         // *partition*, correctness never depends on centroid optimality.
+        // Every pass after the first is bound-pruned from the previous
+        // assignment; both kinds yield the plain scalar scan's answer.
         let mut assign = vec![0u32; n];
         let mut counts = vec![0u32; nlist];
         let mut sums = vec![0.0f64; nlist * dim];
-        for _ in 0..params.iters.max(1) {
-            for (i, row) in items.chunks_exact(dim).enumerate() {
-                assign[i] = nearest_centroid_l1(&centroids, dim, row);
-            }
+        let mut assigner = Assigner::new(n, dim, nlist);
+        for iter in 0..params.iters.max(1) {
+            assigner.assign(items, &centroids, &mut assign, iter > 0);
             counts.fill(0);
             sums.fill(0.0);
             for (i, row) in items.chunks_exact(dim).enumerate() {
@@ -338,9 +340,7 @@ impl IvfIndex {
                 }
             }
         }
-        for (i, row) in items.chunks_exact(dim).enumerate() {
-            assign[i] = nearest_centroid_l1(&centroids, dim, row);
-        }
+        assigner.assign(items, &centroids, &mut assign, true);
 
         // Finalise: CSR member lists + bounding rectangles.
         counts.fill(0);
@@ -648,20 +648,185 @@ impl IvfIndex {
     }
 }
 
-fn nearest_centroid_l1(centroids: &[f32], dim: usize, row: &[f32]) -> u32 {
-    let mut best = 0u32;
-    let mut best_d = f32::MAX;
-    for (c, cen) in centroids.chunks_exact(dim).enumerate() {
-        let mut d = 0.0f32;
-        for k in 0..dim {
-            d += (row[k] - cen[k]).abs();
-        }
-        if d < best_d {
-            best_d = d;
-            best = c as u32;
+/// Centroids per lane block of the assignment kernel.
+const LANES: usize = 8;
+
+/// The f32 L1 distance exactly as the assignment step defines it: one
+/// add chain over `k = 0..dim` of `|row[k] - cen[k]|`, starting at `0.0`.
+/// Every lane of [`block_l1`] runs this same op sequence.
+fn l1_f32(row: &[f32], cen: &[f32]) -> f32 {
+    let mut d = 0.0f32;
+    for (&x, &c) in row.iter().zip(cen) {
+        d += (x - c).abs();
+    }
+    d
+}
+
+/// [`l1_f32`] from `row` to the 8 centroids of one lane block (dim-major:
+/// `block[k * 8 + lane]`), one centroid per lane, so each lane's result
+/// is bit-identical to the scalar chain.
+#[inline(always)]
+fn block_l1(row: &[f32], block: &[f32]) -> F32x8 {
+    let mut acc = F32x8::zero();
+    for (&x, cen) in row.iter().zip(block.chunks_exact(LANES)) {
+        acc = acc.add(F32x8::splat(x).sub(F32x8::load(cen)).abs());
+    }
+    acc
+}
+
+/// Relative slack `δ` of the pruning test `cc(a, c') > 2u(1 + δ)`:
+/// `2·γ_{dim+1}`, where `γ_m = m·2⁻²⁴ / (1 − m·2⁻²⁴)` bounds the relative
+/// error of an f32 sum of `m` terms (DESIGN.md §12 derives why this covers
+/// both the f32 distances and the f64 centroid distances). Infinite, so
+/// nothing is pruned, at dimensions where the bound is no longer small.
+fn prune_delta(dim: usize) -> f64 {
+    let mu = (dim + 1) as f64 * (f32::EPSILON as f64 / 2.0);
+    if mu < 0.25 {
+        2.0 * mu / (1.0 - mu)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Scratch for the k-means assignment step. Each point goes to its
+/// nearest centroid under [`l1_f32`], lowest index winning ties (strict
+/// `<` from an `f32::MAX` sentinel, index 0 if nothing beats it): the
+/// answer of a plain scan over every centroid, bit for bit.
+///
+/// Pruned passes start from a point's previous centroid `a` and its
+/// exact distance `u`. By the L1 triangle inequality, any `c'` with
+/// `cc(a, c') > 2u(1 + δ)` computes a distance strictly above `u`, so it
+/// can neither beat `a` nor tie it; a lane block is skipped when all its
+/// centroids pass that test, and the point keeps `a` outright when its
+/// nearest other centroid does.
+struct Assigner {
+    dim: usize,
+    nlist: usize,
+    /// Centroids in blocks of [`LANES`], dim-major inside each block;
+    /// lanes past `nlist` hold `+∞` and never win.
+    lanes: Vec<f32>,
+    /// Counting-sort cursors grouping points by previous assignment.
+    starts: Vec<u32>,
+    /// Point ids in group order.
+    order: Vec<u32>,
+    /// Per lane block, the smallest `cc(a, c')` over its centroids for
+    /// the group being assigned.
+    block_cc: Vec<f64>,
+    delta: f64,
+}
+
+impl Assigner {
+    fn new(n: usize, dim: usize, nlist: usize) -> Self {
+        let blocks = nlist.div_ceil(LANES);
+        Self {
+            dim,
+            nlist,
+            lanes: vec![f32::INFINITY; blocks * dim * LANES],
+            starts: vec![0; nlist + 1],
+            order: vec![0; n],
+            block_cc: vec![0.0; blocks],
+            delta: prune_delta(dim),
         }
     }
-    best
+
+    /// Assigns every row of `items` to its nearest centroid. With
+    /// `pruned`, `assign` must hold the previous pass's assignment.
+    fn assign(&mut self, items: &[f32], centroids: &[f32], assign: &mut [u32], pruned: bool) {
+        let (dim, nlist) = (self.dim, self.nlist);
+        for (c, cen) in centroids.chunks_exact(dim).enumerate() {
+            let block = &mut self.lanes[c / LANES * dim * LANES..];
+            for (k, &v) in cen.iter().enumerate() {
+                block[k * LANES + c % LANES] = v;
+            }
+        }
+        if !pruned {
+            for (row, a) in items.chunks_exact(dim).zip(assign.iter_mut()) {
+                *a = self.nearest(row, |_| false);
+            }
+            return;
+        }
+
+        // Group the points by previous assignment; afterwards `starts[a]`
+        // is the end of group `a`.
+        self.starts.fill(0);
+        for &a in assign.iter() {
+            self.starts[a as usize + 1] += 1;
+        }
+        for c in 0..nlist {
+            self.starts[c + 1] += self.starts[c];
+        }
+        for (i, &a) in assign.iter().enumerate() {
+            self.order[self.starts[a as usize] as usize] = i as u32;
+            self.starts[a as usize] += 1;
+        }
+
+        let mut group_start = 0;
+        for a in 0..nlist {
+            let group = group_start..self.starts[a] as usize;
+            group_start = group.end;
+            if group.is_empty() {
+                continue;
+            }
+            let cen_a = &centroids[a * dim..(a + 1) * dim];
+            let mut nearest_other = f64::INFINITY;
+            for (b, (min_cc, block)) in self
+                .block_cc
+                .iter_mut()
+                .zip(self.lanes.chunks_exact(dim * LANES))
+                .enumerate()
+            {
+                let mut cc = [0.0f64; LANES];
+                for (&x, cen) in cen_a.iter().zip(block.chunks_exact(LANES)) {
+                    for (s, &y) in cc.iter_mut().zip(cen) {
+                        *s += (x as f64 - y as f64).abs();
+                    }
+                }
+                *min_cc = f64::INFINITY;
+                for (c, cc) in (b * LANES..nlist).zip(cc) {
+                    // A NaN distance proves nothing, so it must not prune.
+                    let cc = if cc.is_nan() { f64::NEG_INFINITY } else { cc };
+                    *min_cc = min_cc.min(cc);
+                    if c != a {
+                        nearest_other = nearest_other.min(cc);
+                    }
+                }
+            }
+            for &i in &self.order[group] {
+                let row = &items[i as usize * dim..(i as usize + 1) * dim];
+                let u = l1_f32(row, cen_a);
+                // Only a distance below the scan's sentinel makes `a` a
+                // contender; anything else (NaN included) prunes nothing.
+                let bound = if u < f32::MAX {
+                    2.0 * u as f64 * (1.0 + self.delta)
+                } else {
+                    f64::INFINITY
+                };
+                if nearest_other > bound {
+                    continue;
+                }
+                assign[i as usize] = self.nearest(row, |b| self.block_cc[b] > bound);
+            }
+        }
+    }
+
+    /// The scan's nearest centroid to `row` over the lane blocks, visited
+    /// in index order, passing over those `skip` rules out.
+    fn nearest(&self, row: &[f32], skip: impl Fn(usize) -> bool) -> u32 {
+        let mut best = 0u32;
+        let mut best_d = f32::MAX;
+        for (b, block) in self.lanes.chunks_exact(self.dim * LANES).enumerate() {
+            if skip(b) {
+                continue;
+            }
+            for (lane, d) in block_l1(row, block).to_array().into_iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = (b * LANES + lane) as u32;
+                }
+            }
+        }
+        best
+    }
 }
 
 fn farthest_item(items: &[f32], dim: usize, centroids: &[f32], assign: &[u32]) -> usize {
@@ -669,11 +834,7 @@ fn farthest_item(items: &[f32], dim: usize, centroids: &[f32], assign: &[u32]) -
     let mut far_d = f32::MIN;
     for (i, row) in items.chunks_exact(dim).enumerate() {
         let c = assign[i] as usize;
-        let cen = &centroids[c * dim..(c + 1) * dim];
-        let mut d = 0.0f32;
-        for k in 0..dim {
-            d += (row[k] - cen[k]).abs();
-        }
+        let d = l1_f32(row, &centroids[c * dim..(c + 1) * dim]);
         if d > far_d {
             far_d = d;
             far = i;
@@ -940,6 +1101,89 @@ mod tests {
         // The serving regime: tag-clustered points, d = 32, auto nlist.
         let clustered = tag_clustered_items(4000, 32, 40, 0.05, 31);
         assert_build_matches_reference(&clustered, 32, 0, "tag-clustered 4000x32");
+    }
+
+    #[test]
+    fn pruned_assignment_matches_the_scan_from_any_start() {
+        // The pruning lemma holds for any starting centroid, so random
+        // starts must all land on the scan's answer. Exact copies of the
+        // centroids, some duplicated across lane blocks, give `u = 0`
+        // with a lower-index tie that only a strict test keeps.
+        let (dim, nlist) = (3, 20);
+        let mut centroids = random_items(nlist, dim, 47);
+        for (dst, src) in [(17, 2), (9, 2), (12, 5)] {
+            centroids.copy_within(src * dim..(src + 1) * dim, dst * dim);
+        }
+        let mut items = random_items(200, dim, 53);
+        items.extend_from_slice(&centroids);
+        let n = items.len() / dim;
+        let want: Vec<u32> = items
+            .chunks_exact(dim)
+            .map(|row| {
+                let mut best = (0, f32::MAX);
+                for (c, cen) in centroids.chunks_exact(dim).enumerate() {
+                    let d = l1_f32(row, cen);
+                    if d < best.1 {
+                        best = (c as u32, d);
+                    }
+                }
+                best.0
+            })
+            .collect();
+        let mut assigner = Assigner::new(n, dim, nlist);
+        let mut got = vec![0u32; n];
+        assigner.assign(&items, &centroids, &mut got, false);
+        assert_eq!(got, want, "full scan");
+        let mut rng = StdRng::seed_from_u64(59);
+        for round in 0..20 {
+            got.iter_mut()
+                .for_each(|a| *a = rng.gen_range(0..nlist as u32));
+            assigner.assign(&items, &centroids, &mut got, true);
+            assert_eq!(got, want, "pruned, round {round}");
+        }
+    }
+
+    #[test]
+    fn prune_slack_keeps_a_tie_that_f32_rounding_hides() {
+        // From x = 0: a = (2^24, 0.9) and c' = (-2^24, -0.9) both compute
+        // 2^24 (the 0.9 rounds away), a tie that lower-index c' wins. Yet
+        // cc(a, c') = 2^25 + 1.8 exceeds 2u = 2^25: without δ the test
+        // would prune c'. Centroid 0 is c', 8 is a, 9 sits near a so the
+        // block path runs, and the rest are far away.
+        let big = 16_777_216.0f32;
+        let mut centroids = vec![1e9f32; 10 * 2];
+        centroids[..2].copy_from_slice(&[-big, -0.9]);
+        centroids[16..20].copy_from_slice(&[big, 0.9, big, 100.0]);
+        let items = [0.0f32, 0.0];
+        let mut assigner = Assigner::new(1, 2, 10);
+        let mut got = [8u32];
+        assigner.assign(&items, &centroids, &mut got, true);
+        assert_eq!(got, [0]);
+        // Without the neighbour at 9, Hamerly's check decides alone.
+        centroids[18..20].fill(1e9);
+        let mut got = [8u32];
+        assigner.assign(&items, &centroids, &mut got, true);
+        assert_eq!(got, [0]);
+    }
+
+    #[test]
+    fn non_finite_rows_build_like_the_reference() {
+        // Infinite and NaN coordinates poison distances and centroids;
+        // such values must never prune, so the answer stays the scan's.
+        let dim = 5;
+        let mut items = random_items(300, dim, 37);
+        for (i, v) in [(7, f32::INFINITY), (40, f32::NEG_INFINITY), (123, f32::NAN)] {
+            items[i * dim + i % dim] = v;
+        }
+        items[200 * dim..201 * dim].fill(f32::MAX);
+        for nlist in [6, 17] {
+            assert_build_matches_reference(
+                &items,
+                dim,
+                nlist,
+                &format!("non-finite nlist={nlist}"),
+            );
+        }
     }
 
     #[test]
