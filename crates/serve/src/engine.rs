@@ -220,7 +220,8 @@ impl Engine {
                         } else {
                             nprobe
                         };
-                        Some((ix, nprobe.clamp(1, nlist)))
+                        let nprobe = nprobe.clamp(1, ix.nlist());
+                        Some((ix, nprobe))
                     }
                     Err(_) => {
                         // Degrade, never crash: the full sort answers every

@@ -9,7 +9,7 @@ use inbox_core::{InBoxConfig, InBoxModel, InBoxScorer, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::top_k_masked;
 use inbox_kg::{ItemId, UserId};
-use inbox_serve::{Engine, ServeConfig, ServeError, Service};
+use inbox_serve::{Engine, IndexMode, ServeConfig, ServeError, Service};
 
 /// Builds a tiny synthetic universe and an (untrained but deterministic)
 /// model over it. Serving correctness is independent of training quality —
@@ -340,5 +340,30 @@ fn tiny_cache_still_serves_correctly() {
                 "round {round} user {u}"
             );
         }
+    }
+}
+
+#[test]
+fn oversized_ivf_knobs_clamp_to_the_built_partition_count() {
+    // `nlist` beyond the catalog builds one partition per item; `nprobe`
+    // must then clamp to the partitions actually built, not the request.
+    let n_items = fixture(53).0.kg.n_items();
+    let serve_cfg = ServeConfig {
+        index: IndexMode::Ivf {
+            nlist: n_items + 100,
+            nprobe: n_items + 50,
+        },
+        ..ServeConfig::default()
+    };
+    let (ds, _cfg, engine) = engine(53, &serve_cfg);
+    assert_eq!(engine.index_active(), Some((n_items, n_items)));
+    // Probing every partition answers exactly like the full sort.
+    for u in 0..ds.train.n_users() as u32 {
+        let user = UserId(u);
+        assert_eq!(
+            engine.recommend_now(user, K).unwrap(),
+            engine.oracle(user, K).unwrap(),
+            "user {u}"
+        );
     }
 }
