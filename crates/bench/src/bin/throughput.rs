@@ -68,11 +68,11 @@ struct IndexedStage {
 }
 
 /// The quantization stage: f32 vs int8 full-scan top-20 over the same
-/// items-scaled clustered catalog and users as [`IndexedStage`], plus the
-/// int8 IVF re-rank. `agreement_at_20` is the mean per-user overlap
-/// between the int8 and f32 exact top-20 (the testkit contract requires
-/// ≥ 0.99); `bound_slack` is the conservative quantized-vs-f32 score gap
-/// the IVF prune widens by.
+/// items-scaled clustered catalog and users as [`IndexedStage`].
+/// `agreement_at_20` is the mean per-user overlap between the int8 and f32
+/// exact top-20 (the testkit contract requires ≥ 0.99); `bound_slack` is
+/// the conservative quantized-vs-f32 score gap the int8 refine re-scores
+/// within.
 #[derive(Debug, Clone, Serialize)]
 struct QuantizedStage {
     n_items: usize,
@@ -82,8 +82,6 @@ struct QuantizedStage {
     int8_scan_ms: f64,
     scan_speedup: f64,
     agreement_at_20: f64,
-    ivf_int8_rank_ms: f64,
-    ivf_int8_agreement_at_20: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -283,9 +281,9 @@ fn measure_indexed(
                 gamma: scorer.gamma(),
                 bound_slack: 0.0,
             };
-            let stats = index.query(
+            index.select_probes(&q, nprobe, &mut qscratch);
+            let stats = index.rerank(
                 &q,
-                nprobe,
                 k,
                 &[],
                 |i| scorer.score_item_prepared(b, &score_scratch, i),
@@ -314,9 +312,8 @@ fn measure_indexed(
     };
 
     // Quantized stage: the same users and catalog scored through the
-    // dequantize-free int8 kernel — exact full scan first (agreement is
-    // measured against the f32 full-sort top-20 above), then the IVF
-    // re-rank with the prune widened by the scorer's bound slack.
+    // dequantize-free int8 kernel (agreement is measured against the f32
+    // full-sort top-20 above).
     let _qspan = inbox_obs::span("bench.throughput.quantized");
     let qscorer = ItemScorer::with_quantization(&model, cfg, ds.kg.n_items(), Quantization::Int8);
     let (int8_secs, int8_tops) = best_of(reps, || {
@@ -325,33 +322,7 @@ fn measure_indexed(
             // The production quantized full sort: int8 scan + bounded-error
             // refine (exact f32 re-scoring of near-threshold candidates).
             qscorer.score_box_into(b, &mut score_scratch, &mut scores);
-            qscorer.refined_topk_into(b, &mut score_scratch, &scores, &[], k, &mut ranked);
-            tops.push(ranked.iter().map(|&(i, _)| i).collect());
-        }
-        tops
-    });
-    let (ivf8_secs, ivf8_tops) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        for b in &users {
-            qscorer.prepare_box_bounds(b, &mut score_scratch);
-            let q = BoxQuery {
-                lo: score_scratch.lo(),
-                hi: score_scratch.hi(),
-                cen: &b.cen,
-                inside_weight: qscorer.inside_weight(),
-                gamma: qscorer.gamma(),
-                bound_slack: qscorer.bound_slack(),
-            };
-            index.select_probes(&q, nprobe, &mut qscratch);
-            index.rerank_refined(
-                &q,
-                k,
-                &[],
-                |i| qscorer.score_item_prepared(b, &score_scratch, i),
-                |i| qscorer.score_item_prepared_f32(b, &score_scratch, i),
-                &mut qscratch,
-                &mut ranked,
-            );
+            qscorer.top_k_into(Some(b), &mut score_scratch, &scores, &[], k, &mut ranked);
             tops.push(ranked.iter().map(|&(i, _)| i).collect());
         }
         tops
@@ -364,8 +335,6 @@ fn measure_indexed(
         int8_scan_ms: int8_secs * 1e3,
         scan_speedup: full_secs / int8_secs,
         agreement_at_20: overlap(&full_tops, &int8_tops),
-        ivf_int8_rank_ms: ivf8_secs * 1e3,
-        ivf_int8_agreement_at_20: overlap(&full_tops, &ivf8_tops),
     };
     (indexed, quantized)
 }
@@ -455,10 +424,6 @@ fn main() {
     println!(
         "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
         qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
-    );
-    println!(
-        "  ivf+int8 {:>8.1} ms   agreement@20 {:.4}",
-        qz.ivf_int8_rank_ms, qz.ivf_int8_agreement_at_20,
     );
 
     let json = serde_json::to_string_pretty(&report).expect("serialise throughput report");

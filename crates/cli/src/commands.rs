@@ -817,20 +817,26 @@ mod tests {
         ]);
         assert!(recommend(&p).is_err());
 
-        // serve --smoke: checkpoint up, HTTP round-trips, clean exit.
-        let p = parsed(&[
-            "serve",
-            "--model",
-            model_str,
-            "--data",
-            data_dir.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--index",
-            "ivf",
-            "--smoke",
-        ]);
-        serve(&p).unwrap();
+        // serve --smoke: checkpoint up, HTTP round-trips, clean exit —
+        // under IVF, then int8 through the full sort and through IVF.
+        for extra in [
+            &["--index", "ivf"][..],
+            &["--quantize", "int8"],
+            &["--index", "ivf", "--quantize", "int8"],
+        ] {
+            let mut tokens = vec![
+                "serve",
+                "--model",
+                model_str,
+                "--data",
+                data_dir.to_str().unwrap(),
+                "--addr",
+                "127.0.0.1:0",
+                "--smoke",
+            ];
+            tokens.extend_from_slice(extra);
+            serve(&parsed(&tokens)).unwrap_or_else(|e| panic!("serve --smoke {extra:?}: {e}"));
+        }
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -13,7 +13,7 @@ use std::sync::{Mutex, OnceLock};
 
 use inbox_autodiff::Tape;
 use inbox_data::Interactions;
-use inbox_eval::Scorer;
+use inbox_eval::{Scorer, TopKScratch};
 use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 
 use crate::config::InBoxConfig;
@@ -279,10 +279,11 @@ pub fn all_user_boxes_with(
     }
 }
 
-/// Reusable buffers for [`ItemScorer::score_box_into`]: the per-dimension
-/// box bounds (plus, under int8 quantization, the bounds transformed into
-/// the quantized domain), kept warm so steady-state scoring allocates
-/// nothing.
+/// Reusable buffers for [`ItemScorer::score_box_into`] and
+/// [`ItemScorer::top_k_into`]: the per-dimension box bounds (plus, under
+/// int8 quantization, the bounds transformed into the quantized domain)
+/// and the ranking buffers, kept warm so steady-state scoring and ranking
+/// allocate nothing.
 #[derive(Default)]
 pub struct ScoreScratch {
     lo: Vec<f32>,
@@ -292,10 +293,8 @@ pub struct ScoreScratch {
     qlo: Vec<f32>,
     qhi: Vec<f32>,
     qcen: Vec<f32>,
-    /// Unmasked-score buffer for `refined_topk_into`'s k-th selection.
-    kth: Vec<f32>,
-    /// `(exact score, item)` candidate buffer for `refined_topk_into`.
-    refine: Vec<(f32, u32)>,
+    /// The masked top-k selector `top_k_into` ranks through.
+    topk: TopKScratch,
 }
 
 impl ScoreScratch {
@@ -351,8 +350,9 @@ pub struct ItemScorer {
     dim: usize,
     /// Row-major `n_items × dim` snapshot of the item points.
     items: Vec<f32>,
-    /// Int8 twin of `items` when quantized inference is enabled; scoring
-    /// then goes through the dequantize-free kernel instead of `items`.
+    /// Int8 twin of `items` when quantized inference is enabled; the full
+    /// scan then goes through the dequantize-free kernel instead of
+    /// `items`.
     quant: Option<QuantizedItems>,
     /// Lazily-built score vector for history-less users, cloned per call.
     sentinel: OnceLock<Vec<f32>>,
@@ -377,8 +377,9 @@ impl ItemScorer {
     }
 
     /// [`new`](Self::new) plus an optional int8 quantization of the item
-    /// matrix. The f32 snapshot is kept either way — index construction
-    /// and the sentinel path read it — but scoring under
+    /// matrix. The f32 snapshot is kept either way — index construction,
+    /// per-item scoring and the refine read it — but the full scan
+    /// ([`score_box_into`](Self::score_box_into)) under
     /// [`Quantization::Int8`] goes through the dequantize-free kernel,
     /// within [`bound_slack`](Self::bound_slack) of the f32 scores.
     pub fn with_quantization(
@@ -408,9 +409,9 @@ impl ItemScorer {
         }
     }
 
-    /// Conservative bound on `|score - f32 score|` per item under the
-    /// active quantization (`0.0` when unquantized). Candidate-pruning
-    /// bounds derived from f32 geometry must be widened by this.
+    /// Conservative bound on `|full-scan score - f32 score|` per item
+    /// under the active quantization (`0.0` when unquantized): the margin
+    /// [`top_k_into`](Self::top_k_into) refines within.
     pub fn bound_slack(&self) -> f32 {
         self.quant.as_ref().map_or(0.0, |q| q.bound_slack())
     }
@@ -444,7 +445,7 @@ impl ItemScorer {
     /// the exact `cen ± relu(off)` values the scan path uses. Splitting
     /// this out lets candidate-generation paths score arbitrary item
     /// subsets via [`score_item_prepared`](ItemScorer::score_item_prepared)
-    /// with bit-identical results to the full scan.
+    /// with bit-identical results to the f32 full scan.
     pub fn prepare_box_bounds(&self, b: &BoxEmb, scratch: &mut ScoreScratch) {
         let d = self.dim;
         let lo = &mut scratch.lo;
@@ -474,29 +475,11 @@ impl ItemScorer {
     }
 
     /// Scores one item against a box whose bounds were prepared by
-    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds). Identical
-    /// arithmetic and operation order to the full-scan path, so the score
-    /// is bit-identical to `score_box_into`'s entry for the same item.
+    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds), in **f32**
+    /// whatever the active quantization. Identical arithmetic and
+    /// operation order to the unquantized full scan, so the score is
+    /// bit-identical to an f32 `score_box_into`'s entry for the same item.
     pub fn score_item_prepared(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
-        if let Some(q) = &self.quant {
-            let (out, inside) = simd::quantized_d_pb_parts(
-                q.row(item),
-                q.scales(),
-                &scratch.qlo,
-                &scratch.qhi,
-                &scratch.qcen,
-            );
-            return self.gamma - (out + self.inside_weight * inside);
-        }
-        self.score_item_prepared_f32(b, scratch, item)
-    }
-
-    /// The **f32** per-item score for a prepared box, regardless of the
-    /// active quantization: the exact-scoring half of the bounded-error
-    /// ranking oracle (int8 selects candidates, this re-scores them).
-    /// Bit-identical to [`score_item_prepared`](Self::score_item_prepared)
-    /// when the scorer is unquantized.
-    pub fn score_item_prepared_f32(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
         let d = self.dim;
         let row = &self.items[item as usize * d..(item as usize + 1) * d];
         score_row(
@@ -509,81 +492,55 @@ impl ItemScorer {
         )
     }
 
-    /// Exact masked top-k from a quantized full scan — the bounded-error
-    /// ranking oracle behind `--quantize int8`.
+    /// The masked top-k of a full scan, best-first, as `(item, f32
+    /// score)` — the scorer's one ranking of `scores`, the output of
+    /// [`score_box_into`](Self::score_box_into) for `b`. `mask` must be
+    /// sorted ascending; ties order by item id, as in
+    /// `inbox_eval::top_k_masked`. Pass `b = None` for scores this scorer
+    /// did not produce (the serving layer's popularity fallback): they
+    /// are ranked as given.
     ///
-    /// `scores` is this scorer's [`score_box_into`](Self::score_box_into)
-    /// output for `b` (int8 scores when quantized). The preliminary k-th
-    /// unmasked score defines a candidate threshold `kth - 2·bound_slack`;
-    /// every unmasked item at or above it is re-scored through the exact
-    /// f32 path, and the final top-k (score descending, item id ascending —
-    /// the `inbox_eval::top_k_masked` ordering) is taken over those exact
-    /// scores. Every item's int8 score sits within
-    /// [`bound_slack`](Self::bound_slack) of its f32 score, so any true
+    /// Unquantized, `scores` are the exact f32 scores and go straight
+    /// through the selector. Under int8 they are coarse, and this is the
+    /// bounded-error refine behind `--quantize int8`: the selector's
+    /// k-th unmasked int8 score defines a threshold
+    /// `kth - 2·bound_slack`, and every unmasked item at or above it is
+    /// re-scored through the f32
+    /// [`score_item_prepared`](Self::score_item_prepared) into the
+    /// selector. Every int8 score sits within
+    /// [`bound_slack`](Self::bound_slack) of its f32 score, so a true
     /// top-k item `i` has `int8_i ≥ f32_kth − slack ≥ int8_kth − 2·slack`:
-    /// the candidate set provably contains the exact f32 top-k and the
-    /// answer is bit-identical to an unquantized full sort. `mask` must be
-    /// sorted ascending.
-    pub fn refined_topk_into(
+    /// the survivors contain the exact f32 top-k and the answer is
+    /// bit-identical to an unquantized full sort.
+    pub fn top_k_into(
         &self,
-        b: &BoxEmb,
+        b: Option<&BoxEmb>,
         scratch: &mut ScoreScratch,
         scores: &[f32],
         mask: &[ItemId],
         k: usize,
         out: &mut Vec<(ItemId, f32)>,
     ) {
+        // Taken out of the scratch so the f32 re-scoring can borrow the
+        // prepared bounds still inside it.
+        let mut topk = std::mem::take(&mut scratch.topk);
+        topk.select(scores, mask, k);
+        if let (Some(b), Some(_)) = (b, &self.quant) {
+            // While fewer than `k` items are unmasked, all of them survive.
+            let threshold = topk
+                .kth()
+                .map_or(f32::NEG_INFINITY, |kth| kth - 2.0 * self.bound_slack());
+            topk.reset(k);
+            for (i, &s) in scores.iter().enumerate() {
+                let item = ItemId(i as u32);
+                if s >= threshold && mask.binary_search(&item).is_err() {
+                    topk.push(item, self.score_item_prepared(b, scratch, item.0));
+                }
+            }
+        }
         out.clear();
-        if k == 0 {
-            return;
-        }
-        // Preliminary k-th unmasked coarse score via quickselect.
-        let kth_buf = &mut scratch.kth;
-        kth_buf.clear();
-        kth_buf.reserve(scores.len());
-        let mut m = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            while m < mask.len() && mask[m].index() < i {
-                m += 1;
-            }
-            if m < mask.len() && mask[m].index() == i {
-                continue;
-            }
-            kth_buf.push(s);
-        }
-        if kth_buf.is_empty() {
-            return;
-        }
-        let nth = k.min(kth_buf.len()) - 1;
-        let (_, kth, _) = kth_buf.select_nth_unstable_by(nth, |a, b| b.total_cmp(a));
-        let threshold = *kth - 2.0 * self.bound_slack();
-        // Collect and exactly re-score every unmasked candidate at or above
-        // the widened threshold. `refine` is taken out of the scratch so the
-        // exact scorer can borrow the prepared bounds still inside it.
-        let mut refine = std::mem::take(&mut scratch.refine);
-        refine.clear();
-        let mut m = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            while m < mask.len() && mask[m].index() < i {
-                m += 1;
-            }
-            if m < mask.len() && mask[m].index() == i {
-                continue;
-            }
-            if s >= threshold {
-                let exact = self.score_item_prepared_f32(b, scratch, i as u32);
-                refine.push((exact, i as u32));
-            }
-        }
-        refine.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        refine.truncate(k);
-        out.extend(refine.iter().map(|&(s, i)| (ItemId(i), s)));
-        refine.clear();
-        scratch.refine = refine;
+        topk.finish(|item, s| out.push((item, s)));
+        scratch.topk = topk;
     }
 
     /// Scores every item against one interest box, best-first by value.
@@ -901,19 +858,45 @@ mod tests {
         assert_eq!(quant.quantization(), Quantization::Int8);
         let slack = quant.bound_slack();
         assert!(slack > 0.0 && slack.is_finite());
-        let mut scratch = ScoreScratch::default();
         for b in boxes.iter().flatten() {
             let want = exact.score_box(b);
             let got = quant.score_box(b);
-            quant.prepare_box_bounds(b, &mut scratch);
             for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     (g - w).abs() <= slack,
                     "item {i}: quantized {g} vs f32 {w}, slack {slack}"
                 );
-                // Per-item path bit-matches the quantized full scan too.
-                let one = quant.score_item_prepared(b, &scratch, i as u32);
-                assert_eq!(one.to_bits(), g.to_bits(), "item {i} per-item path");
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_top_k_is_the_f32_top_k() {
+        let (ds, model, cfg) = setup();
+        let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
+        let exact = ItemScorer::new(&model, &cfg, ds.n_items());
+        let quant = ItemScorer::with_quantization(&model, &cfg, ds.n_items(), Quantization::Int8);
+        let (mut exact_scratch, mut quant_scratch) =
+            (ScoreScratch::default(), ScoreScratch::default());
+        let (mut f32_scores, mut int8_scores) = (Vec::new(), Vec::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let bits = |r: &[(ItemId, f32)]| -> Vec<(ItemId, u32)> {
+            r.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+        };
+        for (u, b) in boxes.iter().enumerate() {
+            let Some(b) = b else { continue };
+            let mask = ds.train.items_of(UserId(u as u32));
+            exact.score_box_into(b, &mut exact_scratch, &mut f32_scores);
+            quant.score_box_into(b, &mut quant_scratch, &mut int8_scores);
+            for k in [0, 1, 10, ds.n_items()] {
+                exact.top_k_into(Some(b), &mut exact_scratch, &f32_scores, mask, k, &mut want);
+                quant.top_k_into(Some(b), &mut quant_scratch, &int8_scores, mask, k, &mut got);
+                assert_eq!(bits(&got), bits(&want), "user {u} k {k}");
+            }
+            // The per-item path is the f32 kernel under int8 too.
+            for (i, &s) in f32_scores.iter().enumerate() {
+                let one = quant.score_item_prepared(b, &quant_scratch, i as u32);
+                assert_eq!(one.to_bits(), s.to_bits(), "user {u} item {i}");
             }
         }
     }

@@ -52,19 +52,20 @@ impl std::fmt::Display for RankingMetrics {
     }
 }
 
+/// One held candidate. `Ord` is the ranking protocol: an entry is
+/// *greater* when it ranks *worse* — lower score, ties toward the larger
+/// item id — so the max-heap's root is the current k-th best and an
+/// ascending sort lists candidates best-first.
 #[derive(PartialEq)]
-struct HeapEntry {
+struct Ranked {
     score: f32,
     item: ItemId,
 }
 
-impl Eq for HeapEntry {}
+impl Eq for Ranked {}
 
-impl Ord for HeapEntry {
+impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
-        // The heap pops its max, which must be the *worst* entry: lowest
-        // score, ties broken toward the largest item id (so smaller ids
-        // survive and results are deterministic).
         other
             .score
             .partial_cmp(&self.score)
@@ -73,18 +74,80 @@ impl Ord for HeapEntry {
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Reusable buffer for [`top_k_masked_into`]: after a warm-up call the
-/// selection runs without allocating (the heap's backing storage round-
-/// trips through the scratch between calls).
+/// The masked top-k selector every ranking path shares: a bounded max-heap
+/// of the `k` best `(item, score)` candidates offered since the last
+/// [`reset`](Self::reset), ordered score descending, then item id
+/// ascending. Item ids are distinct, so that order is total and the
+/// answer does not depend on the order candidates arrive in.
+///
+/// The heap's backing storage survives between queries: once it has
+/// warmed to capacity `k`, selecting allocates nothing.
 #[derive(Default)]
 pub struct TopKScratch {
-    entries: Vec<HeapEntry>,
+    heap: BinaryHeap<Ranked>,
+    k: usize,
+}
+
+impl TopKScratch {
+    /// Empties the selector and sets how many candidates it keeps.
+    pub fn reset(&mut self, k: usize) {
+        self.heap.clear();
+        self.heap.reserve(k);
+        self.k = k;
+    }
+
+    /// Offers one candidate; it is kept while it ranks among the best `k`.
+    pub fn push(&mut self, item: ItemId, score: f32) {
+        let entry = Ranked { score, item };
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if entry < *worst {
+                *worst = entry;
+            }
+        }
+    }
+
+    /// The k-th best score offered so far, once `k` candidates are held
+    /// (never for `k = 0`): a candidate scoring below it can no longer
+    /// enter the answer.
+    pub fn kth(&self) -> Option<f32> {
+        if self.heap.len() == self.k {
+            self.heap.peek().map(|e| e.score)
+        } else {
+            None
+        }
+    }
+
+    /// Resets to `k` and offers every item of `scores` (item id = index)
+    /// that is not in `mask`, which must be sorted ascending.
+    pub fn select(&mut self, scores: &[f32], mask: &[ItemId], k: usize) {
+        self.reset(k);
+        for (idx, &score) in scores.iter().enumerate() {
+            let item = ItemId(idx as u32);
+            if mask.binary_search(&item).is_err() {
+                self.push(item, score);
+            }
+        }
+    }
+
+    /// Hands the held candidates to `emit` best-first and empties the
+    /// selector, keeping its storage.
+    pub fn finish(&mut self, mut emit: impl FnMut(ItemId, f32)) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.sort_unstable();
+        for e in &entries {
+            emit(e.item, e.score);
+        }
+        entries.clear();
+        self.heap = BinaryHeap::from(entries);
+    }
 }
 
 /// Selects the top-`k` items by score among candidates not in `mask`,
@@ -96,10 +159,9 @@ pub fn top_k_masked(scores: &[f32], mask: &[ItemId], k: usize) -> Vec<ItemId> {
     out
 }
 
-/// [`top_k_masked`] writing into caller-owned buffers: identical output
-/// (the comparator is a strict total order — item ids are distinct — so
-/// the unstable sort is deterministic), but steady-state allocation-free
-/// once `scratch` and `out` have warmed to capacity `k + 1` / `k`.
+/// [`top_k_masked`] writing into caller-owned buffers: identical output,
+/// but steady-state allocation-free once `scratch` and `out` have warmed
+/// to capacity `k`.
 pub fn top_k_masked_into(
     scores: &[f32],
     mask: &[ItemId],
@@ -107,33 +169,9 @@ pub fn top_k_masked_into(
     scratch: &mut TopKScratch,
     out: &mut Vec<ItemId>,
 ) {
-    let mut entries = std::mem::take(&mut scratch.entries);
-    entries.clear();
-    entries.reserve(k + 1);
-    // Heapifying an empty Vec is free; the push/pop cadence below keeps the
-    // length at most k + 1, inside the reserved capacity.
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::from(entries);
-    for (idx, &score) in scores.iter().enumerate() {
-        let item = ItemId(idx as u32);
-        if mask.binary_search(&item).is_ok() {
-            continue;
-        }
-        heap.push(HeapEntry { score, item });
-        if heap.len() > k {
-            heap.pop();
-        }
-    }
-    let mut entries = heap.into_vec();
-    entries.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.item.cmp(&b.item))
-    });
+    scratch.select(scores, mask, k);
     out.clear();
-    out.extend(entries.iter().map(|e| e.item));
-    // Hand the backing storage (and its capacity) back for the next call.
-    scratch.entries = entries;
+    scratch.finish(|item, _| out.push(item));
 }
 
 /// Computes `recall@K` and `ndcg@K` for one user given the ranked top-K and
@@ -296,9 +334,9 @@ mod tests {
         top_k_masked_into(&scores, &[], 10, &mut scratch, &mut out);
         assert_eq!(out, reference);
         // The scratch retains its backing capacity between calls.
-        let cap = scratch.entries.capacity();
+        let cap = scratch.heap.capacity();
         top_k_masked_into(&scores, &[], 10, &mut scratch, &mut out);
-        assert_eq!(scratch.entries.capacity(), cap);
+        assert_eq!(scratch.heap.capacity(), cap);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!    surviving partition's members are scored **exactly** through a
 //!    caller-supplied scorer (production passes
 //!    `ItemScorer::score_item_prepared`, the very arithmetic of the full
-//!    sort), maintaining a masked top-k heap with the evaluation
-//!    protocol's tie-breaking (score descending, then smaller item id).
+//!    sort) into [`inbox_eval::TopKScratch`], the masked top-k selector
+//!    the full sort ranks with (score descending, then smaller item id).
 //!
 //! Because candidate scores and the selection comparator are bit-identical
 //! to the full sort, the served answer is **byte-identical to the full
@@ -39,9 +39,9 @@
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use inbox_autodiff::simd::F32x8;
+use inbox_eval::TopKScratch;
 use inbox_kg::ItemId;
 
 /// How the serving engine generates ranking candidates.
@@ -170,12 +170,11 @@ pub struct BoxQuery<'a> {
     pub inside_weight: f32,
     /// Score offset (`γ` in Eq. (29)); scores are `gamma - distance`.
     pub gamma: f32,
-    /// Conservative upper bound on how far the caller's exact scorer can
-    /// sit *below* the f32 geometry the rectangle bound describes — `0.0`
-    /// for exact f32 scoring, [`inbox_core::QuantizedItems::bound_slack`]
-    /// when re-ranking with the int8 kernel. The prune test widens by
-    /// this much so a quantized score that rounded down never lets a
-    /// partition holding a true top-k item be discarded.
+    /// Conservative upper bound on how far the caller's scorer can sit
+    /// *below* the f32 geometry the rectangle bound describes; the prune
+    /// test widens by this much, so a score that rounded down never lets
+    /// a partition holding a true top-k item be discarded. The serving
+    /// engine always re-ranks with the exact f32 scorer and passes `0.0`.
     pub bound_slack: f32,
 }
 
@@ -188,34 +187,6 @@ pub struct BoxQuery<'a> {
 /// essentially no pruning power.
 pub const PRUNE_SLACK: f64 = 1e-3;
 
-#[derive(PartialEq)]
-struct Cand {
-    score: f32,
-    item: u32,
-}
-
-impl Eq for Cand {}
-
-// Max-heap that pops the *worst* candidate: lowest score, ties toward the
-// largest item id — the same survivor set and final ordering as
-// `inbox_eval::top_k_masked`, so a candidate superset of the true top-k
-// reranks to a byte-identical answer.
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.item.cmp(&other.item))
-    }
-}
-
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Reusable per-thread buffers for [`IvfIndex::select_probes`] /
 /// [`IvfIndex::rerank`]: after one warm query, the whole probe → prune →
 /// re-rank pipeline is allocation-free.
@@ -224,11 +195,8 @@ pub struct QueryScratch {
     /// `(rect min-distance, centroid distance, partition)` rows, sorted
     /// ascending, truncated to `nprobe` by `select_probes`.
     probes: Vec<(f32, f32, u32)>,
-    /// Backing storage for the top-k heap (round-trips through the heap).
-    heap: Vec<Cand>,
-    /// `(coarse score, item)` near-threshold buffer for
-    /// [`IvfIndex::rerank_refined`]'s exact re-scoring pass.
-    near: Vec<(f32, u32)>,
+    /// The masked top-k selector the re-rank feeds.
+    topk: TopKScratch,
 }
 
 impl QueryScratch {
@@ -480,11 +448,11 @@ impl IvfIndex {
 
     /// Stage 2 — box pruning + exact re-rank over the probed partitions:
     /// visits `scratch`'s probe list nearest-first, skips partitions whose
-    /// rectangle bound cannot beat the current k-th best score (minus
-    /// [`PRUNE_SLACK`] and the query's `bound_slack`), and scores every
-    /// remaining member through
-    /// `score` (exact, caller-supplied) into a masked top-k. `mask` must
-    /// be sorted ascending. The result lands in `out` best-first with the
+    /// rectangle bound cannot beat the selector's k-th best score (minus
+    /// [`PRUNE_SLACK`] and the query's `bound_slack`), and feeds every
+    /// remaining unmasked member, scored through `score` (exact,
+    /// caller-supplied), to the masked top-k selector. `mask` must be
+    /// sorted ascending. The result lands in `out` best-first with the
     /// evaluation protocol's tie-breaking; the returned stats feed the
     /// candidate-set telemetry.
     pub fn rerank(
@@ -497,16 +465,13 @@ impl IvfIndex {
         out: &mut Vec<(ItemId, f32)>,
     ) -> RerankStats {
         let mut stats = RerankStats::default();
-        let mut entries = std::mem::take(&mut scratch.heap);
-        entries.clear();
-        entries.reserve(k + 1);
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::from(entries);
-        for i in 0..scratch.probes.len() {
-            let c = scratch.probes[i].2 as usize;
-            if heap.len() == k {
-                // `peek` is the worst kept candidate — the k-th best.
-                let kth = heap.peek().map(|e| e.score as f64).unwrap_or(f64::MIN);
-                if self.rect_score_bound(q, c) < kth - PRUNE_SLACK - q.bound_slack as f64 {
+        let QueryScratch { probes, topk } = scratch;
+        topk.reset(k);
+        for &(_, _, c) in probes.iter() {
+            let c = c as usize;
+            if let Some(kth) = topk.kth() {
+                let floor = kth as f64 - PRUNE_SLACK - q.bound_slack as f64;
+                if self.rect_score_bound(q, c) < floor {
                     stats.pruned_partitions += 1;
                     continue;
                 }
@@ -517,134 +482,12 @@ impl IvfIndex {
                     continue;
                 }
                 stats.candidates += 1;
-                heap.push(Cand {
-                    score: score(item),
-                    item,
-                });
-                if heap.len() > k {
-                    heap.pop();
-                }
+                topk.push(ItemId(item), score(item));
             }
         }
-        let mut entries = heap.into_vec();
-        entries.sort_unstable_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.item.cmp(&b.item))
-        });
         out.clear();
-        out.extend(entries.iter().map(|e| (ItemId(e.item), e.score)));
-        entries.clear();
-        scratch.heap = entries;
+        topk.finish(|item, s| out.push((item, s)));
         stats
-    }
-
-    /// [`rerank`](Self::rerank) for **bounded-error** (quantized) coarse
-    /// scoring: `coarse` may sit up to `q.bound_slack` away from the true
-    /// f32 score, `exact` is the f32 scorer. The probe/prune walk runs on
-    /// coarse scores exactly like `rerank`; every scored candidate within
-    /// `2·bound_slack` of the *running* k-th coarse score is buffered, the
-    /// buffer is narrowed to the *final* k-th threshold, and the survivors
-    /// are re-scored through `exact` into the final top-k.
-    ///
-    /// Soundness: for any scanned item `i` in the exact top-k of the
-    /// scanned set, `coarse_i ≥ exact_i − slack ≥ exact_kth − slack ≥
-    /// coarse_kth_final − 2·slack ≥ coarse_kth_at_scoring_time − 2·slack`
-    /// (the running k-th only increases), so `i` is always buffered and
-    /// survives the final narrowing — the answer equals `rerank` with
-    /// `exact`, byte for byte, over the same scanned partitions. Partition
-    /// pruning already widens by `q.bound_slack`, which keeps it
-    /// conservative against the f32 geometry the rectangles describe.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rerank_refined(
-        &self,
-        q: &BoxQuery<'_>,
-        k: usize,
-        mask: &[ItemId],
-        mut coarse: impl FnMut(u32) -> f32,
-        mut exact: impl FnMut(u32) -> f32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<(ItemId, f32)>,
-    ) -> RerankStats {
-        let mut stats = RerankStats::default();
-        let slack2 = 2.0 * q.bound_slack;
-        let mut entries = std::mem::take(&mut scratch.heap);
-        entries.clear();
-        entries.reserve(k + 1);
-        let mut heap: BinaryHeap<Cand> = BinaryHeap::from(entries);
-        let mut near = std::mem::take(&mut scratch.near);
-        near.clear();
-        for i in 0..scratch.probes.len() {
-            let c = scratch.probes[i].2 as usize;
-            if heap.len() == k {
-                let kth = heap.peek().map(|e| e.score as f64).unwrap_or(f64::MIN);
-                if self.rect_score_bound(q, c) < kth - PRUNE_SLACK - q.bound_slack as f64 {
-                    stats.pruned_partitions += 1;
-                    continue;
-                }
-            }
-            stats.scanned_partitions += 1;
-            for &item in self.members(c) {
-                if mask.binary_search(&ItemId(item)).is_ok() {
-                    continue;
-                }
-                stats.candidates += 1;
-                let s = coarse(item);
-                let kth_now = if heap.len() == k {
-                    heap.peek().map(|e| e.score).unwrap_or(f32::NEG_INFINITY)
-                } else {
-                    f32::NEG_INFINITY
-                };
-                if s >= kth_now - slack2 {
-                    near.push((s, item));
-                }
-                heap.push(Cand { score: s, item });
-                if heap.len() > k {
-                    heap.pop();
-                }
-            }
-        }
-        let final_kth = if heap.len() == k {
-            heap.peek().map(|e| e.score).unwrap_or(f32::NEG_INFINITY)
-        } else {
-            f32::NEG_INFINITY
-        };
-        near.retain(|&(s, _)| s >= final_kth - slack2);
-        for e in near.iter_mut() {
-            e.0 = exact(e.1);
-        }
-        near.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        near.truncate(k);
-        out.clear();
-        out.extend(near.iter().map(|&(s, i)| (ItemId(i), s)));
-        near.clear();
-        scratch.near = near;
-        let mut entries = heap.into_vec();
-        entries.clear();
-        scratch.heap = entries;
-        stats
-    }
-
-    /// Convenience single-call query (tests and offline tools; the engine
-    /// calls the two stages separately to attribute them to spans).
-    #[allow(clippy::too_many_arguments)]
-    pub fn query(
-        &self,
-        q: &BoxQuery<'_>,
-        nprobe: usize,
-        k: usize,
-        mask: &[ItemId],
-        score: impl FnMut(u32) -> f32,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<(ItemId, f32)>,
-    ) -> RerankStats {
-        self.select_probes(q, nprobe, scratch);
-        self.rerank(q, k, mask, score, scratch, out)
     }
 }
 
@@ -1334,9 +1177,9 @@ mod tests {
                 .collect();
             let k = 20;
             let expected = full_sort(&items, dim, &q, &mask, k);
-            let stats = ix.query(
+            ix.select_probes(&q, ix.nlist(), &mut scratch);
+            let stats = ix.rerank(
                 &q,
-                ix.nlist(),
                 k,
                 &mask,
                 |i| exact_score(&items, dim, i, &q),
@@ -1353,65 +1196,6 @@ mod tests {
                 ix.nlist(),
                 "every probed partition is either scanned or pruned"
             );
-        }
-    }
-
-    #[test]
-    fn refined_rerank_recovers_exact_topk_under_bounded_coarse_noise() {
-        // Coarse scores perturbed by up to `slack` per item must still
-        // yield the exact-top-k answer, bit for bit, once the refine pass
-        // re-scores the near-threshold candidates exactly — the index-level
-        // statement of the bounded-error ranking oracle.
-        let dim = 6;
-        let n = 500u32;
-        let items = random_items(n as usize, dim, 17);
-        let ix = IvfIndex::build(
-            &items,
-            dim,
-            &IvfParams {
-                nlist: 20,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let slack = 0.05f32;
-        // Deterministic per-item perturbation in [-slack, slack].
-        let wobble = |i: u32| {
-            let h = i.wrapping_mul(2654435761) >> 16;
-            ((h & 0xffff) as f32 / 65535.0 - 0.5) * 2.0 * slack
-        };
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        for case in 0..40 {
-            let cen: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let (lo, hi, cen) = box_of(cen, rng.gen_range(0.0..1.5));
-            let q = BoxQuery {
-                lo: &lo,
-                hi: &hi,
-                cen: &cen,
-                inside_weight: 0.5,
-                gamma: 12.0,
-                bound_slack: slack,
-            };
-            let mask: Vec<ItemId> = (0..n).filter(|_| rng.gen_bool(0.05)).map(ItemId).collect();
-            let k = 20;
-            let expected = full_sort(&items, dim, &q, &mask, k);
-            ix.select_probes(&q, ix.nlist(), &mut scratch);
-            ix.rerank_refined(
-                &q,
-                k,
-                &mask,
-                |i| exact_score(&items, dim, i, &q) + wobble(i),
-                |i| exact_score(&items, dim, i, &q),
-                &mut scratch,
-                &mut out,
-            );
-            assert_eq!(out.len(), expected.len(), "case {case}");
-            for (got, want) in out.iter().zip(&expected) {
-                assert_eq!(got.0, want.0, "case {case}");
-                assert_eq!(got.1.to_bits(), want.1.to_bits(), "case {case}");
-            }
         }
     }
 
@@ -1440,9 +1224,9 @@ mod tests {
         };
         let mut scratch = QueryScratch::default();
         let mut out = Vec::new();
-        let stats = ix.query(
+        ix.select_probes(&q, ix.nlist(), &mut scratch);
+        let stats = ix.rerank(
             &q,
-            ix.nlist(),
             5,
             &[],
             |i| exact_score(&items, dim, i, &q),

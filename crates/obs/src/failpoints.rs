@@ -1,7 +1,8 @@
 //! Deterministic failpoint registry: named fault-injection sites with
 //! seeded, schedule-driven triggers.
 //!
-//! Instrumented crates mark injection sites with the [`failpoint!`] macro:
+//! Instrumented crates mark injection sites with the
+//! [`failpoint!`](crate::failpoint!) macro:
 //!
 //! ```ignore
 //! if inbox_obs::failpoint!("persist.save.truncate") {
@@ -133,7 +134,7 @@ pub fn clear(site: &'static str) {
 
 /// Evaluates `site` against its trigger; returns whether the fault fires.
 ///
-/// Called by the [`failpoint!`] macro — instrumented code should not call
+/// Called by the [`failpoint!`](crate::failpoint!) macro — instrumented code should not call
 /// this directly. Every evaluation is counted even when the trigger is
 /// off. A [`Trigger::DelayOnce`] sleep happens here, with the registry
 /// lock released.

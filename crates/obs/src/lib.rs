@@ -20,7 +20,7 @@
 //! - **Traces** ([`trace`]) — request-scoped causal span trees retained in
 //!   a flight recorder, propagated through thread boundaries explicitly or
 //!   via a thread-local context ([`ctx_span`]).
-//! - **SLOs** ([`slo`]) — per-endpoint good/total rate counters against a
+//! - **SLOs** ([`slo`](mod@slo)) — per-endpoint good/total rate counters against a
 //!   latency objective gauge, with burn rates computed on read.
 //! - **Exposition** ([`expo`]) — the registry rendered as Prometheus text
 //!   and flight-recorder JSON for live `GET /metrics` / `GET /traces`.

@@ -23,9 +23,9 @@
 //!
 //! The hot scoring path is allocation-free at steady state: per-thread
 //! scratch buffers back [`ItemScorer::score_box_into`] and
-//! [`top_k_masked_into`](inbox_eval::top_k_masked_into), and the
-//! `engine.score` / `engine.rank` allocation scopes make that property
-//! checkable at runtime against the instrumented global allocator.
+//! [`ItemScorer::top_k_into`], and the `engine.score` / `engine.rank`
+//! allocation scopes make that property checkable at runtime against the
+//! instrumented global allocator.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +38,7 @@ use inbox_core::{
     WorkerPool,
 };
 use inbox_data::Interactions;
-use inbox_eval::{top_k_masked, top_k_masked_into, TopKScratch};
+use inbox_eval::top_k_masked;
 use inbox_index::{
     auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
 };
@@ -130,11 +130,9 @@ struct LiveState {
 struct RecommendScratch {
     score: ScoreScratch,
     scores: Vec<f32>,
-    topk: TopKScratch,
-    out: Vec<ItemId>,
-    /// IVF probe + heap buffers (unused under [`IndexMode::FullSort`]).
+    /// IVF probe + selector buffers (unused under [`IndexMode::FullSort`]).
     query: QueryScratch,
-    /// Re-ranked answer buffer for the indexed path.
+    /// The ranked answer, best first.
     ranked: Vec<(ItemId, f32)>,
 }
 
@@ -432,21 +430,21 @@ impl Engine {
         // with the caller, so it is intrinsic to the request, not overhead.
         let items = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            let scratch = &mut *scratch;
+            let RecommendScratch {
+                score,
+                scores,
+                query,
+                ranked,
+            } = &mut *scratch;
             // Indexed path: candidate generation (probe selection) + exact
-            // re-rank over the probed partitions. Only box-backed users go
-            // through the index — cold users keep the popularity fallback
-            // below, bit-for-bit unchanged. The re-rank scores candidates
-            // through the very same per-item arithmetic as the full scan,
-            // so whenever the probed partitions contain the true top-k the
-            // answer is byte-identical to `IndexMode::FullSort`.
+            // f32 re-rank over the probed partitions, whatever the
+            // quantization. Only box-backed users go through the index —
+            // cold users keep the popularity fallback below, bit-for-bit
+            // unchanged. The re-rank scores candidates through the f32
+            // per-item kernel of the full scan and ranks them with the same
+            // selector, so whenever the probed partitions contain the true
+            // top-k the answer is byte-identical to `IndexMode::FullSort`.
             if let (Some(b), Some((index, nprobe))) = (resolved.as_deref(), self.index.as_ref()) {
-                let RecommendScratch {
-                    score,
-                    query,
-                    ranked,
-                    ..
-                } = scratch;
                 self.scorer.prepare_box_bounds(b, score);
                 let q = BoxQuery {
                     lo: score.lo(),
@@ -454,7 +452,7 @@ impl Engine {
                     cen: &b.cen,
                     inside_weight: self.scorer.inside_weight(),
                     gamma: self.scorer.gamma(),
-                    bound_slack: self.scorer.bound_slack(),
+                    bound_slack: 0.0,
                 };
                 {
                     let _cand_span = inbox_obs::ctx_span("engine.candidates");
@@ -466,30 +464,14 @@ impl Engine {
                     let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
                     let live = self.live.read().unwrap();
                     let mask = &live.masks[user.index()];
-                    if self.scorer.quantization() == inbox_core::Quantization::None {
-                        index.rerank(
-                            &q,
-                            k,
-                            mask,
-                            |i| self.scorer.score_item_prepared(b, score, i),
-                            query,
-                            ranked,
-                        )
-                    } else {
-                        // Bounded-error ranking oracle: the int8 kernel
-                        // selects candidates, near-threshold survivors are
-                        // re-scored through the exact f32 path, recovering
-                        // the f32 top-k of the scanned partitions exactly.
-                        index.rerank_refined(
-                            &q,
-                            k,
-                            mask,
-                            |i| self.scorer.score_item_prepared(b, score, i),
-                            |i| self.scorer.score_item_prepared_f32(b, score, i),
-                            query,
-                            ranked,
-                        )
-                    }
+                    index.rerank(
+                        &q,
+                        k,
+                        mask,
+                        |i| self.scorer.score_item_prepared(b, score, i),
+                        query,
+                        ranked,
+                    )
                 };
                 inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
                 self.obs_index_requests.incr();
@@ -501,13 +483,10 @@ impl Engine {
                 let _score_span = inbox_obs::ctx_span("engine.score");
                 let _score_alloc = inbox_obs::alloc_scope("engine.score");
                 match resolved.as_deref() {
-                    Some(b) => {
-                        self.scorer
-                            .score_box_into(b, &mut scratch.score, &mut scratch.scores)
-                    }
+                    Some(b) => self.scorer.score_box_into(b, score, scores),
                     None => {
-                        scratch.scores.clear();
-                        scratch.scores.extend_from_slice(&self.popularity);
+                        scores.clear();
+                        scores.extend_from_slice(&self.popularity);
                     }
                 }
             }
@@ -516,37 +495,10 @@ impl Engine {
                 let _rank_alloc = inbox_obs::alloc_scope("engine.rank");
                 let live = self.live.read().unwrap();
                 let mask = &live.masks[user.index()];
-                // Quantized full sort goes through the bounded-error
-                // ranking oracle: the int8 scan above selected candidates,
-                // the refine pass re-scores near-threshold items in f32 and
-                // returns the exact f32 top-k. Cold users never reach this
-                // branch (popularity scores are f32 either way).
-                if let Some(b) = resolved.as_deref() {
-                    if self.scorer.quantization() != inbox_core::Quantization::None {
-                        self.scorer.refined_topk_into(
-                            b,
-                            &mut scratch.score,
-                            &scratch.scores,
-                            mask,
-                            k,
-                            &mut scratch.ranked,
-                        );
-                        return scratch.ranked.clone();
-                    }
-                }
-                top_k_masked_into(
-                    &scratch.scores,
-                    mask,
-                    k,
-                    &mut scratch.topk,
-                    &mut scratch.out,
-                );
+                self.scorer
+                    .top_k_into(resolved.as_deref(), score, scores, mask, k, ranked);
             }
-            scratch
-                .out
-                .iter()
-                .map(|&i| (i, scratch.scores[i.index()]))
-                .collect()
+            ranked.clone()
         });
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.obs_requests.incr();
@@ -559,62 +511,25 @@ impl Engine {
     }
 
     /// Reference answer computed with a fresh forward pass, bypassing the
-    /// box cache (the single-threaded oracle of the serving tests). Because
-    /// the forward pass is deterministic, [`Engine::recommend_now`] is
-    /// bit-identical to this for any fixed history version.
+    /// box cache (the single-threaded oracle of the serving tests): the
+    /// exact f32 full sort at the user's current live state. Because the
+    /// forward pass is deterministic, [`Engine::recommend_now`] is
+    /// bit-identical to this for any fixed history version under the full
+    /// sort, int8 included, and under full-probe IVF.
     pub fn oracle(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
         }
-        let (version, history) = {
-            let live = self.live.read().unwrap();
-            (
-                live.history.version(user),
-                live.history.history(user).to_vec(),
-            )
-        };
-        let mut tape = Tape::new();
-        let b = user_box_from_history(&self.model, &self.config, &mut tape, user, &history);
-        let (scores, fallback) = match &b {
-            Some(b) => (self.scorer.score_box(b), false),
-            None => (self.popularity.clone(), true),
-        };
-        let items = {
-            let live = self.live.read().unwrap();
-            let mask = &live.masks[user.index()];
-            // Mirror `recommend_now`: quantized box-backed answers go
-            // through the bounded-error refine, so the oracle contract
-            // (bit-identical answers) holds under `--quantize int8` too.
-            match &b {
-                Some(b) if self.scorer.quantization() != inbox_core::Quantization::None => {
-                    let mut score = inbox_core::ScoreScratch::default();
-                    let mut ranked = Vec::new();
-                    self.scorer.prepare_box_bounds(b, &mut score);
-                    self.scorer
-                        .refined_topk_into(b, &mut score, &scores, mask, k, &mut ranked);
-                    ranked
-                }
-                _ => top_k_masked(&scores, mask, k)
-                    .into_iter()
-                    .map(|i| (i, scores[i.index()]))
-                    .collect(),
-            }
-        };
-        Ok(Recommendation {
-            user,
-            items,
-            fallback,
-            version,
-        })
+        Ok(self
+            .reference(user, k, None)
+            .expect("an unconditioned reference is never stale"))
     }
 
     /// Shadow-oracle re-rank for the online audit worker: the exact
     /// **FullSort f32** answer for `(user, version)`, computed off the hot
-    /// path with fresh allocations. Every item is scored through
-    /// [`ItemScorer::score_item_prepared_f32`] — the same per-item kernel
-    /// the production refine/re-rank paths use — and ranked with the
-    /// production tie-break (score descending, item id ascending), so a
-    /// healthy serving configuration compares byte-identical against it.
+    /// path with fresh allocations by the same reference ranker as
+    /// [`Engine::oracle`], so a healthy serving configuration compares
+    /// byte-identical against it.
     ///
     /// Returns `Ok(None)` when the comparison would be against different
     /// live state than the answer was served from: the user's history
@@ -632,18 +547,43 @@ impl Engine {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
         }
-        let (history, mask) = {
+        Ok(self
+            .reference(user, k, Some((version, served)))
+            .map(|answer| answer.items))
+    }
+
+    /// The one reference ranker behind [`oracle`](Self::oracle) and
+    /// [`audit_rerank`](Self::audit_rerank). Snapshots the user's version,
+    /// history and mask under a single read guard, rebuilds the box with a
+    /// fresh forward pass and ranks every item scored through the f32
+    /// [`ItemScorer::score_item_prepared`] — whatever the serving
+    /// quantization or index — or the popularity scores for a cold user.
+    ///
+    /// With `served = Some((version, items))` it returns `None` instead
+    /// when the snapshot is not the state those items were served from:
+    /// another version, or a mask that now covers one of them.
+    fn reference(
+        &self,
+        user: UserId,
+        k: usize,
+        served: Option<(u64, &[(ItemId, f32)])>,
+    ) -> Option<Recommendation> {
+        let (version, history, mask) = {
             let live = self.live.read().unwrap();
-            if live.history.version(user) != version {
-                return Ok(None);
+            let version = live.history.version(user);
+            if served.is_some_and(|(v, _)| v != version) {
+                return None;
             }
             (
+                version,
                 live.history.history(user).to_vec(),
                 live.masks[user.index()].clone(),
             )
         };
-        if served.iter().any(|(i, _)| mask.binary_search(i).is_ok()) {
-            return Ok(None);
+        if let Some((_, items)) = served {
+            if items.iter().any(|(i, _)| mask.binary_search(i).is_ok()) {
+                return None;
+            }
         }
         let mut tape = Tape::new();
         let b = user_box_from_history(&self.model, &self.config, &mut tape, user, &history);
@@ -652,16 +592,20 @@ impl Engine {
                 let mut scratch = ScoreScratch::default();
                 self.scorer.prepare_box_bounds(b, &mut scratch);
                 (0..self.n_items() as u32)
-                    .map(|i| self.scorer.score_item_prepared_f32(b, &scratch, i))
+                    .map(|i| self.scorer.score_item_prepared(b, &scratch, i))
                     .collect()
             }
-            // Cold users are served the popularity ranking; audit it as-is.
             None => self.popularity.clone(),
         };
         let items = top_k_masked(&scores, &mask, k)
             .into_iter()
             .map(|i| (i, scores[i.index()]))
             .collect();
-        Ok(Some(items))
+        Some(Recommendation {
+            user,
+            items,
+            fallback: b.is_none(),
+            version,
+        })
     }
 }

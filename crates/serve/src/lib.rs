@@ -76,12 +76,13 @@ pub struct ServeConfig {
     /// partitions + box pruning + exact re-rank). An index that fails to
     /// build degrades to full sort — never a startup failure.
     pub index: IndexMode,
-    /// Item-matrix quantization for inference scoring.
-    /// [`Quantization::None`] keeps the f32 matrix (bit-identical to
-    /// offline ranking); [`Quantization::Int8`] scores through the
-    /// dequantize-free int8 kernel, trading exactness for throughput
-    /// under the testkit's agreement@20 ≥ 0.99 contract. Cold users
-    /// (popularity fallback) bypass quantization byte-identically.
+    /// Item-matrix quantization for the full-sort scan.
+    /// [`Quantization::None`] keeps the f32 matrix; [`Quantization::Int8`]
+    /// scans through the dequantize-free int8 kernel and re-scores the
+    /// items within `2·bound_slack` of the k-th int8 score in f32, so the
+    /// answer stays byte-identical to offline ranking. The IVF re-rank
+    /// scores in f32 under either setting, and cold users (popularity
+    /// fallback) bypass quantization byte-identically.
     pub quantize: Quantization,
     /// Shadow-oracle audit sampling: 1-in-this-many answered requests are
     /// copied to the background audit worker and re-ranked through the

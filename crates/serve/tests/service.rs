@@ -9,7 +9,7 @@ use inbox_core::{InBoxConfig, InBoxModel, InBoxScorer, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::top_k_masked;
 use inbox_kg::{ItemId, UserId};
-use inbox_serve::{Engine, IndexMode, ServeConfig, ServeError, Service};
+use inbox_serve::{Engine, IndexMode, Quantization, ServeConfig, ServeError, Service};
 
 /// Builds a tiny synthetic universe and an (untrained but deterministic)
 /// model over it. Serving correctness is independent of training quality —
@@ -365,5 +365,34 @@ fn oversized_ivf_knobs_clamp_to_the_built_partition_count() {
             engine.oracle(user, K).unwrap(),
             "user {u}"
         );
+    }
+}
+
+#[test]
+fn ivf_answers_do_not_depend_on_quantization() {
+    // The IVF re-rank always scores in f32, so quantizing the item matrix
+    // must not move a single bit of an indexed answer.
+    let ivf = |quantize| ServeConfig {
+        index: IndexMode::Ivf {
+            nlist: 0,
+            nprobe: 0,
+        },
+        quantize,
+        ..ServeConfig::default()
+    };
+    let (ds, _cfg, plain) = engine(59, &ivf(Quantization::None));
+    let (_, _, int8) = engine(59, &ivf(Quantization::Int8));
+    assert!(plain.index_active().is_some());
+    assert_eq!(plain.index_active(), int8.index_active());
+    for u in 0..ds.train.n_users() as u32 {
+        let user = UserId(u);
+        let want = plain.recommend_now(user, K).unwrap();
+        let got = int8.recommend_now(user, K).unwrap();
+        assert_eq!(got.items.len(), want.items.len(), "user {u}");
+        for ((gi, gs), (wi, ws)) in got.items.iter().zip(&want.items) {
+            assert_eq!(gi, wi, "user {u}");
+            assert_eq!(gs.to_bits(), ws.to_bits(), "user {u} item {}", gi.0);
+        }
+        assert_eq!((got.fallback, got.version), (want.fallback, want.version));
     }
 }

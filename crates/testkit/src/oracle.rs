@@ -10,7 +10,7 @@
 //! oracle can only assert `to_bits` equality if it folds in the *same
 //! order* the production code documents. Since the SIMD kernel overhaul
 //! that order is the **lane-striped** contract of `inbox_autodiff::simd`
-//! for every row reduction, replicated here by [`striped_fold`] with a
+//! for every row reduction, replicated here by `striped_fold` with a
 //! plain array (no `F32x8`), plus select-based min/max matching the SSE
 //! instruction semantics. Each function notes which contract it mirrors:
 //!
@@ -22,8 +22,8 @@
 //! * [`d_pb_rows`] mirrors the *fused training op*, which folds a single
 //!   interleaved lane-striped accumulator and is therefore deliberately a
 //!   different function from [`score_items`],
-//! * [`interest_box`] mirrors `InBoxModel::interest_box` fragment by
-//!   fragment.
+//! * [`ModelParams::interest_box`] mirrors `InBoxModel::interest_box`
+//!   fragment by fragment.
 //!
 //! Where a production op documents f32-rounding equivalence instead
 //! (`concat_row_linear` vs. its unfused chain), tests must use tolerances
@@ -525,7 +525,8 @@ fn gather(table: &Rows, idx: impl IntoIterator<Item = u32>) -> Rows {
 }
 
 /// Parameter matrices the forward oracle reads, fetched once per model so
-/// repeated [`interest_box`] calls don't re-copy the embedding tables.
+/// repeated [`interest_box`](Self::interest_box) calls don't re-copy the
+/// embedding tables.
 pub struct ModelParams {
     item_emb: Rows,
     tag_cen: Rows,

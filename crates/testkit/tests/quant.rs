@@ -16,10 +16,11 @@
 //!    bounded-error refine (int8 selects candidates, near-threshold items
 //!    are re-scored in f32) in fact makes the quantized answer
 //!    *byte-identical* to the f32 full sort, asserted separately.
-//! 4. **Candidate-set soundness.** Quantized IVF re-rank at full probe
-//!    width is byte-identical to the quantized full sort: the pruning
-//!    margin widened by `bound_slack` never discards a partition holding
-//!    a quantized top-k item.
+//! 4. **IVF under int8.** An int8 engine's IVF re-rank at full probe
+//!    width is byte-identical to its full sort. The re-rank always scores
+//!    in f32 with an unwidened prune, so this holds because both sides
+//!    equal the exact f32 full sort: the refine on one side, the
+//!    conservative prune on the other.
 //! 5. **Cold-user bypass.** History-less users get the popularity
 //!    fallback byte-identically with and without quantization — the int8
 //!    path never touches them.
@@ -276,10 +277,10 @@ fn int8_full_sort_is_byte_identical_to_f32_full_sort() {
     }
 }
 
-/// Contract 4: quantized IVF at full probe width is byte-identical to the
-/// quantized full sort — the `bound_slack`-widened prune never discards a
-/// partition holding a quantized top-k item, even though the rectangle
-/// bound is computed over f32 geometry.
+/// Contract 4: an int8 engine's IVF at full probe width is byte-identical
+/// to its full sort — the f32 re-rank's conservative prune keeps every
+/// partition holding a top-k item, and the int8 refine recovers the same
+/// f32 top-k.
 #[test]
 fn int8_ivf_full_probe_is_byte_identical_to_int8_full_sort() {
     let ds = agreement_dataset(911);
