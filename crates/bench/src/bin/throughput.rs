@@ -136,7 +136,6 @@ fn measure(ds: &Dataset, cfg: &InBoxConfig, reps: usize) -> Numbers {
         samples_len as f64 / secs
     };
 
-    let _span = inbox_obs::span("bench.throughput.stage1");
     let stage1 = stage_rate(s1.len(), &mut |model| {
         let mut grads = inbox_autodiff::GradStore::new();
         for batch in s1.chunks(cfg.batch_size) {
@@ -241,7 +240,6 @@ fn measure_indexed(
     let users: Vec<&inbox_core::geometry::BoxEmb> = boxes.iter().flatten().collect();
     let k = 20;
 
-    let _span = inbox_obs::span("bench.throughput.indexed");
     let (build_secs, index) = best_of(reps, || {
         IvfIndex::build(scorer.items(), scorer.dim(), &IvfParams::default())
             .expect("index build on a well-shaped catalog")
@@ -314,7 +312,6 @@ fn measure_indexed(
     // Quantized stage: the same users and catalog scored through the
     // dequantize-free int8 kernel (agreement is measured against the f32
     // full-sort top-20 above).
-    let _qspan = inbox_obs::span("bench.throughput.quantized");
     let qscorer = ItemScorer::with_quantization(&model, cfg, ds.kg.n_items(), Quantization::Int8);
     let (int8_secs, int8_tops) = best_of(reps, || {
         let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());

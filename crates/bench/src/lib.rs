@@ -18,7 +18,7 @@
 pub mod ledger;
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inbox_baselines::BaselineKind;
 use inbox_core::{train, Ablation, InBoxConfig, TrainedInBox};
@@ -130,8 +130,10 @@ pub fn run_inbox(
     ablation: Ablation,
 ) -> (TrainedInBox, RankingMetrics, Duration) {
     let cfg = ablation.configure(harness.inbox_config());
-    let (trained, elapsed) = inbox_obs::time("bench.train.inbox", || train(dataset, cfg));
-    let (metrics, _) = inbox_obs::time("bench.eval", || trained.evaluate(dataset, harness.k));
+    let started = Instant::now();
+    let trained = train(dataset, cfg);
+    let elapsed = started.elapsed();
+    let metrics = trained.evaluate(dataset, harness.k);
     (trained, metrics, elapsed)
 }
 
@@ -148,12 +150,11 @@ pub fn run_baseline(
         BaselineKind::KgatLite => harness.scaled(12),
         BaselineKind::KginLite => harness.scaled(15),
     };
-    let (model, elapsed) = inbox_obs::time("bench.train.baseline", || {
-        kind.fit(dataset, harness.dim, epochs, harness.seed)
-    });
-    let (metrics, _) = inbox_obs::time("bench.eval", || {
-        evaluate_with_threads(model.as_ref(), &dataset.train, &dataset.test, harness.k, 1)
-    });
+    let started = Instant::now();
+    let model = kind.fit(dataset, harness.dim, epochs, harness.seed);
+    let elapsed = started.elapsed();
+    let metrics =
+        evaluate_with_threads(model.as_ref(), &dataset.train, &dataset.test, harness.k, 1);
     (metrics, elapsed)
 }
 

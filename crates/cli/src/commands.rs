@@ -41,9 +41,6 @@ USAGE:
                   live dashboard over a running server's GET /metrics
                   (qps, p99, cache hit rate, queue depth, shed rate, SLO burn,
                   allocs/s, hottest contended lock, audit recall + drift PSI)
-  inbox profile   [--addr 127.0.0.1:7878] [--out FILE]
-                  fetch a running server's folded-stack profile (GET /profile)
-                  and print it — pipe into flamegraph.pl for an SVG flamegraph
 
 GLOBAL FLAGS:
   --log-level quiet|info|debug   console verbosity (default info); quiet
@@ -220,7 +217,9 @@ pub fn train(parsed: &Parsed) -> CmdResult {
             cfg.dim
         );
     }
-    let (trained, train_time) = inbox_obs::time("cli.train", || inbox_core::train(&ds, cfg));
+    let started = std::time::Instant::now();
+    let trained = inbox_core::train(&ds, cfg);
+    let train_time = started.elapsed();
     if chatty() {
         eprintln!(
             "trained in {:.1?} (early stop: {})",
@@ -428,7 +427,7 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
             },
             service.engine().quantization().as_str()
         );
-        println!("routes: GET /health  GET /recommend?user=U&k=K  POST /ingest?user=U&item=I  GET /stats  GET /audit  GET /metrics  GET /traces  GET /profile");
+        println!("routes: GET /health  GET /recommend?user=U&k=K  POST /ingest?user=U&item=I  GET /stats  GET /audit  GET /metrics  GET /traces");
     }
     if parsed.has("smoke") {
         // Prove the wire path end to end, then exit (used by CI).
@@ -453,13 +452,6 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
             .map_err(|e| format!("smoke: /traces is not valid JSON: {e}"))?;
         if dump.recent.is_empty() {
             return Err("smoke: /traces retained no request traces".into());
-        }
-        let folded = self_request(http.local_addr(), "/profile")?;
-        if !folded
-            .lines()
-            .any(|l| l.starts_with("http.request;") || l.starts_with("http.request "))
-        {
-            return Err("smoke: /profile has no stacks rooted at http.request".into());
         }
         // The audit surface must be well-formed JSON carrying the
         // shadow-oracle series (the recommend above was the 1st answer, so
@@ -655,43 +647,6 @@ pub fn obs(parsed: &Parsed) -> CmdResult {
         }
         std::thread::sleep(interval);
     }
-}
-
-/// `inbox profile` — fetch a running server's folded-stack profile
-/// (`GET /profile`) and print it to stdout, or write it to `--out FILE`.
-/// The output is one `root;child;grandchild self_ns` line per frame —
-/// exactly what `flamegraph.pl` consumes:
-///
-/// ```text
-/// inbox profile --addr 127.0.0.1:7878 > serve.folded
-/// flamegraph.pl --countname ns serve.folded > serve.svg
-/// ```
-pub fn profile(parsed: &Parsed) -> CmdResult {
-    use std::net::ToSocketAddrs as _;
-    let addr = parsed.get("addr").unwrap_or("127.0.0.1:7878");
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("bad --addr {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("--addr {addr} resolved to nothing"))?;
-    let folded = self_request(sock, "/profile")
-        .map_err(|e| format!("fetching http://{addr}/profile: {e}"))?;
-    if folded.trim().is_empty() {
-        return Err(
-            "server returned an empty profile — no requests traced yet (check --trace-sample)"
-                .into(),
-        );
-    }
-    match parsed.get("out") {
-        Some(out) => {
-            std::fs::write(out, &folded).map_err(|e| format!("writing {out}: {e}"))?;
-            if chatty() {
-                eprintln!("{} stack frame(s) written to {out}", folded.lines().count());
-            }
-        }
-        None => print!("{folded}"),
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -957,35 +912,5 @@ inbox_audit_drift{stat=\"psi.score\"} 0.042
         // No audit traffic reads healthy, not alarming.
         assert!(line.contains("rec60 1.00"), "{line}");
         assert!(!line.contains("DEGRADED"), "{line}");
-    }
-
-    #[test]
-    fn profile_fetches_folded_stacks_from_live_server() {
-        let ds = inbox_data::Dataset::synthetic(&SyntheticConfig::tiny(), 5);
-        let trained = inbox_core::train(&ds, InBoxConfig::tiny_test());
-        let serve_cfg = inbox_serve::ServeConfig::default();
-        let engine =
-            inbox_serve::Engine::from_trained(trained, ds.kg.clone(), &ds.train, &serve_cfg);
-        let service = Arc::new(inbox_serve::Service::start(engine, &serve_cfg));
-        let http = inbox_serve::HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-        self_request(http.local_addr(), "/recommend?user=0&k=3").unwrap();
-
-        let out = std::env::temp_dir().join(format!("inbox-profile-{}.folded", std::process::id()));
-        let addr = http.local_addr().to_string();
-        let p = parsed(&["profile", "--addr", &addr, "--out", out.to_str().unwrap()]);
-        profile(&p).unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("http.request;") || l.starts_with("http.request ")),
-            "profile output must contain stacks rooted at http.request:\n{text}"
-        );
-        for line in text.lines() {
-            let (_, value) = line.rsplit_once(' ').expect("folded line has a value");
-            value.parse::<u64>().expect("self-time is integral ns");
-        }
-        std::fs::remove_file(&out).unwrap();
-        http.shutdown();
-        service.shutdown();
     }
 }

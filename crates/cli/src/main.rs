@@ -13,7 +13,6 @@
 //!                 [--cache-cap 100000] [--threads 1] [--slo-ms 50]
 //!                 [--trace-slow-ms 250] [--smoke]
 //! inbox obs       [--addr HOST:PORT] [--interval-ms 1000] [--iters 0]
-//! inbox profile   [--addr HOST:PORT] [--out FILE]
 //! ```
 //!
 //! Every subcommand also accepts `--log-level quiet|info|debug` (console
@@ -51,7 +50,6 @@ fn main() {
         "recommend" => commands::recommend(&parsed),
         "serve" => commands::serve(&parsed),
         "obs" => commands::obs(&parsed),
-        "profile" => commands::profile(&parsed),
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
             Ok(())

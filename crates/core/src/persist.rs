@@ -5,6 +5,7 @@
 //! single JSON document. Optimiser state is not persisted — a reloaded model
 //! is ready for inference (and can be retrained from its weights).
 
+use std::io::Write;
 use std::path::Path;
 
 use inbox_autodiff::Tensor;
@@ -161,8 +162,12 @@ pub fn from_checkpoint(ckpt: Checkpoint) -> Result<TrainedInBox, PersistError> {
     ))
 }
 
-/// Saves a trained model as pretty JSON at `path`.
+/// Saves a trained model as JSON at `path`, atomically: the document is
+/// written to a temporary file in the same directory, synced, and renamed
+/// over `path`, and the directory is synced. A crash or error before the
+/// rename leaves the previous checkpoint at `path` untouched.
 pub fn save(trained: &TrainedInBox, path: impl AsRef<Path>) -> Result<(), PersistError> {
+    let path = path.as_ref();
     let ckpt = to_checkpoint(trained);
     let mut json = serde_json::to_string(&ckpt).map_err(|e| PersistError::Format(e.to_string()))?;
     if inbox_obs::failpoint!("persist.save.truncate") {
@@ -170,8 +175,26 @@ pub fn save(trained: &TrainedInBox, path: impl AsRef<Path>) -> Result<(), Persis
         // half of the document reaches disk.
         json.truncate(json.len() / 2);
     }
-    std::fs::write(path, json)?;
-    Ok(())
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(json.as_bytes())?;
+        file.sync_all()?;
+        if inbox_obs::failpoint!("persist.save.before_rename") {
+            return Err(std::io::Error::other(
+                "injected failpoint: persist.save.before_rename",
+            ));
+        }
+        std::fs::rename(&tmp, path)?;
+        // Make the rename itself durable.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map_err(PersistError::Io)
 }
 
 /// Loads a trained model from `path`.

@@ -93,7 +93,6 @@ impl WorkerPool {
     /// workers have finished. Panics (after all workers are done) if any
     /// worker's task panicked.
     pub fn run(&self, task: &(dyn Fn(usize) + Sync)) {
-        let _span = inbox_obs::span("pool.run");
         // SAFETY: the erased reference is handed to worker threads, and this
         // function blocks below until every worker has reported completion,
         // so the borrow never outlives the call. `Sync` on the closure makes

@@ -219,7 +219,6 @@ pub fn train(dataset: &Dataset, config: InBoxConfig) -> TrainedInBox {
 
     // ---- Stage 1: basic pretraining (Section 3.2) ------------------------
     if config.use_stage1 {
-        let _alloc = inbox_obs::alloc_scope("trainer.stage1");
         let stats = Stage1Stats::new(&dataset.kg);
         let sampled = inbox_obs::counter("sampler.stage1.samples");
         for epoch in 0..config.epochs_stage1 {
@@ -263,7 +262,6 @@ pub fn train(dataset: &Dataset, config: InBoxConfig) -> TrainedInBox {
 
     // ---- Stage 2: box intersection (Section 3.3) -------------------------
     if config.use_stage2 {
-        let _alloc = inbox_obs::alloc_scope("trainer.stage2");
         let sampled = inbox_obs::counter("sampler.stage2.samples");
         for epoch in 0..config.epochs_stage2 {
             let clock = EpochClock::start();
@@ -309,7 +307,6 @@ pub fn train(dataset: &Dataset, config: InBoxConfig) -> TrainedInBox {
     // `patience` consecutive epochs (the paper uses 2).
     let mut best_recall = f64::MIN;
     let mut stale = 0usize;
-    let _alloc = inbox_obs::alloc_scope("trainer.stage3");
     let sampled = inbox_obs::counter("sampler.stage3.samples");
     for epoch in 0..config.epochs_stage3 {
         let clock = EpochClock::start();

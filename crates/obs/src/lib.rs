@@ -31,8 +31,6 @@
 //! - **Contention accounting** ([`lock`]) — [`ObsMutex`]/[`ObsRwLock`]
 //!   wrappers recording wait/hold-time histograms and contention counters
 //!   per named lock.
-//! - **Profiler** ([`profile`]) — the flight recorder's span trees folded
-//!   into flamegraph-compatible folded-stack text for `GET /profile`.
 //! - **Audit** ([`audit`]) — shadow-oracle ranking-quality series
 //!   (recall@k / agreement@k / rank displacement, cumulative and windowed)
 //!   with a latched degradation alert against a configured recall floor.
@@ -52,7 +50,6 @@ pub mod expo;
 pub mod failpoints;
 pub mod histogram;
 pub mod lock;
-pub mod profile;
 pub mod registry;
 pub mod slo;
 pub mod telemetry;
@@ -73,7 +70,6 @@ pub use drift::{psi, set_drift_stat, PSI_EPS};
 pub use expo::{prometheus_text, traces_json, TraceDump};
 pub use histogram::{HistogramBuckets, HistogramSnapshot, LogHistogram};
 pub use lock::{ObsGuard, ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
-pub use profile::{folded_stacks, folded_text};
 pub use registry::{
     counter, counter_value, enabled, find_series, rate_counter, record_duration, record_value,
     reset, series, set_enabled, span, span_snapshot, time, value_snapshot, Counter, Kind,
@@ -83,7 +79,7 @@ pub use slo::{slo, slo_snapshot, Slo, SloSnapshot};
 pub use telemetry::{
     add_sink, emit_epoch, emit_run_summary, emit_trace, flush_sinks, next_run_id, BoxHealth,
     CaptureSink, ConsoleSink, CounterSummary, EpochRecord, JsonlSink, RunSummary, Sink,
-    SpanSummary, TelemetryEvent, ValueSummary, Verbosity, WindowedSummary,
+    SpanSummary, TelemetryEvent, ValueSummary, Verbosity,
 };
 pub use trace::{
     clear_traces, ctx_span, force_trace, notable_traces, recent_traces, set_slow_threshold,

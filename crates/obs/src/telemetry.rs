@@ -11,7 +11,6 @@
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{self, Kind};
 use crate::trace::TraceRecord;
-use crate::window::WindowedSnapshot;
 use parking_lot::{Mutex, RwLock};
 use serde::value::{Map, Value};
 use serde::{DeError, Deserialize, Serialize};
@@ -137,19 +136,6 @@ impl ValueSummary {
     }
 }
 
-/// Sliding-window view of one named span at the moment a summary was
-/// built: the steady-state complement of [`SpanSummary`]'s cumulative
-/// percentiles (which fold warmup and idle stretches into one histogram).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowedSummary {
-    /// Span name as passed to `obs::span`.
-    pub name: String,
-    /// Last-10-seconds summary.
-    pub last_10s: WindowedSnapshot,
-    /// Last-60-seconds summary.
-    pub last_60s: WindowedSnapshot,
-}
-
 /// Final value of one named counter over a whole run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CounterSummary {
@@ -173,10 +159,6 @@ pub struct RunSummary {
     /// existed.
     #[serde(default)]
     pub values: Vec<ValueSummary>,
-    /// Sliding-window (last-10s/last-60s) summaries of every span, sorted
-    /// by name. Defaults to empty when reading older summaries.
-    #[serde(default)]
-    pub windowed: Vec<WindowedSummary>,
 }
 
 /// A telemetry event, externally tagged in JSON as `{"epoch": {...}}`,
@@ -457,7 +439,6 @@ pub fn emit_run_summary(run: u64) -> RunSummary {
         spans: Vec::new(),
         counters: Vec::new(),
         values: Vec::new(),
-        windowed: Vec::new(),
     };
     for s in registry::series().into_iter().filter(|s| !s.owned()) {
         let name = s.name.to_string();
@@ -466,16 +447,9 @@ pub fn emit_run_summary(run: u64) -> RunSummary {
                 name,
                 value: s.count(),
             }),
-            Kind::Span => {
-                summary.windowed.push(WindowedSummary {
-                    name: name.clone(),
-                    last_10s: s.windowed(10),
-                    last_60s: s.windowed(60),
-                });
-                summary
-                    .spans
-                    .push(SpanSummary::from_snapshot(name, s.snapshot()));
-            }
+            Kind::Span => summary
+                .spans
+                .push(SpanSummary::from_snapshot(name, s.snapshot())),
             Kind::Value => summary
                 .values
                 .push(ValueSummary::from_snapshot(name, s.snapshot())),
@@ -544,11 +518,6 @@ mod tests {
                 p95: 12,
                 p99: 12,
             }],
-            windowed: vec![WindowedSummary {
-                name: "grad.stage1".into(),
-                last_10s: WindowedSnapshot::empty(10),
-                last_60s: WindowedSnapshot::empty(60),
-            }],
         });
         let line = serde_json::to_string(&event).unwrap();
         assert!(line.starts_with("{\"summary\":"));
@@ -579,15 +548,14 @@ mod tests {
 
     #[test]
     fn summary_without_values_field_still_loads() {
-        // Summaries written before value histograms / windowed summaries
-        // existed must read back with those lists empty.
+        // Summaries written before value histograms existed must read
+        // back with that list empty.
         let line = "{\"summary\":{\"run\":4,\"spans\":[],\"counters\":[]}}";
         let back: TelemetryEvent = serde_json::from_str(line).unwrap();
         match back {
             TelemetryEvent::Summary(s) => {
                 assert_eq!(s.run, 4);
                 assert!(s.values.is_empty());
-                assert!(s.windowed.is_empty());
             }
             other => panic!("expected summary, got {other:?}"),
         }
@@ -626,7 +594,6 @@ mod tests {
             spans: vec![],
             counters: vec![],
             values: vec![],
-            windowed: vec![],
         }));
         sink.flush();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -214,12 +214,6 @@ impl ActiveTrace {
             total_ns,
             spans,
         });
-        match outcome {
-            TraceOutcome::Ok => crate::counter("trace.finish.ok").incr(),
-            TraceOutcome::Shed => crate::counter("trace.finish.shed").incr(),
-            TraceOutcome::Error => crate::counter("trace.finish.error").incr(),
-            TraceOutcome::Slow => crate::counter("trace.finish.slow").incr(),
-        }
         recorder().recent.admit(Arc::clone(&record));
         if outcome != TraceOutcome::Ok {
             recorder().notable.admit(Arc::clone(&record));
@@ -455,6 +449,17 @@ mod tests {
     // The recorder is process-global and tests run concurrently, so tests
     // assert on their own trace ids/records, never on ring emptiness.
 
+    /// Held by every test that lowers the global slow threshold or asserts
+    /// that an Ok trace stays Ok, so the first cannot promote the second's
+    /// trace to Slow.
+    static SLOW_THRESHOLD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn slow_threshold_lock() -> std::sync::MutexGuard<'static, ()> {
+        SLOW_THRESHOLD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn spans_form_a_parent_child_tree() {
         let trace = start_trace("test.request").unwrap();
@@ -519,6 +524,7 @@ mod tests {
 
     #[test]
     fn slow_promotion_and_notable_retention() {
+        let _knob = slow_threshold_lock();
         set_slow_threshold(Duration::from_nanos(1));
         let trace = start_trace("test.slow").unwrap();
         std::thread::sleep(Duration::from_millis(1));
@@ -535,6 +541,7 @@ mod tests {
 
     #[test]
     fn shed_traces_are_notable_ok_traces_are_not() {
+        let _knob = slow_threshold_lock();
         let shed = start_trace("test.shed").unwrap();
         let shed_id = shed.id().0;
         shed.finish(TraceOutcome::Shed);

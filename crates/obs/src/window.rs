@@ -166,7 +166,7 @@ impl Ring<AtomicU64> {
 }
 
 /// Point-in-time view of one histogram over one sliding window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowedSnapshot {
     /// Window length the summary covers, in seconds.
     pub window_secs: u64,

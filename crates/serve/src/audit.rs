@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use inbox_kg::{ItemId, UserId};
-use inbox_obs::{AuditObservation, HistogramBuckets, Kind, ObsMutex};
+use inbox_obs::{AuditObservation, HistogramBuckets, Kind};
 
 use crate::engine::{Engine, Recommendation};
 use crate::ServeConfig;
@@ -70,7 +70,7 @@ struct AuditQueue {
 }
 
 struct Shared {
-    queue: ObsMutex<AuditQueue>,
+    queue: Mutex<AuditQueue>,
     /// Woken on enqueue and shutdown; only the audit worker waits on it.
     nonempty: Condvar,
 }
@@ -96,13 +96,10 @@ impl Auditor {
         );
         capture_score_reference(&engine);
         let shared = Arc::new(Shared {
-            queue: ObsMutex::new(
-                "auditor.queue",
-                AuditQueue {
-                    pending: VecDeque::new(),
-                    closed: false,
-                },
-            ),
+            queue: Mutex::new(AuditQueue {
+                pending: VecDeque::new(),
+                closed: false,
+            }),
             nonempty: Condvar::new(),
         });
         let worker = {
@@ -214,8 +211,8 @@ fn worker_loop(shared: &Shared, engine: &Engine) {
                     break None;
                 }
                 let (q, timeout) = shared
-                    .queue
-                    .wait_timeout(&shared.nonempty, queue, DRIFT_TICK)
+                    .nonempty
+                    .wait_timeout(queue, DRIFT_TICK)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 queue = q;
                 if timeout.timed_out() {

@@ -318,7 +318,6 @@ fn flush(
         // each answer owns a fresh `items` vector by contract.
         let _flush_alloc = inbox_obs::alloc_scope("batcher.flush");
         engine.note_batch();
-        inbox_obs::rate_counter("serve.batch.flushes").incr();
         inbox_obs::record_value("serve.batch.size", batch.len() as u64);
         // The queue phase ends for the whole batch at dequeue.
         for p in batch.iter() {

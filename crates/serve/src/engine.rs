@@ -81,8 +81,11 @@ pub struct Ingested {
 
 /// Monotonic serving statistics, readable at any time via
 /// [`Engine::stats`]. Engine-local (not process-global) so concurrent
-/// engines — e.g. parallel tests — observe only their own traffic; the same
-/// events are mirrored to `inbox-obs` counters for telemetry.
+/// engines — e.g. parallel tests — observe only their own traffic. Only
+/// the events a process-wide reader needs are also counted in `inbox-obs`:
+/// requests, cache hits and sheds (`serve.requests`, `serve.cache.hits`,
+/// `serve.shed`, read by the `inbox obs` dashboard), rebuilds
+/// (`serve.box.rebuilds`) and ingests (`serve.ingest`, a drift input).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Recommend requests answered (including fallbacks, excluding sheds).
@@ -161,10 +164,7 @@ pub struct Engine {
     obs_requests: inbox_obs::RateCounter,
     obs_rebuilds: inbox_obs::RateCounter,
     obs_cache_hits: inbox_obs::RateCounter,
-    obs_fallbacks: inbox_obs::Counter,
     obs_ingests: inbox_obs::Counter,
-    obs_index_requests: inbox_obs::RateCounter,
-    obs_index_pruned: inbox_obs::Counter,
     /// Ingested items carrying no KG concept tags — the audit layer's
     /// ingest-stream coverage signal (untagged items can never move a box).
     obs_ingest_untagged: inbox_obs::Counter,
@@ -244,10 +244,7 @@ impl Engine {
             obs_requests: inbox_obs::rate_counter("serve.requests"),
             obs_rebuilds: inbox_obs::rate_counter("serve.box.rebuilds"),
             obs_cache_hits: inbox_obs::rate_counter("serve.cache.hits"),
-            obs_fallbacks: inbox_obs::counter("serve.fallback"),
             obs_ingests: inbox_obs::counter("serve.ingest"),
-            obs_index_requests: inbox_obs::rate_counter("serve.index.requests"),
-            obs_index_pruned: inbox_obs::counter("serve.index.pruned_partitions"),
             obs_ingest_untagged: inbox_obs::counter("serve.ingest.untagged"),
             n_users,
         }
@@ -392,7 +389,6 @@ impl Engine {
             self.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
             self.obs_rebuilds.incr();
             let _rebuild_span = inbox_obs::ctx_span("engine.rebuild");
-            let _rebuild_alloc = inbox_obs::alloc_scope("engine.rebuild");
             let mut tape = Tape::new();
             user_box_from_history(&self.model, &self.config, &mut tape, user, &history)
                 .map(Arc::new)
@@ -422,7 +418,6 @@ impl Engine {
         let fallback = resolved.is_none();
         if fallback {
             self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.obs_fallbacks.incr();
         }
         // Score and rank through per-thread scratch buffers: after one warm
         // request per thread, neither scope allocates. The answer's own
@@ -474,9 +469,6 @@ impl Engine {
                     )
                 };
                 inbox_obs::record_value("engine.candidates.size", rerank_stats.candidates as u64);
-                self.obs_index_requests.incr();
-                self.obs_index_pruned
-                    .add(rerank_stats.pruned_partitions as u64);
                 return ranked.clone();
             }
             {

@@ -13,10 +13,11 @@
 //! | `GET /audit`                    | shadow-oracle audit + drift snapshot   |
 //! | `GET /metrics`                  | Prometheus text exposition (live)      |
 //! | `GET /traces`                   | flight-recorder dump as JSON           |
-//! | `GET /profile`                  | folded stacks (flamegraph.pl input)    |
 //!
 //! Degradation maps onto status codes: admission shedding is `503` with a
-//! JSON error body, unknown ids are `404`, malformed parameters are `400`.
+//! JSON error body, unknown ids are `404`, malformed parameters are `400`,
+//! and a peer that sends no complete request head within
+//! [`HttpServer::IO_TIMEOUT`] gets `408` (counted in `serve.http.timeout`).
 //! The server never panics a connection thread on bad input.
 //!
 //! Every connection mints a request trace (`http.request` root) at accept,
@@ -25,13 +26,17 @@
 //! trace finishes with the request's outcome (`Ok`/`Shed`/`Error`, with
 //! slow-but-Ok requests promoted to `Slow` past the configured threshold).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use inbox_kg::{ItemId, UserId};
+use inbox_obs::{ActiveTrace, AuditSnapshot, TraceOutcome};
+use serde::Serialize;
 
 use crate::engine::Recommendation;
 use crate::error::ServeError;
@@ -45,6 +50,11 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
+    /// Read and write timeout of every accepted socket. A peer that stalls
+    /// this long before completing its request head is answered `408`, so
+    /// an idle connection cannot pin its thread.
+    pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// accept loop in a background thread.
     pub fn bind(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
@@ -200,56 +210,137 @@ const JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition (`GET /metrics`).
 const PROMETHEUS: &str = "text/plain; version=0.0.4";
 
-fn write_response_with_type(
-    stream: &mut TcpStream,
+/// One response, and the outcome its request's trace finishes with.
+struct Reply {
     status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-) {
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    reason: &'static str,
+    content_type: &'static str,
+    body: String,
+    outcome: TraceOutcome,
 }
 
-/// [`write_response_with_type`] under an `http.write` span when the
-/// request is traced.
-fn write_traced(
-    stream: &mut TcpStream,
-    trace: Option<&inbox_obs::ActiveTrace>,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-) {
-    let _write_span = trace.map(|t| t.span("http.write", Some(0)));
-    write_response_with_type(stream, status, reason, content_type, body);
-}
-
-fn error_body(message: &str) -> String {
-    format!("{{\"error\":{}}}", json_string(message))
-}
-
-/// Escapes a string for a JSON value (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl Reply {
+    fn ok(content_type: &'static str, body: String) -> Self {
+        Self {
+            status: 200,
+            reason: "OK",
+            content_type,
+            body,
+            outcome: TraceOutcome::Ok,
         }
     }
-    out.push('"');
-    out
+
+    fn json(body: &impl Serialize) -> Self {
+        Self::ok(JSON, serde_json::to_string(body).expect("bodies serialise"))
+    }
+
+    fn error(status: u16, reason: &'static str, message: &str) -> Self {
+        let body = ErrorBody {
+            error: message.to_string(),
+        };
+        Self {
+            status,
+            reason,
+            outcome: TraceOutcome::Error,
+            ..Self::json(&body)
+        }
+    }
+
+    fn bad_request(message: &str) -> Self {
+        Self::error(400, "Bad Request", message)
+    }
+
+    /// The status a typed serving error maps onto; overload is a shed.
+    fn serve_error(err: &ServeError) -> Self {
+        let (status, reason) = match err {
+            ServeError::Overloaded | ServeError::Closed => (503, "Service Unavailable"),
+            ServeError::UnknownUser(_) | ServeError::UnknownItem(_) => (404, "Not Found"),
+        };
+        let outcome = match err {
+            ServeError::Overloaded => TraceOutcome::Shed,
+            _ => TraceOutcome::Error,
+        };
+        Self {
+            outcome,
+            ..Self::error(status, reason, &err.to_string())
+        }
+    }
+
+    /// Writes the response under an `http.write` span when the request is
+    /// traced.
+    fn write(&self, stream: &mut TcpStream, trace: Option<&ActiveTrace>) {
+        let _write_span = trace.map(|t| t.span("http.write", Some(0)));
+        let response = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+            self.status,
+            self.reason,
+            self.content_type,
+            self.body.len(),
+            self.body
+        );
+        let _ = stream.write_all(response.as_bytes());
+        let _ = stream.flush();
+    }
+}
+
+/// Body of every error status.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+}
+
+/// Body of `GET /stats`: the engine's counters, the admission queue, the
+/// batch-size and queue-depth histograms (`null` before the first
+/// sample), and the audit summary.
+#[derive(Serialize)]
+struct StatsBody {
+    requests: u64,
+    rebuilds: u64,
+    cache_hits: u64,
+    evictions: u64,
+    fallbacks: u64,
+    ingests: u64,
+    sheds: u64,
+    batches: u64,
+    queued: usize,
+    cached_boxes: usize,
+    batch_size: Option<ValueStat>,
+    queue_depth: Option<ValueStat>,
+    audit_backlog: usize,
+    audit_sampled: u64,
+    audit_audited: u64,
+    audit_window_recall: f64,
+    audit_degraded: bool,
+}
+
+/// One value histogram in `/stats`.
+#[derive(Serialize)]
+struct ValueStat {
+    count: u64,
+    mean: u64,
+    p50: u64,
+    p95: u64,
+    p99: u64,
+}
+
+fn value_stat(name: &str) -> Option<ValueStat> {
+    let s = inbox_obs::value_snapshot(name)?;
+    Some(ValueStat {
+        count: s.count,
+        mean: s.mean,
+        p50: s.p50,
+        p95: s.p95,
+        p99: s.p99,
+    })
+}
+
+/// Body of `GET /audit`: the audit snapshot, the live queue backlog, and
+/// the drift gauges the audit worker publishes.
+#[derive(Serialize)]
+struct AuditBody {
+    audit: AuditSnapshot,
+    backlog: usize,
+    drift: BTreeMap<String, f64>,
 }
 
 fn recommendation_body(r: &Recommendation) -> String {
@@ -267,37 +358,12 @@ fn recommendation_body(r: &Recommendation) -> String {
     )
 }
 
-fn serve_error(stream: &mut TcpStream, trace: Option<&inbox_obs::ActiveTrace>, err: &ServeError) {
-    let (status, reason) = match err {
-        ServeError::Overloaded | ServeError::Closed => (503, "Service Unavailable"),
-        ServeError::UnknownUser(_) | ServeError::UnknownItem(_) => (404, "Not Found"),
-    };
-    write_traced(
-        stream,
-        trace,
-        status,
-        reason,
-        JSON,
-        &error_body(&err.to_string()),
-    );
-}
-
-/// JSON rendering of a value histogram's snapshot, `null` when the
-/// instrument has never recorded.
-fn value_stat(name: &str) -> String {
-    match inbox_obs::value_snapshot(name) {
-        Some(s) => format!(
-            "{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            s.count, s.mean, s.p50, s.p95, s.p99
-        ),
-        None => "null".to_string(),
-    }
-}
-
 fn handle_connection(mut stream: TcpStream, service: &Service) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(HttpServer::IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(HttpServer::IO_TIMEOUT))?;
     // One trace per connection == one trace per request (`Connection:
-    // close`). `respond` reports the outcome; the flight recorder promotes
-    // slow-but-Ok requests past the configured threshold on `finish`.
+    // close`). The flight recorder promotes slow-but-Ok requests past the
+    // configured threshold on `finish`.
     let trace = inbox_obs::start_trace("http.request");
     let outcome = respond(&mut stream, service, trace.as_ref());
     if let Some(trace) = trace {
@@ -306,44 +372,39 @@ fn handle_connection(mut stream: TcpStream, service: &Service) -> std::io::Resul
     Ok(())
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    service: &Service,
-    trace: Option<&inbox_obs::ActiveTrace>,
-) -> inbox_obs::TraceOutcome {
-    use inbox_obs::TraceOutcome;
+fn respond(stream: &mut TcpStream, service: &Service, trace: Option<&ActiveTrace>) -> TraceOutcome {
     // Both unacceptable requests (`Ok(None)`) and read errors (e.g.
-    // non-UTF-8 bytes in the request line) get an explicit 400: the server
-    // answers every connection it accepted rather than silently hanging up.
+    // non-UTF-8 bytes in the request line) get an explicit 400, and a peer
+    // that stalls past the read timeout a 408: the server answers every
+    // connection it accepted rather than silently hanging up.
     let request = {
         let _parse_span = trace.map(|t| t.span("http.parse", Some(0)));
         parse_request(stream)
     };
-    let request = match request {
-        Ok(Some(request)) => request,
-        Ok(None) | Err(_) => {
-            write_traced(
-                stream,
-                trace,
-                400,
-                "Bad Request",
-                JSON,
-                &error_body("bad request"),
-            );
-            return TraceOutcome::Error;
+    let reply = match request {
+        Ok(Some(request)) => {
+            // Chaos site: drop the connection after a full parse, before
+            // any byte of the response — the client sees a clean EOF,
+            // never a half-written or interleaved response, and the
+            // server must keep serving.
+            if inbox_obs::failpoint!("serve.http.torn_response") {
+                return TraceOutcome::Error;
+            }
+            route(&request, service, trace)
         }
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            inbox_obs::counter("serve.http.timeout").incr();
+            Reply::error(408, "Request Timeout", "request timeout")
+        }
+        Ok(None) | Err(_) => Reply::bad_request("bad request"),
     };
-    // Chaos site: drop the connection after a full parse, before any byte
-    // of the response — the client sees a clean EOF, never a half-written
-    // or interleaved response, and the server must keep serving.
-    if inbox_obs::failpoint!("serve.http.torn_response") {
-        return TraceOutcome::Error;
-    }
+    reply.write(stream, trace);
+    reply.outcome
+}
+
+fn route(request: &Request, service: &Service, trace: Option<&ActiveTrace>) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/health") => {
-            write_traced(stream, trace, 200, "OK", JSON, "{\"status\":\"ok\"}");
-            TraceOutcome::Ok
-        }
+        ("GET", "/health") => Reply::ok(JSON, "{\"status\":\"ok\"}".to_string()),
         ("GET", "/recommend") => {
             let user = request.param("user").and_then(|v| v.parse::<u32>().ok());
             let k = match request.param("k") {
@@ -351,149 +412,72 @@ fn respond(
                 Some(v) => v.parse::<usize>().ok(),
             };
             let (Some(user), Some(k)) = (user, k) else {
-                write_traced(
-                    stream,
-                    trace,
-                    400,
-                    "Bad Request",
-                    JSON,
-                    &error_body("recommend needs user=<u32> and optional k=<usize>"),
-                );
-                return TraceOutcome::Error;
+                return Reply::bad_request("recommend needs user=<u32> and optional k=<usize>");
             };
             let answer = match trace {
                 Some(t) => service.recommend_traced(UserId(user), k, t),
                 None => service.recommend(UserId(user), k),
             };
             match answer {
-                Ok(r) => {
-                    write_traced(stream, trace, 200, "OK", JSON, &recommendation_body(&r));
-                    TraceOutcome::Ok
-                }
-                Err(e) => {
-                    serve_error(stream, trace, &e);
-                    match e {
-                        ServeError::Overloaded => TraceOutcome::Shed,
-                        _ => TraceOutcome::Error,
-                    }
-                }
+                Ok(r) => Reply::ok(JSON, recommendation_body(&r)),
+                Err(e) => Reply::serve_error(&e),
             }
         }
         ("POST", "/ingest") => {
             let user = request.param("user").and_then(|v| v.parse::<u32>().ok());
             let item = request.param("item").and_then(|v| v.parse::<u32>().ok());
             let (Some(user), Some(item)) = (user, item) else {
-                write_traced(
-                    stream,
-                    trace,
-                    400,
-                    "Bad Request",
-                    JSON,
-                    &error_body("ingest needs user=<u32> and item=<u32>"),
-                );
-                return TraceOutcome::Error;
+                return Reply::bad_request("ingest needs user=<u32> and item=<u32>");
             };
             match service.ingest(UserId(user), ItemId(item)) {
-                Ok(receipt) => {
-                    let body = format!(
+                Ok(receipt) => Reply::ok(
+                    JSON,
+                    format!(
                         "{{\"user\":{},\"item\":{},\"version\":{},\"history_changed\":{},\"mask_changed\":{}}}",
                         receipt.user.0,
                         receipt.item.0,
                         receipt.version,
                         receipt.history_changed,
                         receipt.mask_changed
-                    );
-                    write_traced(stream, trace, 200, "OK", JSON, &body);
-                    TraceOutcome::Ok
-                }
-                Err(e) => {
-                    serve_error(stream, trace, &e);
-                    TraceOutcome::Error
-                }
+                    ),
+                ),
+                Err(e) => Reply::serve_error(&e),
             }
         }
         ("GET", "/stats") => {
             let s = service.stats();
             let audit = inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS);
-            let body = format!(
-                "{{\"requests\":{},\"rebuilds\":{},\"cache_hits\":{},\"evictions\":{},\"fallbacks\":{},\"ingests\":{},\"sheds\":{},\"batches\":{},\"queued\":{},\"cached_boxes\":{},\"batch_size\":{},\"queue_depth\":{},\"audit_backlog\":{},\"audit_sampled\":{},\"audit_audited\":{},\"audit_window_recall\":{},\"audit_degraded\":{}}}",
-                s.requests,
-                s.rebuilds,
-                s.cache_hits,
-                s.evictions,
-                s.fallbacks,
-                s.ingests,
-                s.sheds,
-                s.batches,
-                service.queued(),
-                service.engine().cache_len(),
-                value_stat("serve.batch.size"),
-                value_stat("serve.queue.depth"),
-                service.audit_backlog(),
-                audit.sampled,
-                audit.audited,
-                audit.window_recall,
-                audit.degraded,
-            );
-            write_traced(stream, trace, 200, "OK", JSON, &body);
-            TraceOutcome::Ok
+            Reply::json(&StatsBody {
+                requests: s.requests,
+                rebuilds: s.rebuilds,
+                cache_hits: s.cache_hits,
+                evictions: s.evictions,
+                fallbacks: s.fallbacks,
+                ingests: s.ingests,
+                sheds: s.sheds,
+                batches: s.batches,
+                queued: service.queued(),
+                cached_boxes: service.engine().cache_len(),
+                batch_size: value_stat("serve.batch.size"),
+                queue_depth: value_stat("serve.queue.depth"),
+                audit_backlog: service.audit_backlog(),
+                audit_sampled: audit.sampled,
+                audit_audited: audit.audited,
+                audit_window_recall: audit.window_recall,
+                audit_degraded: audit.degraded,
+            })
         }
-        ("GET", "/audit") => {
-            // The serde-rendered audit snapshot, wrapped with the live
-            // queue backlog and the drift gauges the worker publishes.
-            let snap = inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS);
-            let audit = serde_json::to_string(&snap).unwrap_or_else(|_| "null".to_string());
-            let drift: Vec<String> = inbox_obs::series()
+        ("GET", "/audit") => Reply::json(&AuditBody {
+            audit: inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS),
+            backlog: service.audit_backlog(),
+            drift: inbox_obs::series()
                 .iter()
                 .filter(|s| s.kind == inbox_obs::Kind::Gauge && !s.owned())
-                .map(|s| format!("{}:{}", json_string(s.name), s.gauge()))
-                .collect();
-            let body = format!(
-                "{{\"audit\":{audit},\"backlog\":{},\"drift\":{{{}}}}}",
-                service.audit_backlog(),
-                drift.join(","),
-            );
-            write_traced(stream, trace, 200, "OK", JSON, &body);
-            TraceOutcome::Ok
-        }
-        ("GET", "/metrics") => {
-            write_traced(
-                stream,
-                trace,
-                200,
-                "OK",
-                PROMETHEUS,
-                &inbox_obs::prometheus_text(),
-            );
-            TraceOutcome::Ok
-        }
-        ("GET", "/traces") => {
-            write_traced(stream, trace, 200, "OK", JSON, &inbox_obs::traces_json());
-            TraceOutcome::Ok
-        }
-        ("GET", "/profile") => {
-            // Folded stacks over the flight recorder's retained traces —
-            // pipe straight into `flamegraph.pl`.
-            write_traced(
-                stream,
-                trace,
-                200,
-                "OK",
-                "text/plain",
-                &inbox_obs::folded_text(),
-            );
-            TraceOutcome::Ok
-        }
-        _ => {
-            write_traced(
-                stream,
-                trace,
-                404,
-                "Not Found",
-                JSON,
-                &error_body("no such route"),
-            );
-            TraceOutcome::Error
-        }
+                .map(|s| (s.name.to_string(), s.gauge()))
+                .collect(),
+        }),
+        ("GET", "/metrics") => Reply::ok(PROMETHEUS, inbox_obs::prometheus_text()),
+        ("GET", "/traces") => Reply::ok(JSON, inbox_obs::traces_json()),
+        _ => Reply::error(404, "Not Found", "no such route"),
     }
 }

@@ -1,29 +1,36 @@
 //! Runtime proof of the serving stack's allocation-free steady state.
 //!
 //! This binary installs the instrumented global allocator and drives real
-//! traffic through the full batcher → engine pipeline. After a warmup
-//! round has grown every per-thread scratch buffer and registered every
-//! metric cell, the `engine.score`, `engine.rank`, and `batcher.flush`
-//! allocation scopes must observe **zero** further allocations — the
-//! property PR 2 claimed by construction, checked here against the real
-//! allocator. Lives in its own test binary because the global tracking
-//! toggle and the scope counters are process-wide.
+//! traffic through the full batcher → engine pipeline, once over the full
+//! sort and once over the IVF index. After a warmup round has grown every
+//! per-thread scratch buffer and registered every metric cell, the
+//! `engine.score`, `engine.rank`, `engine.candidates`, `engine.rerank` and
+//! `batcher.flush` allocation scopes must observe **zero** further
+//! allocations — checked here against the real allocator. Lives in its own
+//! test binary because the global tracking toggle and the scope counters
+//! are process-wide.
 
 use std::sync::Arc;
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_kg::UserId;
-use inbox_serve::{Engine, ServeConfig, Service};
+use inbox_serve::{Engine, IndexMode, ServeConfig, Service};
 
 #[global_allocator]
 static ALLOC: inbox_obs::InstrumentedAlloc = inbox_obs::InstrumentedAlloc;
 
 /// The steady-state scopes under test and the per-scope allocation counts
 /// at a point in time.
-const HOT_SCOPES: [&str; 3] = ["engine.score", "engine.rank", "batcher.flush"];
+const HOT_SCOPES: [&str; 5] = [
+    "engine.score",
+    "engine.rank",
+    "engine.candidates",
+    "engine.rerank",
+    "batcher.flush",
+];
 
-fn hot_allocs() -> [u64; 3] {
+fn hot_allocs() -> [u64; 5] {
     HOT_SCOPES.map(|s| {
         inbox_obs::alloc_scope_stats(s)
             .map(|st| st.allocs)
@@ -72,13 +79,27 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
         n_relations: ds.kg.n_relations(),
         n_users: ds.train.n_users(),
     };
-    let model = InBoxModel::new(sizes, &cfg);
-    let serve_cfg = ServeConfig {
-        threads: 2,
-        ..ServeConfig::default()
-    };
-    let engine = Engine::new(model, cfg, ds.kg.clone(), &ds.train, &serve_cfg);
-    let service = Arc::new(Service::start(engine, &serve_cfg));
+    let services = [
+        IndexMode::FullSort,
+        IndexMode::Ivf {
+            nlist: 0,
+            nprobe: 0,
+        },
+    ]
+    .map(|index| {
+        let serve_cfg = ServeConfig {
+            threads: 2,
+            index,
+            ..ServeConfig::default()
+        };
+        let model = InBoxModel::new(sizes, &cfg);
+        let engine = Engine::new(model, cfg.clone(), ds.kg.clone(), &ds.train, &serve_cfg);
+        Arc::new(Service::start(engine, &serve_cfg))
+    });
+    assert!(
+        services[1].engine().index_active().is_some(),
+        "IVF build must succeed"
+    );
     let n_users = ds.train.n_users() as u32;
 
     inbox_obs::set_alloc_tracking(true);
@@ -86,11 +107,16 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
     // workers, populate the box cache, and register every metric cell the
     // hot path touches. Two rounds so the second already runs warm paths
     // (cache hits as well as rebuilds).
-    drive(&service, n_users, 5);
-    drive(&service, n_users, 5);
+    for _ in 0..2 {
+        for service in &services {
+            drive(service, n_users, 5);
+        }
+    }
 
     let before = hot_allocs();
-    drive(&service, n_users, 5);
+    for service in &services {
+        drive(service, n_users, 5);
+    }
     let after = hot_allocs();
     inbox_obs::set_alloc_tracking(false);
 
@@ -102,5 +128,13 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
             a - b
         );
     }
-    service.shutdown();
+    for scope in HOT_SCOPES {
+        assert!(
+            inbox_obs::alloc_scope_stats(scope).is_some(),
+            "scope {scope} was never entered"
+        );
+    }
+    for service in services {
+        service.shutdown();
+    }
 }

@@ -168,24 +168,6 @@ const SUMMARY_KEYS: &[&str] = &[
     "values.p50",
     "values.p95",
     "values.p99",
-    "windowed",
-    "windowed.last_10s",
-    "windowed.last_10s.count",
-    "windowed.last_10s.mean",
-    "windowed.last_10s.p50",
-    "windowed.last_10s.p95",
-    "windowed.last_10s.p99",
-    "windowed.last_10s.rate_per_sec",
-    "windowed.last_10s.window_secs",
-    "windowed.last_60s",
-    "windowed.last_60s.count",
-    "windowed.last_60s.mean",
-    "windowed.last_60s.p50",
-    "windowed.last_60s.p95",
-    "windowed.last_60s.p99",
-    "windowed.last_60s.rate_per_sec",
-    "windowed.last_60s.window_secs",
-    "windowed.name",
 ];
 
 fn get(http: &HttpServer, path: &str) -> String {

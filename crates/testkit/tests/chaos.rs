@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use inbox_core::persist::{self, PersistError};
 use inbox_core::trainer::{TrainReport, TrainedInBox};
+use inbox_core::InBoxModel;
 use inbox_kg::UserId;
 use inbox_serve::{HttpServer, IndexMode, ServeConfig, ServeError, Service};
 use inbox_testkit::harness;
@@ -74,6 +75,56 @@ fn save_truncation_detected_as_corrupt_on_load() {
     let loaded = persist::load(&path.0).expect("clean save must round-trip");
     assert_eq!(loaded.config.dim, trained.config.dim);
     assert_eq!(loaded.boxes.len(), trained.boxes.len());
+}
+
+/// A crash after the new checkpoint is written but before it replaces the
+/// old one must leave the old checkpoint in place: the save fails, and
+/// `load` still returns the previous model field for field.
+#[test]
+fn crash_before_rename_keeps_the_previous_checkpoint() {
+    let _serial = serial();
+    let old = trained_fixture(44);
+    let new = {
+        let (ds, _, mut cfg) = harness::fixture(44);
+        cfg.seed += 1;
+        let model = InBoxModel::new(harness::sizes_of(&ds), &cfg);
+        TrainedInBox::from_parts(model, cfg, old.boxes.clone(), TrainReport::default())
+    };
+    let path = TempPath::new("before-rename");
+    persist::save(&old, &path.0).unwrap();
+    let old_bytes = std::fs::read(&path.0).unwrap();
+    {
+        let _fp = FailGuard::new("persist.save.before_rename", Trigger::Always);
+        match persist::save(&new, &path.0) {
+            Err(PersistError::Io(_)) => {}
+            other => panic!("a save that never renamed must fail with Io, got {other:?}"),
+        }
+    }
+    let mut tmp_name = path.0.file_name().unwrap().to_os_string();
+    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    assert!(
+        !path.0.with_file_name(tmp_name).exists(),
+        "the failed save left its temporary file behind"
+    );
+    assert!(
+        std::fs::read(&path.0).unwrap() == old_bytes,
+        "the failed save touched the previous checkpoint"
+    );
+
+    // Loading and re-saving reproduces the old checkpoint byte for byte,
+    // and the new model would have written a different one.
+    let loaded = persist::load(&path.0).expect("the previous checkpoint still loads");
+    let resaved = TempPath::new("before-rename-resaved");
+    persist::save(&loaded, &resaved.0).unwrap();
+    assert!(
+        std::fs::read(&resaved.0).unwrap() == old_bytes,
+        "the loaded model differs from the previous checkpoint"
+    );
+    persist::save(&new, &resaved.0).unwrap();
+    assert!(
+        std::fs::read(&resaved.0).unwrap() != old_bytes,
+        "the new model must differ from the old one"
+    );
 }
 
 /// A short *read* of a well-formed checkpoint must also surface as

@@ -48,6 +48,10 @@ fn every_registered_site_is_exercised_and_listed() {
         let _fp = FailGuard::new("persist.load.io", Trigger::Always);
         assert!(persist::load(&path).is_err());
     }
+    {
+        let _fp = FailGuard::new("persist.save.before_rename", Trigger::Always);
+        assert!(persist::save(&trained, &path).is_err());
+    }
     let _ = std::fs::remove_file(&path);
 
     // --- index sites ------------------------------------------------------
@@ -62,11 +66,17 @@ fn every_registered_site_is_exercised_and_listed() {
             ..ServeConfig::default()
         };
         let _fp = FailGuard::new("index.build_partition", Trigger::Always);
+        let failed_before = inbox_obs::counter_value("serve.index.build_failed");
         let (_ds, _cfg, engine) = harness::engine(73, &ivf_cfg);
         assert_eq!(
             engine.index_active(),
             None,
             "failed index build must leave the engine serving full sorts"
+        );
+        assert_eq!(
+            inbox_obs::counter_value("serve.index.build_failed"),
+            failed_before + 1,
+            "the failed build is counted exactly once"
         );
         engine.recommend_now(UserId(0), 5).unwrap();
     }
