@@ -2,8 +2,10 @@
 //!
 //! A checkpoint stores the training configuration, the universe sizes, every
 //! parameter tensor by name, and the precomputed user interest boxes, as a
-//! single JSON document. Optimiser state is not persisted — a reloaded model
-//! is ready for inference (and can be retrained from its weights).
+//! single JSON document, plus a content hash of the parameters: a file whose
+//! weights were altered after saving fails to load as corrupt. Optimiser
+//! state is not persisted — a reloaded model is ready for inference (and
+//! can be retrained from its weights).
 
 use std::io::Write;
 use std::path::Path;
@@ -87,20 +89,38 @@ pub struct Checkpoint {
     /// Number of users.
     pub n_users: usize,
     params: Vec<(String, Tensor)>,
+    /// FNV-1a 64 of the parameters' f32 bits, as 16 hex digits; see
+    /// [`content_hash`].
+    content_hash: String,
     boxes: Vec<Option<SerializedBox>>,
-    /// Training history (losses, recalls, early-stop flag). Defaults to an
-    /// empty report when loading checkpoints written before it existed, so
-    /// the format version stays at 1.
+    /// Training history (losses, recalls, early-stop flag). Optional: a
+    /// document without it loads with an empty report.
     #[serde(default)]
     pub report: TrainReport,
 }
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 2 added the content hash.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// FNV-1a 64 over the little-endian bit patterns of every parameter value,
+/// tensor by tensor in checkpoint order, as 16 hex digits.
+fn content_hash(params: &[(String, Tensor)]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (_, tensor) in params {
+        for value in tensor.data() {
+            for byte in value.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    format!("{hash:016x}")
+}
 
 /// Serialises a trained model into a [`Checkpoint`].
 pub fn to_checkpoint(trained: &TrainedInBox) -> Checkpoint {
     let sizes = trained.model.sizes();
+    let params = trained.model.store.export_values();
     Checkpoint {
         version: CHECKPOINT_VERSION,
         config: trained.config.clone(),
@@ -108,7 +128,8 @@ pub fn to_checkpoint(trained: &TrainedInBox) -> Checkpoint {
         n_tags: sizes.n_tags,
         n_relations: sizes.n_relations,
         n_users: sizes.n_users,
-        params: trained.model.store.export_values(),
+        content_hash: content_hash(&params),
+        params,
         boxes: trained
             .boxes
             .iter()
@@ -123,13 +144,21 @@ pub fn to_checkpoint(trained: &TrainedInBox) -> Checkpoint {
     }
 }
 
-/// Reconstructs a trained model from a [`Checkpoint`].
+/// Reconstructs a trained model from a [`Checkpoint`]. Parameters that do
+/// not match the stored content hash are [`PersistError::Corrupt`].
 pub fn from_checkpoint(ckpt: Checkpoint) -> Result<TrainedInBox, PersistError> {
     if ckpt.version != CHECKPOINT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: ckpt.version,
             supported: CHECKPOINT_VERSION,
         });
+    }
+    let computed = content_hash(&ckpt.params);
+    if computed != ckpt.content_hash {
+        return Err(PersistError::Corrupt(format!(
+            "content hash mismatch: stored {}, parameters hash to {computed}",
+            ckpt.content_hash
+        )));
     }
     let sizes = UniverseSizes {
         n_items: ckpt.n_items,
@@ -294,8 +323,8 @@ mod tests {
 
     #[test]
     fn checkpoint_without_report_field_still_loads() {
-        // Checkpoints written before the report field existed must load with
-        // an empty report (same format version, `#[serde(default)]`).
+        // The report is optional: a document without it loads with an
+        // empty report (`#[serde(default)]`).
         let ds = Dataset::synthetic(&SyntheticConfig::tiny(), 47);
         let trained = train(&ds, crate::config::InBoxConfig::tiny_test());
         let value = serde_json::to_value(&to_checkpoint(&trained)).unwrap();
@@ -439,6 +468,48 @@ mod tests {
         };
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(err, PersistError::Corrupt(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn edited_parameter_fails_the_content_hash() {
+        let ds = Dataset::synthetic(&SyntheticConfig::tiny(), 50);
+        let cfg = crate::config::InBoxConfig::tiny_test();
+        let sizes = UniverseSizes {
+            n_items: ds.kg.n_items(),
+            n_tags: ds.kg.n_tags(),
+            n_relations: ds.kg.n_relations(),
+            n_users: ds.train.n_users(),
+        };
+        let model = InBoxModel::new(sizes, &cfg);
+        let trained = TrainedInBox::from_parts(
+            model,
+            cfg,
+            vec![None; sizes.n_users],
+            TrainReport::default(),
+        );
+        let path = std::env::temp_dir().join(format!("inbox-edited-{}.json", std::process::id()));
+        save(&trained, &path).unwrap();
+        load(&path).expect("the saved checkpoint loads");
+
+        // Change one digit of the first parameter value: still valid JSON
+        // of the right shape, but not the weights that were saved.
+        let json = std::fs::read_to_string(&path).unwrap();
+        let params = json.find("\"params\"").unwrap();
+        let data = params + json[params..].find("\"data\":[").unwrap();
+        let digit = data + json[data..].find('.').unwrap() + 1;
+        let old = json.as_bytes()[digit];
+        assert!(old.is_ascii_digit(), "{}", &json[data..digit + 8]);
+        let new = if old == b'9' { b'0' } else { old + 1 };
+        let mut edited = json.into_bytes();
+        edited[digit] = new;
+        std::fs::write(&path, &edited).unwrap();
+        let err = match load(&path) {
+            Err(e) => e,
+            Ok(_) => panic!("an edited parameter must not load"),
+        };
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(err, PersistError::Corrupt(_)), "got {err:?}");
+        assert!(err.to_string().contains("content hash mismatch"), "{err}");
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! [`std::sync::RwLock`] that record wait-time and hold-time histograms
 //! plus a contention counter per lock.
 //!
-//! The serving stack guards its shared state with exactly two locks (the
-//! engine's live state and the batcher's admission queue); whether those
-//! locks are contended at target load is the measurement that decides the
-//! ROADMAP's shard count. An [`ObsMutex`] / [`ObsRwLock`] keeps the std
+//! The serving engine guards its shared state with two locks (the live
+//! state and the box cache); whether those locks are contended at target
+//! load is the measurement that decides the ROADMAP's shard count. An [`ObsMutex`] / [`ObsRwLock`] keeps the std
 //! semantics — poisoning included, so existing `.lock().unwrap()` and
 //! `unwrap_or_else(PoisonError::into_inner)` call sites survive unchanged
 //! — and feeds three series per lock name into the ordinary registry:
@@ -13,8 +12,7 @@
 //! - `lock.<name>.wait` (span histogram): time from requesting the lock to
 //!   holding it, recorded on **every** acquire, so the p99 shows what the
 //!   unlucky acquirer pays;
-//! - `lock.<name>.hold` (span histogram): time the guard was held —
-//!   paused across condvar waits, which release the lock;
+//! - `lock.<name>.hold` (span histogram): time the guard was held;
 //! - `lock.<name>.contended` (rate counter): acquires that found the lock
 //!   already taken (`try_lock` said `WouldBlock`).
 //!
@@ -30,10 +28,10 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{
-    Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError, TryLockResult, WaitTimeoutResult,
+    LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError, TryLockResult,
 };
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::registry::RateCounter;
 
@@ -86,7 +84,7 @@ impl Series {
     /// `timed`.
     fn wrap<G>(&self, result: LockResult<G>, timed: bool) -> LockResult<ObsGuard<G>> {
         let make = |inner| ObsGuard {
-            inner: Some(inner),
+            inner,
             hold: self.hold,
             since: timed.then(Instant::now),
         };
@@ -120,42 +118,6 @@ impl<T> ObsMutex<T> {
     pub fn lock(&self) -> LockResult<ObsMutexGuard<'_, T>> {
         self.series
             .acquire(|| self.inner.try_lock(), || self.inner.lock())
-    }
-
-    /// [`Condvar::wait`] through the instrumented guard. Hold time pauses
-    /// for the wait (the lock is released) and resumes on wake.
-    pub fn wait<'a>(
-        &self,
-        cv: &Condvar,
-        mut guard: ObsMutexGuard<'a, T>,
-    ) -> LockResult<ObsMutexGuard<'a, T>> {
-        guard.record_hold();
-        let inner = guard.inner.take().expect("guard holds until consumed");
-        self.series.wrap(cv.wait(inner), crate::enabled())
-    }
-
-    /// [`Condvar::wait_timeout`] through the instrumented guard; same
-    /// hold-time pause as [`wait`](ObsMutex::wait).
-    pub fn wait_timeout<'a>(
-        &self,
-        cv: &Condvar,
-        mut guard: ObsMutexGuard<'a, T>,
-        dur: Duration,
-    ) -> LockResult<(ObsMutexGuard<'a, T>, WaitTimeoutResult)> {
-        guard.record_hold();
-        let inner = guard.inner.take().expect("guard holds until consumed");
-        let timed = crate::enabled();
-        let (result, timeout) = match cv.wait_timeout(inner, dur) {
-            Ok((g, timeout)) => (Ok(g), timeout),
-            Err(p) => {
-                let (g, timeout) = p.into_inner();
-                (Err(PoisonError::new(g)), timeout)
-            }
-        };
-        match self.series.wrap(result, timed) {
-            Ok(g) => Ok((g, timeout)),
-            Err(p) => Err(PoisonError::new((p.into_inner(), timeout))),
-        }
     }
 }
 
@@ -210,8 +172,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ObsRwLock<T> {
 /// Guard of an [`ObsMutex`] or [`ObsRwLock`]: derefs like the std guard it
 /// wraps and records hold time when dropped.
 pub struct ObsGuard<G> {
-    /// `None` only while a condvar wait has the std guard.
-    inner: Option<G>,
+    inner: G,
     hold: &'static str,
     since: Option<Instant>,
 }
@@ -223,32 +184,24 @@ pub type ObsReadGuard<'a, T> = ObsGuard<RwLockReadGuard<'a, T>>;
 /// Exclusive guard of an [`ObsRwLock`].
 pub type ObsWriteGuard<'a, T> = ObsGuard<RwLockWriteGuard<'a, T>>;
 
-impl<G> ObsGuard<G> {
-    fn record_hold(&mut self) {
-        if let Some(since) = self.since.take() {
-            crate::record_duration(self.hold, since.elapsed());
-        }
-    }
-}
-
 impl<G: Deref> Deref for ObsGuard<G> {
     type Target = G::Target;
     fn deref(&self) -> &G::Target {
-        self.inner.as_deref().expect("guard holds until dropped")
+        &self.inner
     }
 }
 
 impl<G: DerefMut> DerefMut for ObsGuard<G> {
     fn deref_mut(&mut self) -> &mut G::Target {
-        self.inner
-            .as_deref_mut()
-            .expect("guard holds until dropped")
+        &mut self.inner
     }
 }
 
 impl<G> Drop for ObsGuard<G> {
     fn drop(&mut self) {
-        self.record_hold();
+        if let Some(since) = self.since {
+            crate::record_duration(self.hold, since.elapsed());
+        }
     }
 }
 
@@ -256,6 +209,7 @@ impl<G> Drop for ObsGuard<G> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_records_wait_hold_and_contention() {
@@ -314,37 +268,6 @@ mod tests {
                 .count
                 >= 3
         );
-    }
-
-    #[test]
-    fn condvar_wait_pauses_hold_time_and_keeps_std_semantics() {
-        let m = Arc::new(ObsMutex::new("test.lock.cv", false));
-        let cv = Arc::new(Condvar::new());
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let waiter = std::thread::spawn(move || {
-            let mut g = m2.lock().unwrap();
-            while !*g {
-                g = m2.wait(&cv2, g).unwrap();
-            }
-            true
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        *m.lock().unwrap() = true;
-        cv.notify_all();
-        assert!(waiter.join().unwrap());
-        // The waiter slept ~20ms inside wait(); hold time excludes it.
-        let hold = crate::span_snapshot("lock.test.lock.cv.hold").unwrap();
-        assert!(
-            hold.p99 < 15_000_000,
-            "condvar wait leaked into hold time: p99 {} ns",
-            hold.p99
-        );
-
-        // wait_timeout: expires without a notify, guard comes back usable.
-        let g = m.lock().unwrap();
-        let (g, timeout) = m.wait_timeout(&cv, g, Duration::from_millis(1)).unwrap();
-        assert!(timeout.timed_out());
-        assert!(*g);
     }
 
     #[test]

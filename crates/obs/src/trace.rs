@@ -4,10 +4,10 @@
 //! The registry's histograms aggregate *across* requests; a trace explains
 //! *one* request. A [`TraceId`] is minted where a request enters the
 //! process (HTTP accept), and an [`ActiveTrace`] handle travels with it —
-//! explicitly where the code already passes request state (batcher
-//! pendings, pool jobs), and implicitly through a thread-local context
-//! ([`with_context`] / [`ctx_span`]) where it does not (the `Engine`
-//! internals keep their signatures). Every span records its parent, its
+//! explicitly where the code already passes request state (the accepted
+//! connection queued for a worker), and implicitly through a thread-local
+//! context ([`with_context`] / [`ctx_span`]) where it does not (the
+//! `Engine` internals keep their signatures). Every span records its parent, its
 //! start offset from the trace's birth, and its duration, so the finished
 //! [`TraceRecord`] is a complete parent/child tree of where the time went.
 //!
@@ -74,7 +74,7 @@ pub struct TraceSpan {
     pub id: u32,
     /// Index of the parent span, `None` for the root.
     pub parent: Option<u32>,
-    /// Span name, e.g. `batcher.flush`.
+    /// Span name, e.g. `http.queue`.
     pub name: String,
     /// Offset of the span's start from the trace's birth, nanoseconds.
     pub start_ns: u64,
@@ -122,8 +122,8 @@ struct TraceInner {
 }
 
 /// Handle to an in-flight trace. Clones share the same span tree; the
-/// handle is `Send`, so it can cross the batcher/pool thread boundaries
-/// with the request it describes.
+/// handle is `Send`, so it can cross from the acceptor to a connection
+/// worker with the request it describes.
 #[derive(Clone)]
 pub struct ActiveTrace {
     inner: Arc<TraceInner>,

@@ -1,10 +1,11 @@
 //! Shadow-oracle audit sampler: online ranking-quality verification.
 //!
-//! The batcher hands every answered `/recommend` to [`Auditor::maybe_sample`];
-//! 1-in-N of them (by a global atomic tick) are copied into a **bounded,
-//! shed-don't-block** queue drained by one background worker. The worker
-//! re-ranks each sampled `(user, history-version)` request through
-//! [`Engine::audit_rerank`] — the exact FullSort f32 oracle — and records
+//! [`Service`](crate::Service) hands every answered recommend to
+//! [`Auditor::maybe_sample`]; 1-in-N of them (by a global atomic tick) are
+//! copied into a **bounded, shed-don't-block** queue drained by one
+//! background worker. The worker re-ranks each sampled
+//! `(user, history-version)` request through [`Engine::audit_rerank`] —
+//! the exact FullSort f32 oracle — and records
 //! the comparison into the process-global audit series
 //! ([`inbox_obs::record_audit`]): recall@k, agreement@k, worst rank
 //! displacement, and the latched degradation alert against the configured
@@ -14,9 +15,9 @@
 //!
 //! The serving hot path is never touched: sampling is one relaxed atomic
 //! increment plus (for the 1-in-N winners) one answer clone outside the
-//! batcher's allocation-checked scopes, and [`Auditor::offer`] drops the
-//! sample ([`inbox_obs::note_audit_shed`]) instead of blocking when the
-//! queue is at capacity. An audit worker that stalls or dies changes
+//! service's allocation-checked reply scope, and [`Auditor::offer`] drops
+//! the sample ([`inbox_obs::note_audit_shed`]) instead of blocking when
+//! the queue is at capacity. An audit worker that stalls or dies changes
 //! nothing about served answers.
 //!
 //! The worker doubles as the **drift monitor**: a reference snapshot of the
@@ -76,7 +77,7 @@ struct Shared {
 }
 
 /// The background quality auditor. One per [`Service`](crate::Service)
-/// (when `audit_sample > 0`), shared with the batcher via `Arc`.
+/// (when `audit_sample > 0`).
 pub struct Auditor {
     shared: Arc<Shared>,
     /// Sample 1-in-this-many answered requests.
@@ -88,7 +89,7 @@ pub struct Auditor {
 
 impl Auditor {
     /// Captures the startup drift references and starts the audit worker.
-    pub(crate) fn start(engine: Arc<Engine>, config: &ServeConfig) -> Arc<Self> {
+    pub(crate) fn start(engine: Arc<Engine>, config: &ServeConfig) -> Self {
         assert!(config.audit_sample >= 1, "audit_sample must be at least 1");
         assert!(
             config.audit_queue_cap >= 1,
@@ -109,17 +110,17 @@ impl Auditor {
                 .spawn(move || worker_loop(&shared, &engine))
                 .expect("spawn audit worker thread")
         };
-        Arc::new(Self {
+        Self {
             shared,
             sample_every: config.audit_sample,
             queue_cap: config.audit_queue_cap,
             tick: AtomicU64::new(0),
             worker: Mutex::new(Some(worker)),
-        })
+        }
     }
 
-    /// Called by the batcher for every answered request, *after* the answer
-    /// is computed and outside the flush path's allocation-checked scopes.
+    /// Called by the service for every answered request, *after* the
+    /// answer is computed and outside its allocation-checked reply scope.
     /// Costs one relaxed atomic increment per answer; 1-in-N winners clone
     /// the answer and try-enqueue it (shedding, never blocking, at a full
     /// queue).

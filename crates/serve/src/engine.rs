@@ -35,7 +35,6 @@ use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
 use inbox_core::{
     BoxEmb, HistoryCache, InBoxConfig, InBoxModel, ItemScorer, ScoreScratch, TrainedInBox,
-    WorkerPool,
 };
 use inbox_data::Interactions;
 use inbox_eval::top_k_masked;
@@ -102,8 +101,6 @@ pub struct ServeStats {
     pub ingests: u64,
     /// Requests shed by admission control.
     pub sheds: u64,
-    /// Micro-batches flushed.
-    pub batches: u64,
 }
 
 #[derive(Default)]
@@ -114,7 +111,6 @@ struct StatCells {
     fallbacks: AtomicU64,
     ingests: AtomicU64,
     sheds: AtomicU64,
-    batches: AtomicU64,
 }
 
 struct LiveState {
@@ -154,7 +150,6 @@ pub struct Engine {
     popularity: Vec<f32>,
     live: ObsRwLock<LiveState>,
     cache: ObsMutex<BoxCache>,
-    pool: Option<WorkerPool>,
     /// IVF candidate index over the frozen item matrix plus the resolved
     /// probe count. `None` under [`IndexMode::FullSort`] *and* when an IVF
     /// build failed — the engine silently degrades to the full sort, which
@@ -198,7 +193,6 @@ impl Engine {
         let masks = (0..n_users as u32)
             .map(|u| train.items_of(UserId(u)).to_vec())
             .collect();
-        let pool = (serve.threads > 1).then(|| WorkerPool::new(serve.threads));
         let index = match serve.index {
             IndexMode::FullSort => None,
             IndexMode::Ivf { nlist, nprobe } => {
@@ -238,7 +232,6 @@ impl Engine {
             popularity,
             live: ObsRwLock::new("engine.live", LiveState { history, masks }),
             cache: ObsMutex::new("engine.cache", BoxCache::new(serve.cache_cap)),
-            pool,
             index,
             stats: StatCells::default(),
             obs_requests: inbox_obs::rate_counter("serve.requests"),
@@ -268,11 +261,6 @@ impl Engine {
     /// Number of items in the serving universe.
     pub fn n_items(&self) -> usize {
         self.scorer.n_items()
-    }
-
-    /// The intra-batch worker pool, when serving with more than one thread.
-    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
     }
 
     /// The live candidate index, as `(nlist, nprobe)`: `None` under
@@ -305,16 +293,11 @@ impl Engine {
             fallbacks: self.stats.fallbacks.load(Ordering::Relaxed),
             ingests: self.stats.ingests.load(Ordering::Relaxed),
             sheds: self.stats.sheds.load(Ordering::Relaxed),
-            batches: self.stats.batches.load(Ordering::Relaxed),
         }
     }
 
     pub(crate) fn note_shed(&self) {
         self.stats.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_batch(&self) {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The user's current history version.
@@ -406,8 +389,8 @@ impl Engine {
     }
 
     /// Answers one recommend request immediately on the calling thread
-    /// (the micro-batcher calls this per coalesced request; tests may call
-    /// it directly). Users with a box get the geometric ranking; cold users
+    /// ([`Service`](crate::Service) calls this inline; tests may call it
+    /// directly). Users with a box get the geometric ranking; cold users
     /// get the popularity fallback instead of an error.
     pub fn recommend_now(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {

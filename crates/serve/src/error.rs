@@ -4,11 +4,12 @@
 
 use inbox_kg::{ItemId, UserId};
 
-/// Errors returned by [`Service`](crate::Service) operations.
+/// Errors returned by [`Service`](crate::Service) operations, and the
+/// shed outcome of the HTTP front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The admission queue is full; the request was shed immediately instead
-    /// of queueing behind an unbounded backlog.
+    /// The HTTP accept queue is full; the connection was shed with `503`
+    /// at once instead of queueing behind an unbounded backlog.
     Overloaded,
     /// The user id is outside the trained universe.
     UnknownUser(UserId),

@@ -1,8 +1,12 @@
 //! Minimal HTTP/1.1 front-end over [`Service`], built only on
 //! `std::net::TcpListener` — no async runtime, no external HTTP crate.
 //!
-//! One thread per connection, `Connection: close` semantics (each request
-//! gets its own connection), query-string parameters. The surface:
+//! One acceptor thread hands accepted sockets to a fixed pool of
+//! [`ServeConfig::threads`](crate::ServeConfig) connection workers through
+//! one bounded queue of [`ServeConfig::queue_cap`](crate::ServeConfig)
+//! sockets. A worker parses the request, answers it inline and writes the
+//! reply: `Connection: close` semantics (each request gets its own
+//! connection), query-string parameters. The surface:
 //!
 //! | Route                           | Meaning                                |
 //! |---------------------------------|----------------------------------------|
@@ -14,25 +18,34 @@
 //! | `GET /metrics`                  | Prometheus text exposition (live)      |
 //! | `GET /traces`                   | flight-recorder dump as JSON           |
 //!
-//! Degradation maps onto status codes: admission shedding is `503` with a
-//! JSON error body, unknown ids are `404`, malformed parameters are `400`,
-//! and a peer that sends no complete request head within
-//! [`HttpServer::IO_TIMEOUT`] gets `408` (counted in `serve.http.timeout`).
-//! The server never panics a connection thread on bad input.
+//! Degradation maps onto status codes: a connection accepted while the
+//! queue is full is shed at once with `503` and a JSON error body, unknown
+//! ids are `404`, malformed parameters are `400`, and a peer that sends no
+//! complete request head within [`HttpServer::IO_TIMEOUT`] gets `408`
+//! (counted in `serve.http.timeout`).
+//!
+//! A peer whose request head has not arrived within `HEAD_GRACE` (50 ms) of a
+//! worker picking it up is slow: it is parked on a thread of its own (at
+//! most `queue_cap` at once) so it cannot hold a worker for the whole
+//! timeout. A panic while serving a connection costs that connection only;
+//! the worker lives on.
 //!
 //! Every connection mints a request trace (`http.request` root) at accept,
-//! subject to the flight recorder's sampling; the parse, batcher, engine,
-//! pool, and response-write stages all record spans into its tree, and the
-//! trace finishes with the request's outcome (`Ok`/`Shed`/`Error`, with
-//! slow-but-Ok requests promoted to `Slow` past the configured threshold).
+//! subject to the flight recorder's sampling; the accept queue, parse,
+//! engine and response-write stages all record spans into its tree, and
+//! the trace finishes with the request's outcome (`Ok`/`Shed`/`Error`,
+//! with slow-but-Ok requests promoted to `Slow` past the configured
+//! threshold).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inbox_kg::{ItemId, UserId};
 use inbox_obs::{ActiveTrace, AuditSnapshot, TraceOutcome};
@@ -42,36 +55,88 @@ use crate::engine::Recommendation;
 use crate::error::ServeError;
 use crate::Service;
 
-/// A running HTTP server wrapping a [`Service`].
+/// How long a worker waits for a fresh connection's request head before
+/// parking the connection on its own thread.
+const HEAD_GRACE: Duration = Duration::from_millis(50);
+
+/// Pause after a failed `accept`. Errors such as `EMFILE` persist until a
+/// descriptor frees up; without the pause the acceptor would spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// A running HTTP server wrapping a [`Service`]: one acceptor thread and
+/// [`ServeConfig::threads`](crate::ServeConfig) connection workers behind
+/// a queue of [`ServeConfig::queue_cap`](crate::ServeConfig) accepted
+/// sockets. A connection that finds the queue full is answered `503` at
+/// once; one whose request head has not arrived 50 ms after a worker took
+/// it is parked on a thread of its own (at most `queue_cap` at a time);
+/// a panic while serving a connection drops that connection only.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
+    front: Arc<Front>,
+    /// The acceptor, then the workers.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// State the acceptor, the workers and the parked connections share.
+struct Front {
+    service: Arc<Service>,
+    stop: AtomicBool,
+    /// Sockets accepted and not yet picked up by a worker.
+    queued: AtomicUsize,
+    /// Slow connections on threads of their own, at most `queue_cap`.
+    parked: AtomicUsize,
+    queue_cap: usize,
+}
+
+/// An accepted socket on its way to a worker, with its trace and the
+/// trace's open `http.queue` span.
+struct Accepted {
+    stream: TcpStream,
+    trace: Option<(ActiveTrace, u32)>,
 }
 
 impl HttpServer {
     /// Read and write timeout of every accepted socket. A peer that stalls
     /// this long before completing its request head is answered `408`, so
-    /// an idle connection cannot pin its thread.
+    /// an idle connection cannot pin a thread.
     pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop in a background thread.
+    /// acceptor and the service's connection workers.
     pub fn bind(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let stop = Arc::clone(&stop);
+        let (threads, queue_cap) = service.pool_shape();
+        let front = Arc::new(Front {
+            service,
+            stop: AtomicBool::new(false),
+            queued: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            queue_cap,
+        });
+        let (tx, rx) = mpsc::sync_channel(queue_cap);
+        let rx = Arc::new(Mutex::new(rx));
+        let mut handles = Vec::with_capacity(threads + 1);
+        handles.push({
+            let front = Arc::clone(&front);
             std::thread::Builder::new()
                 .name("inbox-serve-http".into())
-                .spawn(move || accept_loop(&listener, &service, &stop))
+                .spawn(move || accept_loop(&listener, &tx, &front))
                 .expect("spawn http acceptor")
-        };
+        });
+        for _ in 0..threads {
+            let (front, rx) = (Arc::clone(&front), Arc::clone(&rx));
+            handles.push(
+                std::thread::Builder::new()
+                    .name("inbox-serve-worker".into())
+                    .spawn(move || worker_loop(&rx, &front))
+                    .expect("spawn http worker"),
+            );
+        }
         Ok(Self {
             addr,
-            stop,
-            acceptor: Mutex::new(Some(acceptor)),
+            front,
+            threads: Mutex::new(handles),
         })
     }
 
@@ -80,17 +145,25 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops accepting connections and joins the acceptor thread.
-    /// Idempotent; in-flight connection threads finish their one response.
+    /// Stops accepting connections, lets the workers answer what is
+    /// already queued, and joins the acceptor and the workers. Idempotent;
+    /// parked slow connections finish on their own threads.
     pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.front.stop.swap(true, Ordering::SeqCst) {
             return;
         }
         // The acceptor blocks in `accept`; poke it with a throwaway
-        // connection so it observes the stop flag.
+        // connection so it observes the stop flag. Its exit drops the
+        // queue's sender, which ends each worker once the queue is empty.
         let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.lock().unwrap().take() {
-            let _ = acceptor.join();
+        let handles = std::mem::take(
+            &mut *self
+                .threads
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }
@@ -101,21 +174,165 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
+fn accept_loop(listener: &TcpListener, queue: &SyncSender<Accepted>, front: &Front) {
+    loop {
+        let conn = if inbox_obs::failpoint!("serve.http.accept_error") {
+            Err(std::io::Error::other(
+                "injected failpoint: serve.http.accept_error",
+            ))
+        } else {
+            listener.accept()
+        };
+        if front.stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = conn else { continue };
-        let service = Arc::clone(service);
-        let spawned = std::thread::Builder::new()
-            .name("inbox-serve-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(stream, &service);
-            });
-        // Thread exhaustion is load shedding too: drop the connection.
-        drop(spawned);
+        match conn {
+            Ok((stream, _)) => admit(stream, queue, front),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
     }
+}
+
+/// Starts the connection's trace and queues it for a worker, or sheds it
+/// with `503` when `queue_cap` sockets are already waiting.
+fn admit(stream: TcpStream, queue: &SyncSender<Accepted>, front: &Front) {
+    let trace = inbox_obs::start_trace("http.request");
+    let queue_span = trace.as_ref().map(|t| t.open_span("http.queue", Some(0)));
+    let depth = front.queued.fetch_add(1, Ordering::Relaxed) + 1;
+    let conn = Accepted {
+        stream,
+        trace: trace.zip(queue_span),
+    };
+    let refused = if inbox_obs::failpoint!("serve.http.queue_full") {
+        Err(conn)
+    } else {
+        queue.try_send(conn).map_err(|e| match e {
+            TrySendError::Full(conn) | TrySendError::Disconnected(conn) => conn,
+        })
+    };
+    match refused {
+        Ok(()) => inbox_obs::record_value("serve.queue.depth", depth as u64),
+        Err(conn) => {
+            front.queued.fetch_sub(1, Ordering::Relaxed);
+            shed(conn, &front.service);
+        }
+    }
+}
+
+/// Answers a connection the queue has no room for: `503` with the typed
+/// [`ServeError::Overloaded`] body, on the acceptor thread and without
+/// waiting on the peer.
+fn shed(conn: Accepted, service: &Service) {
+    let Accepted { mut stream, trace } = conn;
+    service.note_shed();
+    let trace = trace.map(|(t, queue_span)| {
+        t.close_span(queue_span);
+        t
+    });
+    let reply = Reply::serve_error(&ServeError::Overloaded);
+    if stream.set_nonblocking(true).is_ok() {
+        reply.write(&mut stream, trace.as_ref());
+        // The FIN goes out behind the reply, so the peer reads the whole
+        // `503` even if its request bytes, unread here, make the close
+        // send a reset. Reading what already arrived avoids most resets.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut (&stream).take(MAX_REQUEST_BYTES), &mut std::io::sink());
+    }
+    if let Some(trace) = trace {
+        trace.finish(reply.outcome);
+    }
+}
+
+fn worker_loop(queue: &Mutex<Receiver<Accepted>>, front: &Arc<Front>) {
+    loop {
+        // No code panics while holding this lock, and a receiver has no
+        // state a panic could leave half-updated.
+        let next = queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .recv();
+        let Ok(conn) = next else { return };
+        front.queued.fetch_sub(1, Ordering::Relaxed);
+        if let Some((trace, queue_span)) = &conn.trace {
+            trace.close_span(*queue_span);
+        }
+        if head_arrives(&conn.stream) || !reserve_parking(front) {
+            serve(conn, front);
+            continue;
+        }
+        // Not joined: shutdown does not wait on slow peers, and `serve`
+        // catches any panic, so the detached thread hides none.
+        let parked = Arc::clone(front);
+        let spawned = std::thread::Builder::new()
+            .name("inbox-serve-slow".into())
+            .spawn(move || {
+                serve(conn, &parked);
+                parked.parked.fetch_sub(1, Ordering::Relaxed);
+            });
+        if spawned.is_err() {
+            // Thread exhaustion sheds the slow connection: it is dropped.
+            front.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Reserves a parking place for a slow connection; `false` when all
+/// `queue_cap` places are taken (the worker then serves it itself).
+fn reserve_parking(front: &Front) -> bool {
+    front
+        .parked
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < front.queue_cap).then_some(n + 1)
+        })
+        .is_ok()
+}
+
+/// Whether the request head (through its blank line), EOF, or more bytes
+/// than one peek holds arrive within [`HEAD_GRACE`]. Peeks only: the
+/// parser still reads every byte.
+fn head_arrives(stream: &TcpStream) -> bool {
+    let mut buf = [0u8; 1024];
+    let deadline = Instant::now() + HEAD_GRACE;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return false;
+        }
+        match stream.peek(&mut buf) {
+            Ok(n) if n == 0 || n == buf.len() => return true,
+            Ok(n) => {
+                let head = &buf[..n];
+                if head.windows(4).any(|w| w == b"\r\n\r\n")
+                    || head.windows(2).any(|w| w == b"\n\n")
+                {
+                    return true;
+                }
+                // Part of the head is here: poll for the rest.
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            Err(e) => return !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        }
+    }
+}
+
+/// Serves one connection under [`HttpServer::IO_TIMEOUT`]. A panic on the
+/// way (the injected `serve.http.worker_panic` among them) drops this
+/// connection only.
+fn serve(conn: Accepted, front: &Front) {
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        let Accepted { mut stream, trace } = conn;
+        let timeouts = stream
+            .set_read_timeout(Some(HttpServer::IO_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(HttpServer::IO_TIMEOUT)));
+        if timeouts.is_err() {
+            return;
+        }
+        let trace = trace.map(|(t, _)| t);
+        let outcome = respond(&mut stream, front, trace.as_ref());
+        if let Some(trace) = trace {
+            trace.finish(outcome);
+        }
+    }));
 }
 
 /// A parsed request line: method, path, and query parameters.
@@ -289,9 +506,9 @@ struct ErrorBody {
     error: String,
 }
 
-/// Body of `GET /stats`: the engine's counters, the admission queue, the
-/// batch-size and queue-depth histograms (`null` before the first
-/// sample), and the audit summary.
+/// Body of `GET /stats`: the engine's counters, the accept queue, the
+/// queue-depth histogram (`null` before the first sample), and the audit
+/// summary.
 #[derive(Serialize)]
 struct StatsBody {
     requests: u64,
@@ -301,10 +518,8 @@ struct StatsBody {
     fallbacks: u64,
     ingests: u64,
     sheds: u64,
-    batches: u64,
     queued: usize,
     cached_boxes: usize,
-    batch_size: Option<ValueStat>,
     queue_depth: Option<ValueStat>,
     audit_backlog: usize,
     audit_sampled: u64,
@@ -313,7 +528,7 @@ struct StatsBody {
     audit_degraded: bool,
 }
 
-/// One value histogram in `/stats`.
+/// The value histogram in `/stats`.
 #[derive(Serialize)]
 struct ValueStat {
     count: u64,
@@ -358,21 +573,7 @@ fn recommendation_body(r: &Recommendation) -> String {
     )
 }
 
-fn handle_connection(mut stream: TcpStream, service: &Service) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(HttpServer::IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(HttpServer::IO_TIMEOUT))?;
-    // One trace per connection == one trace per request (`Connection:
-    // close`). The flight recorder promotes slow-but-Ok requests past the
-    // configured threshold on `finish`.
-    let trace = inbox_obs::start_trace("http.request");
-    let outcome = respond(&mut stream, service, trace.as_ref());
-    if let Some(trace) = trace {
-        trace.finish(outcome);
-    }
-    Ok(())
-}
-
-fn respond(stream: &mut TcpStream, service: &Service, trace: Option<&ActiveTrace>) -> TraceOutcome {
+fn respond(stream: &mut TcpStream, front: &Front, trace: Option<&ActiveTrace>) -> TraceOutcome {
     // Both unacceptable requests (`Ok(None)`) and read errors (e.g.
     // non-UTF-8 bytes in the request line) get an explicit 400, and a peer
     // that stalls past the read timeout a 408: the server answers every
@@ -390,7 +591,13 @@ fn respond(stream: &mut TcpStream, service: &Service, trace: Option<&ActiveTrace
             if inbox_obs::failpoint!("serve.http.torn_response") {
                 return TraceOutcome::Error;
             }
-            route(&request, service, trace)
+            // Chaos sites: a one-shot stall delays the answer, which must
+            // still be exact; a panic must cost this connection only.
+            let _ = inbox_obs::failpoint!("serve.http.worker_stall");
+            if inbox_obs::failpoint!("serve.http.worker_panic") {
+                panic!("injected failpoint: serve.http.worker_panic");
+            }
+            route(&request, front, trace)
         }
         Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
             inbox_obs::counter("serve.http.timeout").incr();
@@ -402,7 +609,8 @@ fn respond(stream: &mut TcpStream, service: &Service, trace: Option<&ActiveTrace
     reply.outcome
 }
 
-fn route(request: &Request, service: &Service, trace: Option<&ActiveTrace>) -> Reply {
+fn route(request: &Request, front: &Front, trace: Option<&ActiveTrace>) -> Reply {
+    let service = &front.service;
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => Reply::ok(JSON, "{\"status\":\"ok\"}".to_string()),
         ("GET", "/recommend") => {
@@ -455,10 +663,8 @@ fn route(request: &Request, service: &Service, trace: Option<&ActiveTrace>) -> R
                 fallbacks: s.fallbacks,
                 ingests: s.ingests,
                 sheds: s.sheds,
-                batches: s.batches,
-                queued: service.queued(),
+                queued: front.queued.load(Ordering::Relaxed),
                 cached_boxes: service.engine().cache_len(),
-                batch_size: value_stat("serve.batch.size"),
                 queue_depth: value_stat("serve.queue.depth"),
                 audit_backlog: service.audit_backlog(),
                 audit_sampled: audit.sampled,

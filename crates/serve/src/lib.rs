@@ -10,18 +10,18 @@
 //!   bit-identical to the single-threaded offline ranking at any fixed
 //!   history version; `ingest` records an interaction and invalidates only
 //!   that user's cached box.
-//! - [`Batcher`]: bounded admission queue + flush thread that coalesces
-//!   concurrent requests into micro-batches (flush on batch size or
-//!   deadline) and fans them out over a shared worker pool. Over-capacity
-//!   arrivals are shed with [`ServeError::Overloaded`].
-//! - [`Service`]: the facade gluing engine and batcher together — the type
-//!   embedders call.
+//! - [`Service`]: the engine plus the per-request bookkeeping (the
+//!   `serve.recommend` SLO, the shadow-oracle [`Auditor`]) — the type
+//!   embedders call. A recommend runs inline on the calling thread.
 //! - [`HttpServer`]: a std-only HTTP/1.1 front-end (`/health`,
-//!   `/recommend`, `/ingest`, `/stats`).
+//!   `/recommend`, `/ingest`, `/stats`, …) served by a fixed pool of
+//!   connection workers behind one bounded accept queue. A connection
+//!   arriving at a full queue is shed with `503`
+//!   ([`ServeError::Overloaded`]).
 //!
 //! Cold users (no history) degrade to the popularity ranking rather than
 //! erroring; every other degraded outcome is an explicit [`ServeError`].
-//! Serving emits `serve.*` counters, the `serve.batch.size` value
+//! Serving emits `serve.*` counters, the `serve.queue.depth` value
 //! histogram, and the `serve.request` latency span through `inbox-obs`, so
 //! the existing telemetry sinks (`--metrics-out`) see serving traffic in
 //! the same schema as training.
@@ -29,19 +29,18 @@
 #![warn(missing_docs)]
 
 mod audit;
-mod batcher;
 mod cache;
 mod engine;
 mod error;
 mod http;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inbox_kg::{ItemId, UserId};
 
 pub use audit::Auditor;
-pub use batcher::Batcher;
 pub use cache::BoxCache;
 pub use engine::{Engine, Ingested, Recommendation, ServeStats};
 pub use error::ServeError;
@@ -52,17 +51,25 @@ pub use inbox_index::IndexMode;
 /// Tuning knobs for the service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Most requests coalesced into one micro-batch.
+    /// Pinned to `1`: requests are no longer batched. Kept only because
+    /// the serving benchmark's provenance notes still read it;
+    /// [`Service::start`] rejects any other value. Due for deletion with
+    /// the next benchmark change.
     pub max_batch: usize,
-    /// How long the flush thread waits past the first enqueued request for
-    /// the batch to fill before flushing anyway.
+    /// Pinned to [`Duration::ZERO`]: no request waits for a batch. Kept and
+    /// checked like [`max_batch`](ServeConfig::max_batch), and due for
+    /// deletion with it.
     pub batch_wait: Duration,
-    /// Admission bound: requests arriving while this many are already
-    /// queued are shed with [`ServeError::Overloaded`].
+    /// Bound of the HTTP accept queue: a connection accepted while this
+    /// many are already waiting for a worker is answered `503`
+    /// ([`ServeError::Overloaded`]) at once. Also bounds the slow peers
+    /// parked on threads of their own (see [`HttpServer`]).
     pub queue_cap: usize,
     /// Box cache capacity (entries ≈ users resident at once).
     pub cache_cap: usize,
-    /// Scoring threads for intra-batch fan-out (1 = no worker pool).
+    /// HTTP connection workers, started by [`HttpServer::bind`]; each
+    /// parses a request, answers it inline and writes the reply. Defaults
+    /// to the host's available parallelism.
     pub threads: usize,
     /// Latency objective for the `serve.recommend` SLO: requests answered
     /// under this are "good"; the target good fraction is [`SLO_TARGET`].
@@ -106,11 +113,11 @@ pub const SLO_TARGET: f64 = 0.99;
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 32,
-            batch_wait: Duration::from_micros(500),
+            max_batch: 1,
+            batch_wait: Duration::ZERO,
             queue_cap: 1024,
             cache_cap: 100_000,
-            threads: 1,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             slo_objective: Duration::from_millis(50),
             trace_slow: Duration::from_millis(250),
             index: IndexMode::FullSort,
@@ -122,57 +129,114 @@ impl Default for ServeConfig {
     }
 }
 
-/// The assembled service: an [`Engine`] behind a [`Batcher`]. This is the
-/// type both the HTTP front-end and in-process embedders talk to.
+/// The assembled service: an [`Engine`] plus the per-request bookkeeping
+/// (SLO, audit sampling). This is the type both the HTTP front-end and
+/// in-process embedders talk to; every call runs on the caller's thread.
 pub struct Service {
     engine: Arc<Engine>,
-    batcher: Batcher,
-    auditor: Option<Arc<Auditor>>,
+    auditor: Option<Auditor>,
+    /// `serve.recommend` SLO: answered latencies classified against the
+    /// objective; sheds count as (infinitely) bad events.
+    slo: inbox_obs::Slo,
+    shed: inbox_obs::RateCounter,
+    closed: AtomicBool,
+    /// The HTTP front-end's worker count and accept-queue bound.
+    threads: usize,
+    queue_cap: usize,
 }
 
 impl Service {
-    /// Starts a service over `engine` with the batching knobs in `config`.
+    /// Starts a service over `engine` with the knobs in `config`.
     /// Registers the `serve.recommend` SLO, arms the flight recorder's
     /// slow-trace threshold, and (unless `audit_sample` is 0) captures the
     /// drift references and starts the shadow-oracle audit worker.
     pub fn start(engine: Engine, config: &ServeConfig) -> Self {
+        assert!(
+            config.max_batch == 1 && config.batch_wait.is_zero(),
+            "requests are not batched: max_batch must be 1 and batch_wait zero"
+        );
+        assert!(config.threads >= 1, "threads must be at least 1");
+        assert!(config.queue_cap >= 1, "queue_cap must be at least 1");
         inbox_obs::set_slow_threshold(config.trace_slow);
         inbox_obs::set_audit_floor(config.audit_floor);
         let engine = Arc::new(engine);
         let auditor =
             (config.audit_sample > 0).then(|| Auditor::start(Arc::clone(&engine), config));
-        let batcher = Batcher::start(Arc::clone(&engine), config, auditor.clone());
         Self {
             engine,
-            batcher,
             auditor,
+            slo: inbox_obs::slo("serve.recommend", config.slo_objective, SLO_TARGET),
+            shed: inbox_obs::rate_counter("serve.shed"),
+            closed: AtomicBool::new(false),
+            threads: config.threads,
+            queue_cap: config.queue_cap,
         }
     }
 
     /// The underlying engine (for stats, oracle comparisons, and direct
-    /// unbatched access in tests).
+    /// access in tests).
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }
 
-    /// Top-K recommendations for `user`, via the micro-batcher. Blocks
-    /// until the request's batch is flushed; sheds with
-    /// [`ServeError::Overloaded`] when the admission queue is full.
+    /// Top-K recommendations for `user`, answered on the calling thread.
+    /// Returns [`ServeError::Closed`] after [`shutdown`](Service::shutdown).
     pub fn recommend(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
-        self.batcher.recommend(user, k, None)
+        self.answer(user, k, None)
     }
 
-    /// [`recommend`](Service::recommend) with an active request trace:
-    /// admission, queueing, flush, engine, and pool stages all record
-    /// spans into `trace`'s tree. The caller owns the trace and finishes
-    /// it (the HTTP front-end does both ends).
+    /// [`recommend`](Service::recommend) with an active request trace: the
+    /// engine stages record spans under `trace`'s root. The caller owns the
+    /// trace and finishes it (the HTTP front-end does both ends).
     pub fn recommend_traced(
         &self,
         user: UserId,
         k: usize,
         trace: &inbox_obs::ActiveTrace,
     ) -> Result<Recommendation, ServeError> {
-        self.batcher.recommend(user, k, Some(trace.clone()))
+        self.answer(user, k, Some(trace))
+    }
+
+    fn answer(
+        &self,
+        user: UserId,
+        k: usize,
+        trace: Option<&inbox_obs::ActiveTrace>,
+    ) -> Result<Recommendation, ServeError> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(ServeError::Closed);
+        }
+        let started = Instant::now();
+        let answer = match trace {
+            Some(t) => inbox_obs::with_context(t, 0, || self.engine.recommend_now(user, k)),
+            None => self.engine.recommend_now(user, k),
+        };
+        // Audit sampling sits outside the allocation-checked scope: the
+        // 1-in-N winners clone their answer for the background oracle,
+        // which is audit overhead, not serving overhead. It never blocks.
+        if let (Some(auditor), Ok(rec)) = (&self.auditor, &answer) {
+            auditor.maybe_sample(rec);
+        }
+        let _reply_alloc = inbox_obs::alloc_scope("serve.reply");
+        let latency = started.elapsed();
+        inbox_obs::record_duration("serve.request", latency);
+        self.slo.observe(latency);
+        answer
+    }
+
+    /// Books one shed request: counted in the engine's stats and
+    /// `serve.shed`, and a bad event for the SLO.
+    pub(crate) fn note_shed(&self) {
+        self.engine.note_shed();
+        self.shed.incr();
+        // A shed is a user-visible failure: it burns SLO budget even
+        // though it has no latency to classify.
+        self.slo.observe(Duration::MAX);
+    }
+
+    /// The HTTP front-end's `(threads, queue_cap)`.
+    pub(crate) fn pool_shape(&self) -> (usize, usize) {
+        (self.threads, self.queue_cap)
     }
 
     /// Records a live interaction. Synchronous and never shed: ingest is a
@@ -187,22 +251,17 @@ impl Service {
         self.engine.stats()
     }
 
-    /// Number of requests currently waiting in the admission queue.
-    pub fn queued(&self) -> usize {
-        self.batcher.queued()
-    }
-
     /// Number of sampled answers waiting for their shadow-oracle re-rank
     /// (0 when auditing is disabled).
     pub fn audit_backlog(&self) -> usize {
         self.auditor.as_ref().map_or(0, |a| a.backlog())
     }
 
-    /// Stops the batcher (draining queued requests first), then the audit
-    /// worker (draining sampled answers through the oracle). Idempotent;
-    /// the engine stays usable for direct (unbatched) calls afterwards.
+    /// Refuses further recommends with [`ServeError::Closed`], then stops
+    /// the audit worker (draining sampled answers through the oracle).
+    /// Idempotent; the engine stays usable for direct calls afterwards.
     pub fn shutdown(&self) {
-        self.batcher.shutdown();
+        self.closed.store(true, Ordering::SeqCst);
         if let Some(auditor) = &self.auditor {
             auditor.shutdown();
         }

@@ -1,16 +1,16 @@
 //! Runtime proof of the serving stack's allocation-free steady state.
 //!
 //! This binary installs the instrumented global allocator and drives real
-//! traffic through the full batcher → engine pipeline, once over the full
-//! sort and once over the IVF index. After a warmup round has grown every
-//! per-thread scratch buffer and registered every metric cell, the
-//! `engine.score`, `engine.rank`, `engine.candidates`, `engine.rerank` and
-//! `batcher.flush` allocation scopes must observe **zero** further
-//! allocations — checked here against the real allocator. Lives in its own
-//! test binary because the global tracking toggle and the scope counters
-//! are process-wide.
+//! traffic through `Service::recommend`, once over the full sort and once
+//! over the IVF index, from long-lived threads as the HTTP connection
+//! workers do. After warmup rounds have grown every thread's scratch
+//! buffers and registered every metric cell, the `engine.score`,
+//! `engine.rank`, `engine.candidates`, `engine.rerank` and `serve.reply`
+//! allocation scopes must observe **zero** further allocations — checked
+//! here against the real allocator. Lives in its own test binary because
+//! the global tracking toggle and the scope counters are process-wide.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
@@ -27,7 +27,7 @@ const HOT_SCOPES: [&str; 5] = [
     "engine.rank",
     "engine.candidates",
     "engine.rerank",
-    "batcher.flush",
+    "serve.reply",
 ];
 
 fn hot_allocs() -> [u64; 5] {
@@ -38,28 +38,21 @@ fn hot_allocs() -> [u64; 5] {
     })
 }
 
-/// One traffic round: sequential singles (inline flush-thread scoring)
-/// plus concurrent bursts (pool fan-out), all at the same `k`.
-fn drive(service: &Arc<Service>, n_users: u32, k: usize) {
-    for u in 0..n_users {
-        service
-            .recommend(UserId(u), k)
-            .unwrap_or_else(|e| panic!("single request for user {u}: {e}"));
-    }
-    let burst: Vec<_> = (0..4)
-        .map(|t| {
-            let service = Arc::clone(service);
-            std::thread::spawn(move || {
-                for u in 0..n_users {
-                    service
-                        .recommend(UserId((u + t) % n_users), k)
-                        .unwrap_or_else(|e| panic!("burst request: {e}"));
-                }
-            })
-        })
-        .collect();
-    for handle in burst {
-        handle.join().expect("burst producer");
+/// Concurrent callers besides the test thread.
+const CALLERS: u32 = 4;
+
+/// Traffic rounds: the warm ones, then the measured one.
+const ROUNDS: usize = 3;
+
+/// One caller's round: every user once on every service, at the same `k`,
+/// starting from a caller-specific offset.
+fn drive(services: &[Arc<Service>], n_users: u32, offset: u32) {
+    for service in services {
+        for u in 0..n_users {
+            service
+                .recommend(UserId((u + offset) % n_users), 5)
+                .unwrap_or_else(|e| panic!("request for user {u}: {e}"));
+        }
     }
 }
 
@@ -88,7 +81,6 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
     ]
     .map(|index| {
         let serve_cfg = ServeConfig {
-            threads: 2,
             index,
             ..ServeConfig::default()
         };
@@ -103,21 +95,35 @@ fn steady_state_serving_allocates_nothing_in_the_hot_scopes() {
     let n_users = ds.train.n_users() as u32;
 
     inbox_obs::set_alloc_tracking(true);
-    // Warmup: grow every scratch buffer on the flush thread and both pool
-    // workers, populate the box cache, and register every metric cell the
-    // hot path touches. Two rounds so the second already runs warm paths
-    // (cache hits as well as rebuilds).
-    for _ in 0..2 {
-        for service in &services {
-            drive(service, n_users, 5);
+    // Warmup rounds grow every caller's scratch buffers, populate the box
+    // caches, and register every metric cell the hot path touches; the
+    // second already runs warm paths (cache hits as well as rebuilds). The
+    // barriers pin each round's start and end, so the counts read between
+    // the last two bracket exactly the measured round.
+    let start = Barrier::new(CALLERS as usize + 1);
+    let end = Barrier::new(CALLERS as usize + 1);
+    let (before, after) = std::thread::scope(|s| {
+        for t in 1..=CALLERS {
+            let (services, start, end) = (&services, &start, &end);
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    start.wait();
+                    drive(services, n_users, t);
+                    end.wait();
+                }
+            });
         }
-    }
-
-    let before = hot_allocs();
-    for service in &services {
-        drive(service, n_users, 5);
-    }
-    let after = hot_allocs();
+        let mut before = [0; 5];
+        for round in 0..ROUNDS {
+            if round == ROUNDS - 1 {
+                before = hot_allocs();
+            }
+            start.wait();
+            drive(&services, n_users, 0);
+            end.wait();
+        }
+        (before, hot_allocs())
+    });
     inbox_obs::set_alloc_tracking(false);
 
     for (scope, (b, a)) in HOT_SCOPES.iter().zip(before.iter().zip(after.iter())) {

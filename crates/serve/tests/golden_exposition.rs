@@ -92,13 +92,6 @@ const STATS_KEYS: &[&str] = &[
     "audit_degraded",
     "audit_sampled",
     "audit_window_recall",
-    "batch_size",
-    "batch_size.count",
-    "batch_size.mean",
-    "batch_size.p50",
-    "batch_size.p95",
-    "batch_size.p99",
-    "batches",
     "cache_hits",
     "cached_boxes",
     "evictions",

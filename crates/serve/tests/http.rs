@@ -172,7 +172,7 @@ fn stats_and_unknown_routes() {
         "fallbacks",
         "ingests",
         "sheds",
-        "batches",
+        "queued",
     ] {
         assert!(body.contains(&format!("\"{field}\":")), "body: {body}");
     }

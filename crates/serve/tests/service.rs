@@ -1,19 +1,24 @@
 //! Integration tests for the serving stack: oracle bit-identity, versioned
-//! cache invalidation, concurrency correctness, load shedding, and the
-//! HTTP front-end.
+//! cache invalidation, concurrency correctness, and load shedding at the
+//! HTTP accept queue.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use inbox_core::{InBoxConfig, InBoxModel, InBoxScorer, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::top_k_masked;
 use inbox_kg::{ItemId, UserId};
-use inbox_serve::{Engine, IndexMode, Quantization, ServeConfig, ServeError, Service};
+use inbox_serve::{
+    Engine, HttpServer, IndexMode, Quantization, Recommendation, ServeConfig, ServeError, Service,
+};
 
 /// Builds a tiny synthetic universe and an (untrained but deterministic)
 /// model over it. Serving correctness is independent of training quality —
-/// the contracts under test are caching, batching, and bit-identity.
+/// the contracts under test are caching, shedding, and bit-identity.
 fn fixture(seed: u64) -> (Dataset, InBoxModel, InBoxConfig) {
     let ds = Dataset::synthetic(&SyntheticConfig::tiny(), seed);
     let cfg = InBoxConfig::tiny_test();
@@ -142,7 +147,7 @@ fn ingest_invalidates_only_the_touched_user() {
 }
 
 #[test]
-fn batched_service_matches_precomputed_oracle_under_concurrency() {
+fn concurrent_service_matches_precomputed_oracle() {
     let (ds, _cfg, engine) = engine(44, &ServeConfig::default());
     let n_users = ds.train.n_users() as u32;
     let oracle: Vec<_> = (0..n_users)
@@ -150,7 +155,7 @@ fn batched_service_matches_precomputed_oracle_under_concurrency() {
         .collect();
     let service = Service::start(engine, &ServeConfig::default());
     // No ingest in flight: every concurrent answer must be bit-identical
-    // to the single-threaded oracle, batched or not.
+    // to the single-threaded oracle.
     std::thread::scope(|s| {
         for t in 0..4u32 {
             let service = &service;
@@ -168,8 +173,7 @@ fn batched_service_matches_precomputed_oracle_under_concurrency() {
     });
     let stats = service.stats();
     assert_eq!(stats.requests, 4 * 3 * u64::from(n_users));
-    assert_eq!(stats.sheds, 0, "queue_cap was never exceeded");
-    assert!(stats.batches >= 1);
+    assert_eq!(stats.sheds, 0, "in-process calls are never shed");
 }
 
 #[test]
@@ -237,42 +241,87 @@ fn concurrent_recommend_and_ingest_stay_consistent() {
     );
 }
 
+/// Reads a response to EOF, tolerating a reset after the bytes arrived,
+/// and returns its status line and body.
+fn read_reply(stream: &mut TcpStream) -> (String, String) {
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw).into_owned();
+    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
+    (
+        head.lines().next().unwrap_or("").to_string(),
+        body.to_string(),
+    )
+}
+
+/// The `/recommend` body the server must send for `r`, byte for byte.
+fn expected_body(r: &Recommendation) -> String {
+    let items: Vec<String> = r
+        .items
+        .iter()
+        .map(|(item, score)| format!("{{\"item\":{},\"score\":{score}}}", item.0))
+        .collect();
+    format!(
+        "{{\"user\":{},\"version\":{},\"fallback\":{},\"items\":[{}]}}",
+        r.user.0,
+        r.version,
+        r.fallback,
+        items.join(",")
+    )
+}
+
 #[test]
 fn admission_queue_sheds_with_overloaded() {
-    // A huge batch window holds the first request in the queue, so the
-    // second arrival deterministically sees a full queue.
+    // One worker, one queue slot, one parking place. Peers that send half
+    // a request head fill them all: the first is parked after the grace,
+    // the worker then serves the next itself and waits on it, and the
+    // queue holds one more. Later peers find the queue full and are shed.
     let serve_cfg = ServeConfig {
-        max_batch: 64,
-        batch_wait: Duration::from_secs(30),
+        threads: 1,
         queue_cap: 1,
         ..ServeConfig::default()
     };
     let (_ds, _cfg, engine) = engine(46, &serve_cfg);
-    let service = Service::start(engine, &serve_cfg);
-    std::thread::scope(|s| {
-        let handle = {
-            let service = &service;
-            s.spawn(move || service.recommend(UserId(0), K))
-        };
-        // Wait until the first request is actually queued.
-        while service.queued() == 0 {
-            std::thread::yield_now();
+    let service = Arc::new(Service::start(engine, &serve_cfg));
+    let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    const PEERS: u32 = 4;
+    let mut peers: Vec<TcpStream> = (0..PEERS)
+        .map(|u| {
+            let mut s = TcpStream::connect(http.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            // A peer shed at accept may see its socket closed already.
+            let _ = write!(s, "GET /recommend?user={u}&k={K} HTTP/1.1\r\n");
+            s
+        })
+        .collect();
+    // Finish every head; a shed peer's socket may already be closed.
+    for s in &mut peers {
+        let _ = s.write_all(b"\r\n");
+    }
+    let (mut answered, mut shed) = (0, 0);
+    for (u, s) in peers.iter_mut().enumerate() {
+        let (status, body) = read_reply(s);
+        if status.starts_with("HTTP/1.1 503") {
+            assert_eq!(
+                body,
+                "{\"error\":\"service overloaded: admission queue full\"}"
+            );
+            shed += 1;
+        } else {
+            assert!(status.starts_with("HTTP/1.1 200"), "peer {u}: {status}");
+            let oracle = service.engine().oracle(UserId(u as u32), K).unwrap();
+            assert_eq!(body, expected_body(&oracle), "peer {u}");
+            answered += 1;
         }
-        assert_eq!(
-            service.recommend(UserId(1), K),
-            Err(ServeError::Overloaded),
-            "second arrival must be shed, not queued"
-        );
-        // Shutdown drains the queue: the first caller still gets a real
-        // answer, not an error.
-        service.shutdown();
-        let first = handle.join().unwrap();
-        assert!(first.is_ok(), "queued request must be answered on drain");
-    });
+    }
+    assert!(shed >= 1, "a full accept queue must shed");
+    assert_eq!(answered + shed, PEERS);
     let stats = service.stats();
-    assert_eq!(stats.sheds, 1);
-    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.sheds, u64::from(shed));
+    assert_eq!(stats.requests, u64::from(answered));
     // After shutdown, new requests are refused explicitly.
+    http.shutdown();
+    service.shutdown();
     assert_eq!(service.recommend(UserId(0), K), Err(ServeError::Closed));
 }
 

@@ -1,8 +1,7 @@
 //! Flight-recorder integration tests: a traced HTTP request must leave a
-//! complete causal span tree behind — HTTP accept → parse → batcher
-//! admission/queueing → engine resolve/score/rank (→ pool on the fan-out
-//! path) → response write — and slow requests must be promoted and
-//! retained in the notable ring.
+//! complete causal span tree behind — HTTP accept → accept queue → parse
+//! → engine resolve/score/rank → response write — and slow requests must
+//! be promoted and retained in the notable ring.
 //!
 //! Everything here runs in one `#[test]` because the flight recorder, the
 //! sampling knob, and the slow threshold are process-global: concurrent
@@ -63,8 +62,8 @@ fn assert_recommend_tree(trace: &TraceRecord) {
     assert!(root.dur_ns > 0, "root span never closed");
     assert!(root.dur_ns <= trace.total_ns);
 
-    // Front-end and batcher stages hang off the root.
-    for name in ["http.parse", "batcher.admit", "batcher.queue", "http.write"] {
+    // Front-end stages hang off the root.
+    for name in ["http.queue", "http.parse", "http.write"] {
         let s = span(trace, name);
         assert_eq!(s.parent, Some(0), "{name} must be a child of the root");
         assert!(
@@ -73,22 +72,10 @@ fn assert_recommend_tree(trace: &TraceRecord) {
         );
     }
 
-    // Engine stages form a subtree: recommend owns resolve/score/rank, and
-    // resolve owns exactly one of cache_hit/rebuild. On the pool fan-out
-    // path an extra pool.score span sits between root and recommend.
+    // Engine stages form a subtree under the root: recommend owns
+    // resolve/score/rank, and resolve owns exactly one of cache_hit/rebuild.
     let recommend = span(trace, "engine.recommend");
-    match recommend.parent {
-        Some(0) => {}
-        parent => {
-            let pool = span(trace, "pool.score");
-            assert_eq!(
-                parent,
-                Some(pool.id),
-                "engine.recommend must hang off root or pool.score"
-            );
-            assert_eq!(pool.parent, Some(0));
-        }
-    }
+    assert_eq!(recommend.parent, Some(0));
     let resolve = span(trace, "engine.resolve_box");
     assert_eq!(resolve.parent, Some(recommend.id));
     assert_eq!(span(trace, "engine.score").parent, Some(recommend.id));
@@ -104,11 +91,12 @@ fn assert_recommend_tree(trace: &TraceRecord) {
         "a lookup is a hit XOR a rebuild"
     );
 
-    // The admission span closes before queueing ends: admit returns once
-    // the request is enqueued, the queue span only closes at dequeue.
-    let admit = span(trace, "batcher.admit");
-    let queue = span(trace, "batcher.queue");
-    assert!(admit.start_ns <= queue.start_ns);
+    // The request waits in the accept queue before a worker parses it,
+    // and is parsed before the engine answers it.
+    let queue = span(trace, "http.queue");
+    let parse = span(trace, "http.parse");
+    assert!(queue.start_ns + queue.dur_ns <= parse.start_ns);
+    assert!(parse.start_ns + parse.dur_ns <= recommend.start_ns);
 }
 
 #[test]
@@ -117,7 +105,7 @@ fn flight_recorder_reproduces_request_trees() {
     inbox_obs::set_trace_sampling(1);
     inbox_obs::clear_traces();
 
-    // --- phase 1: plain request, sequential scoring path ----------------
+    // --- phase 1: one request -------------------------------------------
     let service = service_over(&ServeConfig::default());
     let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let response = http_get(http.local_addr(), "/recommend?user=0&k=5");
@@ -133,11 +121,10 @@ fn flight_recorder_reproduces_request_trees() {
     assert_eq!(trace.outcome, TraceOutcome::Ok);
     assert_recommend_tree(trace);
 
-    // --- phase 2: pool fan-out path --------------------------------------
+    // --- phase 2: concurrent requests on two workers ----------------------
+    inbox_obs::clear_traces();
     let pooled = service_over(&ServeConfig {
         threads: 2,
-        max_batch: 16,
-        batch_wait: Duration::from_millis(40),
         ..ServeConfig::default()
     });
     let http = HttpServer::bind(Arc::clone(&pooled), "127.0.0.1:0").expect("bind");
@@ -153,11 +140,19 @@ fn flight_recorder_reproduces_request_trees() {
     http.shutdown();
     pooled.shutdown();
     let traces = inbox_obs::recent_traces();
-    let pooled_trace = traces
+    let concurrent: Vec<_> = traces
         .iter()
-        .find(|t| t.spans.iter().any(|s| s.name == "pool.score"))
-        .expect("with a 40ms batch window and 4 concurrent clients at least one batch fans out");
-    assert_recommend_tree(pooled_trace);
+        .filter(|t| t.spans.iter().any(|s| s.name == "engine.recommend"))
+        .collect();
+    assert_eq!(
+        concurrent.len(),
+        4,
+        "every concurrent request leaves a trace"
+    );
+    for trace in concurrent {
+        assert_eq!(trace.outcome, TraceOutcome::Ok);
+        assert_recommend_tree(trace);
+    }
 
     // --- phase 3: slow request promoted into the notable ring ------------
     // A zero-ish threshold makes every request slow; the service arms it

@@ -4,7 +4,7 @@
 //! The fixtures deliberately use an **untrained but deterministic** model:
 //! `InBoxModel::new` is seeded by `InBoxConfig::seed`, so building twice
 //! with the same seed yields bit-identical parameters. Correctness of the
-//! serving/inference contracts (caching, batching, fused ops, rankings) is
+//! serving/inference contracts (caching, shedding, fused ops, rankings) is
 //! independent of training quality, and skipping training keeps every
 //! suite fast.
 
@@ -13,7 +13,7 @@ use inbox_core::predict::user_box_from_history;
 use inbox_core::{HistoryCache, InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_kg::{ItemId, UserId};
-use inbox_serve::{Engine, ServeConfig};
+use inbox_serve::{Engine, Recommendation, ServeConfig};
 
 use crate::oracle::{self, ModelParams};
 
@@ -47,6 +47,23 @@ pub fn engine(seed: u64, serve: &ServeConfig) -> (Dataset, InBoxConfig, Engine) 
     let (ds, model, cfg) = fixture(seed);
     let engine = Engine::new(model, cfg.clone(), ds.kg.clone(), &ds.train, serve);
     (ds, cfg, engine)
+}
+
+/// The `GET /recommend` body the HTTP front-end sends for `r`, byte for
+/// byte.
+pub fn recommend_body(r: &Recommendation) -> String {
+    let items: Vec<String> = r
+        .items
+        .iter()
+        .map(|(item, score)| format!("{{\"item\":{},\"score\":{score}}}", item.0))
+        .collect();
+    format!(
+        "{{\"user\":{},\"version\":{},\"fallback\":{},\"items\":[{}]}}",
+        r.user.0,
+        r.version,
+        r.fallback,
+        items.join(",")
+    )
 }
 
 /// Overwrites `model`'s item points with deterministic **clustered**

@@ -5,7 +5,7 @@
 //!
 //! - **Failpoints** (re-exported from [`inbox_obs::failpoints`], inventory
 //!   in [`sites`]) — deterministic fault injection threaded through
-//!   `core::persist`, `serve::{batcher, engine, http}`. The sites compile
+//!   `core::persist`, `serve::{audit, engine, http}`. The sites compile
 //!   to no-ops unless the `failpoints` cargo feature is on; the chaos and
 //!   coverage suites under `tests/` only build with it.
 //! - **Differential oracles** ([`oracle`]) — naive scalar reference

@@ -37,31 +37,30 @@ pub const ALL: &[&str] = &[
     // serve::audit::worker_loop — stall the audit worker (pure delay)
     // before each sample is re-ranked; backlog grows, serving does not.
     "serve.audit.stall",
-    // serve::batcher::flush_loop — panic the flush thread right before
-    // it answers a drained batch.
-    "serve.batcher.flush_panic",
-    // serve::batcher::flush_loop — stall the flush thread (pure delay)
-    // between draining a batch and answering it.
-    "serve.batcher.flush_stall",
-    // serve::batcher::recommend — report the admission queue as full
-    // regardless of its occupancy, forcing a shed.
-    "serve.batcher.queue_full",
     // serve::engine::resolve_box — skip caching a freshly built box,
     // simulating eviction racing the insert.
     "serve.cache.evict",
-    // serve::http::handle_connection — drop the connection after
-    // parsing, before any response byte (client sees clean EOF).
+    // serve::http::accept_loop — fail `accept` (as `EMFILE` would) so the
+    // acceptor takes its back-off path instead of spinning.
+    "serve.http.accept_error",
+    // serve::http::admit — report the accept queue as full regardless of
+    // its occupancy, forcing a 503 shed.
+    "serve.http.queue_full",
+    // serve::http::respond — drop the connection after parsing, before
+    // any response byte (client sees clean EOF).
     "serve.http.torn_response",
+    // serve::http::respond — panic the connection worker after parsing,
+    // before answering; only that connection is lost.
+    "serve.http.worker_panic",
+    // serve::http::respond — stall the connection worker (pure delay)
+    // between parsing and answering.
+    "serve.http.worker_stall",
 ];
 
 /// Every span name that can appear in a request trace's tree, sorted by
 /// name. The coverage suite source-scans `inbox-serve` for span-opening
 /// calls and fails when either direction drifts.
 pub const TRACE_SPANS: &[&str] = &[
-    // Batcher admission: covers the shed decision and the enqueue.
-    "batcher.admit",
-    // Time spent queued; opened at enqueue, closed at batch dequeue.
-    "batcher.queue",
     // Box cache hit marker (zero-duration leaf under resolve_box).
     "engine.cache_hit",
     // IVF candidate generation: probe selection over partition centroids.
@@ -78,14 +77,15 @@ pub const TRACE_SPANS: &[&str] = &[
     "engine.resolve_box",
     // Scoring every item against the resolved box.
     "engine.score",
-    // Request-head parse on the connection thread.
+    // Request-head parse on the connection worker.
     "http.parse",
+    // Time in the accept queue: opened at accept, closed at worker pickup
+    // (or at the shed).
+    "http.queue",
     // Root span: one per accepted connection.
     "http.request",
     // Response serialisation + socket write.
     "http.write",
-    // Worker-pool execution of one request inside a fanned-out batch.
-    "pool.score",
 ];
 
 /// Every allocation-scope label registered by the instrumented crates
@@ -96,9 +96,6 @@ pub const TRACE_SPANS: &[&str] = &[
 /// allocation-free at steady state, which `inbox-serve`'s
 /// `tests/alloc_steady.rs` asserts.
 pub const ALLOC_SCOPES: &[&str] = &[
-    // serve::batcher — batch drain, bookkeeping, and reply fan-out on the
-    // flush thread.
-    "batcher.flush",
     // serve::engine::recommend_now — IVF probe selection into per-thread
     // scratch.
     "engine.candidates",
@@ -111,6 +108,9 @@ pub const ALLOC_SCOPES: &[&str] = &[
     // serve::engine::recommend_now — scoring every item against the
     // resolved box into per-thread scratch.
     "engine.score",
+    // serve::Service::recommend — the reply bookkeeping (latency span,
+    // SLO) on the connection worker or the embedding caller.
+    "serve.reply",
 ];
 
 /// Who reads a series by name. `tests/series.rs` checks every claim
@@ -156,14 +156,6 @@ pub const SERIES: &[(&str, Consumer)] = &[
     ("audit:shed", Consumer::Input("audit.shed")),
     ("audit:stale", Consumer::Input("audit.stale")),
     ("audit:total_items", Consumer::Input("audit.recall")),
-    (
-        "batcher.flush",
-        Consumer::Test("steady_state_serving_allocates_nothing_in_the_hot_scopes"),
-    ),
-    (
-        "batcher.queue",
-        Consumer::Bench("lock.batcher.queue.wait_us.p99"),
-    ),
     ("box.intersections", Consumer::RunSummary),
     (
         "engine.cache",
@@ -216,10 +208,6 @@ pub const SERIES: &[(&str, Consumer)] = &[
     ("sampler.stage3", Consumer::RunSummary),
     ("sampler.stage3.samples", Consumer::RunSummary),
     (
-        "serve.batch.size",
-        Consumer::Bench("batcher.batch_size.mean"),
-    ),
-    (
         "serve.box.rebuilds",
         Consumer::Test("ingest_invalidates_only_the_touched_user"),
     ),
@@ -239,6 +227,10 @@ pub const SERIES: &[(&str, Consumer)] = &[
     ),
     ("serve.queue.depth", Consumer::Dashboard("queue p99")),
     ("serve.recommend", Consumer::Dashboard("burn60")),
+    (
+        "serve.reply",
+        Consumer::Test("steady_state_serving_allocates_nothing_in_the_hot_scopes"),
+    ),
     ("serve.request", Consumer::Dashboard("qps")),
     ("serve.requests", Consumer::Dashboard("cache hit")),
     ("serve.shed", Consumer::Dashboard("shed/s")),

@@ -48,7 +48,7 @@ fn alloc_scope_inventory_matches_sources() {
     );
 }
 
-/// Direction 2: a tiny end-to-end run (train + batched serving) enters
+/// Direction 2: a tiny end-to-end run (train + serving) enters
 /// every listed scope, so the registry knows them all afterwards. Serving
 /// runs both candidate-generation modes: the full-sort engine enters
 /// `engine.score`/`engine.rank`, the IVF engine `engine.candidates`/

@@ -159,79 +159,158 @@ fn load_io_failure_stays_io() {
     }
 }
 
-/// A full admission queue sheds with `Overloaded` — typed, counted, and
-/// fully recoverable once pressure is gone.
+/// A running HTTP stack over a fresh engine.
+fn http_stack(seed: u64, serve_cfg: &ServeConfig) -> (Arc<Service>, HttpServer) {
+    let (_ds, _cfg, engine) = harness::engine(seed, serve_cfg);
+    let service = Arc::new(Service::start(engine, serve_cfg));
+    let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    (service, http)
+}
+
+/// One `GET` round trip; returns the raw response (empty when the server
+/// dropped the connection without a byte).
+fn http_get(http: &HttpServer, path: &str) -> String {
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8(response).unwrap()
+}
+
+/// The exact `/recommend` answer for `user`: status line through body.
+fn assert_exact(response: &str, service: &Service, user: u32) {
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let body = harness::recommend_body(&service.engine().oracle(UserId(user), 5).unwrap());
+    assert!(response.ends_with(&format!("\r\n\r\n{body}")), "{response}");
+}
+
+/// A full accept queue sheds with a typed `503` — counted, and fully
+/// recoverable once pressure is gone.
 #[test]
 fn queue_full_sheds_with_overloaded() {
     let _serial = serial();
-    let serve_cfg = ServeConfig::default();
-    let (_ds, _cfg, engine) = harness::engine(44, &serve_cfg);
-    let service = Service::start(engine, &serve_cfg);
+    let (service, http) = http_stack(44, &ServeConfig::default());
     {
-        let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
+        let _fp = FailGuard::new("serve.http.queue_full", Trigger::Always);
         for _ in 0..3 {
-            match service.recommend(UserId(0), 5) {
-                Err(ServeError::Overloaded) => {}
-                other => panic!("full queue must shed with Overloaded, got {other:?}"),
-            }
+            let response = http_get(&http, "/recommend?user=0&k=5");
+            assert!(
+                response.starts_with("HTTP/1.1 503")
+                    && response.ends_with(&format!("{{\"error\":\"{}\"}}", ServeError::Overloaded)),
+                "full queue must shed with Overloaded, got {response:?}"
+            );
         }
         assert_eq!(service.stats().sheds, 3, "sheds must be counted");
     }
-    // Pressure gone: the same service answers normally.
-    service
-        .recommend(UserId(0), 5)
-        .expect("recovered service must answer");
+    // Pressure gone: the same server answers normally.
+    assert_exact(&http_get(&http, "/recommend?user=0&k=5"), &service, 0);
+    http.shutdown();
     service.shutdown();
 }
 
-/// Satellite regression: a flush thread that dies with a batch in hand
-/// must disconnect the waiting caller with a deterministic `Closed` — and
-/// every later request must get the same `Closed` immediately instead of
-/// queueing into a dead batcher forever.
+/// A panic while a worker serves a connection costs that connection only:
+/// its client sees the socket close without a response byte, and the one
+/// worker of the pool lives on to answer every later request exactly.
 #[test]
-fn flush_panic_yields_deterministic_closed() {
+fn worker_panic_costs_one_connection() {
     let _serial = serial();
-    let serve_cfg = ServeConfig::default();
-    let (_ds, _cfg, engine) = harness::engine(45, &serve_cfg);
-    let service = Service::start(engine, &serve_cfg);
-    let _fp = FailGuard::new("serve.batcher.flush_panic", Trigger::Nth(1));
-    match service.recommend(UserId(0), 5) {
-        Err(ServeError::Closed) => {}
-        other => panic!("caller in the dying batch must see Closed, got {other:?}"),
-    }
-    // The flush thread is gone; later callers must fail fast, not hang.
+    let serve_cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let (service, http) = http_stack(45, &serve_cfg);
+    let _fp = FailGuard::new("serve.http.worker_panic", Trigger::Nth(1));
+    let lost = http_get(&http, "/recommend?user=0&k=5");
+    assert!(
+        lost.is_empty(),
+        "the panicked connection got bytes: {lost:?}"
+    );
+    assert_eq!(failpoints::fired("serve.http.worker_panic"), 1);
     let t0 = Instant::now();
-    match service.recommend(UserId(1), 5) {
-        Err(ServeError::Closed) => {}
-        other => panic!("post-crash request must see Closed, got {other:?}"),
+    for user in 0..4 {
+        assert_exact(
+            &http_get(&http, &format!("/recommend?user={user}&k=5")),
+            &service,
+            user,
+        );
     }
     assert!(
         t0.elapsed() < Duration::from_secs(5),
-        "post-crash requests must fail fast, not block on a dead flush thread"
+        "later requests must be answered at once by the surviving worker"
     );
+    http.shutdown();
+    service.shutdown();
+    assert_eq!(service.recommend(UserId(0), 5), Err(ServeError::Closed));
+}
+
+/// A one-shot stall in a worker delays its answer but loses nothing: the
+/// answer still arrives, exact.
+#[test]
+fn worker_stall_delays_but_answers() {
+    let _serial = serial();
+    let (service, http) = http_stack(46, &ServeConfig::default());
+    let stall = Duration::from_millis(50);
+    let _fp = FailGuard::new("serve.http.worker_stall", Trigger::DelayOnce(stall));
+    let t0 = Instant::now();
+    let response = http_get(&http, "/recommend?user=0&k=5");
+    assert!(
+        t0.elapsed() >= stall,
+        "the injected stall must actually delay the answer"
+    );
+    assert_exact(&response, &service, 0);
+    http.shutdown();
     service.shutdown();
 }
 
-/// A one-shot stall in the flush thread delays the batch but loses
-/// nothing: the answer still arrives, correct and typed.
+/// Failing `accept` calls (as under `EMFILE`) put the acceptor on a
+/// back-off, not a hot loop; a client that connects meanwhile waits in
+/// the listen backlog and is answered exactly once `accept` recovers.
 #[test]
-fn flush_stall_delays_but_answers() {
+fn accept_errors_back_off_then_recover() {
     let _serial = serial();
-    let serve_cfg = ServeConfig::default();
-    let (_ds, _cfg, engine) = harness::engine(46, &serve_cfg);
-    let service = Service::start(engine, &serve_cfg);
-    let stall = Duration::from_millis(50);
-    let _fp = FailGuard::new("serve.batcher.flush_stall", Trigger::DelayOnce(stall));
-    let t0 = Instant::now();
-    let rec = service
-        .recommend(UserId(0), 5)
-        .expect("stalled batch must still flush");
-    assert!(
-        t0.elapsed() >= stall,
-        "the injected stall must actually delay the batch"
-    );
-    let expected = service.engine().oracle(UserId(0), 5).unwrap();
-    assert_eq!(rec.items, expected.items, "stalled answer must be exact");
+    let (service, http) = http_stack(53, &ServeConfig::default());
+    let site = "serve.http.accept_error";
+    let client = {
+        let _fp = FailGuard::new(site, Trigger::Always);
+        // The acceptor either fails at once or, if it is blocked in
+        // `accept`, takes this client first and fails on its next pass.
+        let addr = http.local_addr();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"GET /recommend?user=1&k=5 HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        });
+        let t0 = Instant::now();
+        while failpoints::fired(site) < 3 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "accept error never fired"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let hits = failpoints::hits(site);
+        std::thread::sleep(Duration::from_millis(100));
+        let spins = failpoints::hits(site) - hits;
+        assert!(
+            spins <= 20,
+            "{spins} failed accepts in 100 ms: the acceptor must back off"
+        );
+        client
+    };
+    assert_exact(&client.join().unwrap(), &service, 1);
+    assert_exact(&http_get(&http, "/recommend?user=2&k=5"), &service, 2);
+    http.shutdown();
     service.shutdown();
 }
 

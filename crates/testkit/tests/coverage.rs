@@ -94,19 +94,8 @@ fn every_registered_site_is_exercised_and_listed() {
         engine.recommend_now(UserId(0), 5).unwrap();
     }
     let service = Arc::new(Service::start(engine, &serve_cfg));
-    {
-        let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
-        assert!(service.recommend(UserId(0), 5).is_err());
-    }
-    {
-        let _fp = FailGuard::new(
-            "serve.batcher.flush_stall",
-            Trigger::DelayOnce(Duration::from_millis(1)),
-        );
-        service.recommend(UserId(0), 5).unwrap();
-    }
     // --- audit worker sites -----------------------------------------------
-    // The sampler sheds synchronously on the flush thread, so the guard
+    // The sampler sheds synchronously on the calling thread, so the guard
     // scope suffices; the worker-side sites fire asynchronously and are
     // awaited via their fired counters.
     {
@@ -135,22 +124,48 @@ fn every_registered_site_is_exercised_and_listed() {
         service.recommend(UserId(0), 5).unwrap();
     }
     let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    {
-        let _fp = FailGuard::new("serve.http.torn_response", Trigger::Nth(1));
+    let get = |path: &str| {
         let mut stream = TcpStream::connect(http.local_addr()).unwrap();
         stream
-            .write_all(b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            .write_all(
+                format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
+            )
             .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.is_empty(), "torn response leaked bytes");
-    }
-    http.shutdown();
+        let mut response = Vec::new();
+        let _ = stream.read_to_end(&mut response);
+        String::from_utf8(response).unwrap()
+    };
     {
-        // Last: the injected panic kills the flush thread for good.
-        let _fp = FailGuard::new("serve.batcher.flush_panic", Trigger::Nth(1));
-        assert!(service.recommend(UserId(0), 5).is_err());
+        let _fp = FailGuard::new("serve.http.torn_response", Trigger::Nth(1));
+        assert!(get("/health").is_empty(), "torn response leaked bytes");
     }
+    {
+        let _fp = FailGuard::new("serve.http.queue_full", Trigger::Always);
+        assert!(get("/recommend?user=0&k=5").starts_with("HTTP/1.1 503"));
+    }
+    {
+        let _fp = FailGuard::new(
+            "serve.http.worker_stall",
+            Trigger::DelayOnce(Duration::from_millis(1)),
+        );
+        assert!(get("/recommend?user=0&k=5").starts_with("HTTP/1.1 200"));
+    }
+    {
+        let _fp = FailGuard::new("serve.http.worker_panic", Trigger::Nth(1));
+        assert!(get("/recommend?user=0&k=5").is_empty());
+    }
+    {
+        // One accepted connection returns the acceptor to the top of its
+        // loop, where the injected accept error fires.
+        let _fp = FailGuard::new("serve.http.accept_error", Trigger::Nth(1));
+        assert!(get("/health").starts_with("HTTP/1.1 200"));
+        wait_for(
+            || failpoints::fired("serve.http.accept_error") >= 1,
+            "accept error",
+        );
+    }
+    assert!(get("/recommend?user=0&k=5").starts_with("HTTP/1.1 200"));
+    http.shutdown();
     service.shutdown();
 
     // --- direction 1: every listed site was hit and fired -----------------

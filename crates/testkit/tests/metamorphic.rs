@@ -1,14 +1,16 @@
 //! Metamorphic suites: properties that must hold for any input —
 //! intersection monotonicity, translation invariance of scores, monotone
 //! version growth under ingestion, and "shedding never corrupts" for the
-//! admission queue.
+//! HTTP accept queue.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
 
 use inbox_core::BoxEmb;
 use inbox_kg::{ItemId, UserId};
-use inbox_serve::{ServeConfig, ServeError, Service};
+use inbox_serve::{HttpServer, ServeConfig, Service};
 use inbox_testkit::harness;
 use inbox_testkit::invariants;
 use inbox_testkit::oracle::ModelParams;
@@ -46,20 +48,22 @@ fn ingest_then_recommend_grows_versions_monotonically() {
     }
 }
 
-/// Load shedding must be an admission-time concern only: a storm against
-/// a `queue_cap = 1` service sheds most arrivals, yet afterwards every
-/// user's answer is bit-identical to the engine's fresh-forward-pass
-/// oracle, and `requests + sheds` accounts for every submission.
+/// Load shedding must be an admission-time concern only: a connection
+/// storm against a one-worker, `queue_cap = 1` server sheds arrivals with
+/// `503`, yet every answered request is exact, `requests + sheds` accounts
+/// for every submission, and afterwards every user's answer is
+/// bit-identical to the engine's fresh-forward-pass oracle.
 #[test]
 fn shed_never_corrupts() {
     let serve_cfg = ServeConfig {
-        max_batch: 4,
-        batch_wait: Duration::from_micros(200),
+        threads: 1,
         queue_cap: 1,
         ..ServeConfig::default()
     };
     let (ds, _cfg, engine) = harness::engine(92, &serve_cfg);
-    let service = Service::start(engine, &serve_cfg);
+    let service = Arc::new(Service::start(engine, &serve_cfg));
+    let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let addr = http.local_addr();
     let n_users = ds.train.n_users() as u32;
 
     let answered = AtomicUsize::new(0);
@@ -73,16 +77,27 @@ fn shed_never_corrupts() {
             s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xbeef + t as u64);
                 for _ in 0..PER_THREAD {
-                    let user = UserId(rng.gen_range(0..n_users));
-                    match service.recommend(user, K) {
-                        Ok(_) => {
-                            answered.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ServeError::Overloaded) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => panic!("storm hit unexpected error: {e:?}"),
+                    let user = rng.gen_range(0..n_users);
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    // A connection shed at accept may be closed before the
+                    // request is written; its `503` is readable all the same.
+                    let _ = write!(
+                        stream,
+                        "GET /recommend?user={user}&k={K} HTTP/1.1\r\nConnection: close\r\n\r\n"
+                    );
+                    let mut raw = Vec::new();
+                    let _ = stream.read_to_end(&mut raw);
+                    let response = String::from_utf8(raw).unwrap();
+                    if response.starts_with("HTTP/1.1 503") {
+                        shed.fetch_add(1, Ordering::Relaxed);
+                        continue;
                     }
+                    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+                    // No ingest runs: the answer is the oracle's, byte for byte.
+                    let oracle = service.engine().oracle(UserId(user), K).unwrap();
+                    let body = harness::recommend_body(&oracle);
+                    assert!(response.ends_with(&format!("\r\n\r\n{body}")), "{response}");
+                    answered.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
@@ -100,8 +115,9 @@ fn shed_never_corrupts() {
 
     // The post-storm engine state answers every user bit-identically to
     // the cache-bypassing oracle.
-    let engine = service.engine().clone();
+    http.shutdown();
     service.shutdown();
+    let engine = service.engine();
     for u in 0..n_users {
         let user = UserId(u);
         let served = engine.recommend_now(user, K).unwrap();

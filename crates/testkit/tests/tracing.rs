@@ -47,61 +47,65 @@ fn trace_span_inventory_matches_serve_sources() {
 
 #[cfg(feature = "failpoints")]
 mod shed {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
 
-    use inbox_kg::UserId;
     use inbox_obs::TraceOutcome;
-    use inbox_serve::{ServeConfig, Service};
+    use inbox_serve::{HttpServer, ServeConfig, Service};
     use inbox_testkit::harness;
     use inbox_testkit::{FailGuard, Trigger};
 
-    /// A shed request's trace: admission happened, queueing and engine
-    /// stages never did, the outcome is `Shed`, and the notable ring
-    /// retained it.
+    /// A shed connection's trace: it waited in no queue and reached no
+    /// worker — the root holds a closed `http.queue` span and the `503`
+    /// write, but no parse and no engine stage — the outcome is `Shed`,
+    /// and the notable ring retained it.
     #[test]
     fn shed_request_leaves_a_truncated_tree_in_the_notable_ring() {
         inbox_obs::set_enabled(true);
         inbox_obs::set_trace_sampling(1);
+        inbox_obs::clear_traces();
         let serve_cfg = ServeConfig::default();
         let (_ds, _cfg, engine) = harness::engine(91, &serve_cfg);
         let service = Arc::new(Service::start(engine, &serve_cfg));
-
-        let trace = inbox_obs::start_trace("http.request").expect("tracing armed");
-        let id = trace.id().0;
+        let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
         {
-            let _fp = FailGuard::new("serve.batcher.queue_full", Trigger::Always);
-            let err = service
-                .recommend_traced(UserId(0), 5, &trace)
-                .expect_err("armed queue_full must shed");
-            assert!(matches!(err, inbox_serve::ServeError::Overloaded));
+            let _fp = FailGuard::new("serve.http.queue_full", Trigger::Always);
+            let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+            stream
+                .write_all(b"GET /recommend?user=0&k=5 HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut response = Vec::new();
+            let _ = stream.read_to_end(&mut response);
+            assert!(
+                response.starts_with(b"HTTP/1.1 503"),
+                "armed queue_full must shed"
+            );
         }
-        let record = trace.finish(TraceOutcome::Shed);
+        http.shutdown();
         service.shutdown();
 
-        assert_eq!(record.outcome, TraceOutcome::Shed);
+        let notable = inbox_obs::notable_traces();
+        let record = notable
+            .iter()
+            .find(|t| t.outcome == TraceOutcome::Shed)
+            .expect("shed trace missing from the notable ring");
         let names: Vec<&str> = record.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(record.spans[0].name, "http.request");
-        assert!(names.contains(&"batcher.admit"), "{names:?}");
-        for never_reached in ["batcher.queue", "engine.recommend", "pool.score"] {
+        for reached in ["http.queue", "http.write"] {
+            let span = record.spans.iter().find(|s| s.name == reached);
+            let span = span.unwrap_or_else(|| panic!("shed trace lacks {reached}: {names:?}"));
+            assert_eq!(span.parent, Some(0));
+            assert!(span.dur_ns > 0, "{reached} span never closed");
+        }
+        for never_reached in ["http.parse", "engine.recommend"] {
             assert!(
                 !names.contains(&never_reached),
                 "shed request must not reach {never_reached}: {names:?}"
             );
         }
-        let admit = record
-            .spans
-            .iter()
-            .find(|s| s.name == "batcher.admit")
-            .unwrap();
-        assert_eq!(admit.parent, Some(0));
-        assert!(admit.dur_ns > 0, "admit span never closed");
-
         assert!(
-            inbox_obs::notable_traces().iter().any(|t| t.id == id),
-            "shed trace missing from the notable ring"
-        );
-        assert!(
-            inbox_obs::recent_traces().iter().any(|t| t.id == id),
+            inbox_obs::recent_traces().iter().any(|t| t.id == record.id),
             "shed trace missing from the recent ring"
         );
     }
