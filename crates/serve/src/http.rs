@@ -3,10 +3,9 @@
 //!
 //! One acceptor thread hands accepted sockets to a fixed pool of
 //! [`ServeConfig::threads`](crate::ServeConfig) connection workers through
-//! one bounded queue of [`ServeConfig::queue_cap`](crate::ServeConfig)
-//! sockets. A worker parses the request, answers it inline and writes the
-//! reply: `Connection: close` semantics (each request gets its own
-//! connection), query-string parameters. The surface:
+//! one bounded queue. A worker reads the request, answers it inline and
+//! writes the reply: `Connection: close` semantics (each request gets its
+//! own connection), query-string parameters. The surface:
 //!
 //! | Route                           | Meaning                                |
 //! |---------------------------------|----------------------------------------|
@@ -18,17 +17,20 @@
 //! | `GET /metrics`                  | Prometheus text exposition (live)      |
 //! | `GET /traces`                   | flight-recorder dump as JSON           |
 //!
-//! Degradation maps onto status codes: a connection accepted while the
-//! queue is full is shed at once with `503` and a JSON error body, unknown
-//! ids are `404`, malformed parameters are `400`, and a peer that sends no
-//! complete request head within [`HttpServer::IO_TIMEOUT`] gets `408`
-//! (counted in `serve.http.timeout`).
+//! Degradation maps onto status codes: a connection accepted while
+//! [`ServeConfig::queue_cap`](crate::ServeConfig) others wait is shed at
+//! once with `503` and a JSON error body, unknown ids are `404`, malformed
+//! parameters are `400`, and a peer whose request has not fully arrived
+//! [`HttpServer::IO_TIMEOUT`] after accept gets `408` (counted in
+//! `serve.http.timeout`).
 //!
-//! A peer whose request head has not arrived within `HEAD_GRACE` (50 ms) of a
-//! worker picking it up is slow: it is parked on a thread of its own (at
-//! most `queue_cap` at once) so it cannot hold a worker for the whole
-//! timeout. A panic while serving a connection costs that connection only;
-//! the worker lives on.
+//! Every connection has one deadline, [`HttpServer::IO_TIMEOUT`] after
+//! accept, for reading its request and writing the reply. A worker reads
+//! for at most [`HttpServer::HEAD_GRACE`] after accept; a request still
+//! incomplete then is a slow peer, and the rest of it is read on a thread
+//! of its own, which also answers it. So no peer holds a worker past the
+//! grace, however it trickles. A panic while serving a connection costs
+//! that connection only; the worker lives on.
 //!
 //! Every connection mints a request trace (`http.request` root) at accept,
 //! subject to the flight recorder's sampling; the accept queue, parse,
@@ -38,7 +40,7 @@
 //! threshold).
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -55,21 +57,18 @@ use crate::engine::Recommendation;
 use crate::error::ServeError;
 use crate::Service;
 
-/// How long a worker waits for a fresh connection's request head before
-/// parking the connection on its own thread.
-const HEAD_GRACE: Duration = Duration::from_millis(50);
-
 /// Pause after a failed `accept`. Errors such as `EMFILE` persist until a
 /// descriptor frees up; without the pause the acceptor would spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// A running HTTP server wrapping a [`Service`]: one acceptor thread and
-/// [`ServeConfig::threads`](crate::ServeConfig) connection workers behind
-/// a queue of [`ServeConfig::queue_cap`](crate::ServeConfig) accepted
-/// sockets. A connection that finds the queue full is answered `503` at
-/// once; one whose request head has not arrived 50 ms after a worker took
-/// it is parked on a thread of its own (at most `queue_cap` at a time);
-/// a panic while serving a connection drops that connection only.
+/// [`ServeConfig::threads`](crate::ServeConfig) connection workers. A
+/// connection accepted while [`ServeConfig::queue_cap`](crate::ServeConfig)
+/// others wait (for a worker, or for the rest of their request) is
+/// answered `503` at once; one whose request is incomplete
+/// [`HEAD_GRACE`](HttpServer::HEAD_GRACE) after accept is read and
+/// answered on a thread of its own; a panic while serving a connection
+/// drops that connection only.
 pub struct HttpServer {
     addr: SocketAddr,
     front: Arc<Front>,
@@ -77,41 +76,51 @@ pub struct HttpServer {
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// State the acceptor, the workers and the parked connections share.
+/// State the acceptor, the workers and the slow-peer threads share.
 struct Front {
     service: Arc<Service>,
     stop: AtomicBool,
-    /// Sockets accepted and not yet picked up by a worker.
-    queued: AtomicUsize,
-    /// Slow connections on threads of their own, at most `queue_cap`.
-    parked: AtomicUsize,
+    /// Connections admitted and waiting: queued for a worker, or on a
+    /// slow-peer thread that has not read their whole request yet.
+    waiting: AtomicUsize,
     queue_cap: usize,
 }
 
-/// An accepted socket on its way to a worker, with its trace and the
-/// trace's open `http.queue` span.
-struct Accepted {
+/// An accepted connection on its way to an answer: when it was accepted,
+/// its request as read so far, and its trace with the trace's open
+/// `http.queue` span.
+struct Conn {
     stream: TcpStream,
+    accepted: Instant,
+    pending: Pending,
     trace: Option<(ActiveTrace, u32)>,
 }
 
 impl HttpServer {
-    /// Read and write timeout of every accepted socket. A peer that stalls
-    /// this long before completing its request head is answered `408`, so
-    /// an idle connection cannot pin a thread.
+    /// A connection's deadline, counted from accept, for reading its
+    /// request and writing the reply. A peer whose request has not fully
+    /// arrived by then is answered `408`, so a trickling peer cannot pin a
+    /// thread.
     pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+    /// How long after accept a worker reads a connection's request. A
+    /// request still incomplete then is read and answered on a thread of
+    /// its own, so a slow peer holds a worker for at most this long; a
+    /// connection that waited this long in the queue gets only
+    /// non-blocking reads. The serving benchmark's requests all arrive
+    /// within 5 ms of accept on a 2-vCPU host (DESIGN.md §8).
+    pub const HEAD_GRACE: Duration = Duration::from_millis(10);
 
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// acceptor and the service's connection workers.
-    pub fn bind(service: Arc<Service>, addr: &str) -> std::io::Result<Self> {
+    pub fn bind(service: Arc<Service>, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let (threads, queue_cap) = service.pool_shape();
         let front = Arc::new(Front {
             service,
             stop: AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
             queue_cap,
         });
         let (tx, rx) = mpsc::sync_channel(queue_cap);
@@ -147,7 +156,7 @@ impl HttpServer {
 
     /// Stops accepting connections, lets the workers answer what is
     /// already queued, and joins the acceptor and the workers. Idempotent;
-    /// parked slow connections finish on their own threads.
+    /// slow peers finish on their own threads, by their deadline.
     pub fn shutdown(&self) {
         if self.front.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -174,10 +183,10 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, queue: &SyncSender<Accepted>, front: &Front) {
+fn accept_loop(listener: &TcpListener, queue: &SyncSender<Conn>, front: &Front) {
     loop {
         let conn = if inbox_obs::failpoint!("serve.http.accept_error") {
-            Err(std::io::Error::other(
+            Err(io::Error::other(
                 "injected failpoint: serve.http.accept_error",
             ))
         } else {
@@ -194,16 +203,21 @@ fn accept_loop(listener: &TcpListener, queue: &SyncSender<Accepted>, front: &Fro
 }
 
 /// Starts the connection's trace and queues it for a worker, or sheds it
-/// with `503` when `queue_cap` sockets are already waiting.
-fn admit(stream: TcpStream, queue: &SyncSender<Accepted>, front: &Front) {
+/// with `503` when `queue_cap` connections already wait.
+fn admit(stream: TcpStream, queue: &SyncSender<Conn>, front: &Front) {
+    let accepted = Instant::now();
     let trace = inbox_obs::start_trace("http.request");
     let queue_span = trace.as_ref().map(|t| t.open_span("http.queue", Some(0)));
-    let depth = front.queued.fetch_add(1, Ordering::Relaxed) + 1;
-    let conn = Accepted {
+    let conn = Conn {
         stream,
+        accepted,
+        pending: Pending::default(),
         trace: trace.zip(queue_span),
     };
-    let refused = if inbox_obs::failpoint!("serve.http.queue_full") {
+    let depth = front.waiting.fetch_add(1, Ordering::Relaxed) + 1;
+    // The channel holds `queue_cap` and only admitted connections, so
+    // `try_send` finds room whenever `depth` does.
+    let refused = if inbox_obs::failpoint!("serve.http.queue_full") || depth > front.queue_cap {
         Err(conn)
     } else {
         queue.try_send(conn).map_err(|e| match e {
@@ -213,17 +227,19 @@ fn admit(stream: TcpStream, queue: &SyncSender<Accepted>, front: &Front) {
     match refused {
         Ok(()) => inbox_obs::record_value("serve.queue.depth", depth as u64),
         Err(conn) => {
-            front.queued.fetch_sub(1, Ordering::Relaxed);
+            front.waiting.fetch_sub(1, Ordering::Relaxed);
             shed(conn, &front.service);
         }
     }
 }
 
-/// Answers a connection the queue has no room for: `503` with the typed
+/// Answers a connection there is no room for: `503` with the typed
 /// [`ServeError::Overloaded`] body, on the acceptor thread and without
 /// waiting on the peer.
-fn shed(conn: Accepted, service: &Service) {
-    let Accepted { mut stream, trace } = conn;
+fn shed(conn: Conn, service: &Service) {
+    let Conn {
+        mut stream, trace, ..
+    } = conn;
     service.note_shed();
     let trace = trace.map(|(t, queue_span)| {
         t.close_span(queue_span);
@@ -236,14 +252,14 @@ fn shed(conn: Accepted, service: &Service) {
         // `503` even if its request bytes, unread here, make the close
         // send a reset. Reading what already arrived avoids most resets.
         let _ = stream.shutdown(Shutdown::Write);
-        let _ = std::io::copy(&mut (&stream).take(MAX_REQUEST_BYTES), &mut std::io::sink());
+        let _ = io::copy(&mut (&stream).take(MAX_REQUEST_BYTES), &mut io::sink());
     }
     if let Some(trace) = trace {
         trace.finish(reply.outcome);
     }
 }
 
-fn worker_loop(queue: &Mutex<Receiver<Accepted>>, front: &Arc<Front>) {
+fn worker_loop(queue: &Mutex<Receiver<Conn>>, front: &Arc<Front>) {
     loop {
         // No code panics while holding this lock, and a receiver has no
         // state a panic could leave half-updated.
@@ -251,88 +267,54 @@ fn worker_loop(queue: &Mutex<Receiver<Accepted>>, front: &Arc<Front>) {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .recv();
-        let Ok(conn) = next else { return };
-        front.queued.fetch_sub(1, Ordering::Relaxed);
+        let Ok(mut conn) = next else { return };
+        front.waiting.fetch_sub(1, Ordering::Relaxed);
         if let Some((trace, queue_span)) = &conn.trace {
             trace.close_span(*queue_span);
         }
-        if head_arrives(&conn.stream) || !reserve_parking(front) {
-            serve(conn, front);
-            continue;
-        }
-        // Not joined: shutdown does not wait on slow peers, and `serve`
-        // catches any panic, so the detached thread hides none.
-        let parked = Arc::clone(front);
-        let spawned = std::thread::Builder::new()
-            .name("inbox-serve-slow".into())
-            .spawn(move || {
-                serve(conn, &parked);
-                parked.parked.fetch_sub(1, Ordering::Relaxed);
-            });
-        if spawned.is_err() {
-            // Thread exhaustion sheds the slow connection: it is dropped.
-            front.parked.fetch_sub(1, Ordering::Relaxed);
+        match read_request(&mut conn, HttpServer::HEAD_GRACE) {
+            Err(e) if timed_out(&e) => hand_off(conn, front),
+            read => answer(conn, read, front),
         }
     }
 }
 
-/// Reserves a parking place for a slow connection; `false` when all
-/// `queue_cap` places are taken (the worker then serves it itself).
-fn reserve_parking(front: &Front) -> bool {
-    front
-        .parked
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-            (n < front.queue_cap).then_some(n + 1)
-        })
-        .is_ok()
-}
-
-/// Whether the request head (through its blank line), EOF, or more bytes
-/// than one peek holds arrive within [`HEAD_GRACE`]. Peeks only: the
-/// parser still reads every byte.
-fn head_arrives(stream: &TcpStream) -> bool {
-    let mut buf = [0u8; 1024];
-    let deadline = Instant::now() + HEAD_GRACE;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-            return false;
-        }
-        match stream.peek(&mut buf) {
-            Ok(n) if n == 0 || n == buf.len() => return true,
-            Ok(n) => {
-                let head = &buf[..n];
-                if head.windows(4).any(|w| w == b"\r\n\r\n")
-                    || head.windows(2).any(|w| w == b"\n\n")
-                {
-                    return true;
-                }
-                // Part of the head is here: poll for the rest.
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(e) => return !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-        }
+/// Moves a slow peer off the worker: a thread of its own reads the rest
+/// of its request, until its deadline, and answers it. The connection
+/// counts as waiting until its request is read; if no thread can be
+/// started, it is dropped.
+fn hand_off(mut conn: Conn, front: &Arc<Front>) {
+    front.waiting.fetch_add(1, Ordering::Relaxed);
+    let slow = Arc::clone(front);
+    // Not joined: each slow peer ends by its deadline, shutdown does not
+    // wait for it, and `answer` catches any panic, so the detached thread
+    // hides none.
+    let spawned = std::thread::Builder::new()
+        .name("inbox-serve-slow".into())
+        .spawn(move || {
+            let read = read_request(&mut conn, HttpServer::IO_TIMEOUT);
+            slow.waiting.fetch_sub(1, Ordering::Relaxed);
+            answer(conn, read, &slow);
+        });
+    if spawned.is_err() {
+        front.waiting.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Serves one connection under [`HttpServer::IO_TIMEOUT`]. A panic on the
-/// way (the injected `serve.http.worker_panic` among them) drops this
-/// connection only.
-fn serve(conn: Accepted, front: &Front) {
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-        let Accepted { mut stream, trace } = conn;
-        let timeouts = stream
-            .set_read_timeout(Some(HttpServer::IO_TIMEOUT))
-            .and_then(|()| stream.set_write_timeout(Some(HttpServer::IO_TIMEOUT)));
-        if timeouts.is_err() {
-            return;
-        }
-        let trace = trace.map(|(t, _)| t);
-        let outcome = respond(&mut stream, front, trace.as_ref());
-        if let Some(trace) = trace {
-            trace.finish(outcome);
-        }
-    }));
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Arms `stream` so its next read or write returns by `deadline`: a
+/// timeout for the time left, or non-blocking mode once none is left.
+fn arm(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    stream.set_nonblocking(left.is_zero())?;
+    if !left.is_zero() {
+        stream.set_read_timeout(Some(left))?;
+        stream.set_write_timeout(Some(left))?;
+    }
+    Ok(())
 }
 
 /// A parsed request line: method, path, and query parameters.
@@ -343,6 +325,22 @@ struct Request {
 }
 
 impl Request {
+    /// Parses a request line; `None` without a method and a target.
+    fn parse(line: &str) -> Option<Self> {
+        let mut parts = line.split_whitespace();
+        let (method, target) = (parts.next()?, parts.next()?);
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        Some(Self {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query
+                .split('&')
+                .filter_map(|kv| kv.split_once('='))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        })
+    }
+
     fn param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
@@ -356,70 +354,136 @@ impl Request {
 const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Most header lines accepted before the request is rejected.
 const MAX_HEADER_LINES: usize = 128;
+/// Most body bytes read (and discarded: only query parameters are used).
+const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Hard ceiling on bytes read from one connection (head + drained body).
 const MAX_REQUEST_BYTES: u64 = 256 * 1024;
 
-/// Reads and parses one request head. `Ok(None)` means the bytes on the
-/// wire are not an acceptable request (no target, oversized line, header
-/// flood) and the caller should answer `400`; `Err` is a genuine socket
-/// failure (including non-UTF-8 bytes surfacing from `read_line`).
-fn parse_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(std::io::Read::by_ref(stream).take(MAX_REQUEST_BYTES));
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    if line.len() > MAX_LINE_BYTES {
-        return Ok(None);
+/// A request as read so far. Each byte is scanned once, however the
+/// request is split across reads.
+#[derive(Default)]
+struct Pending {
+    buf: Vec<u8>,
+    /// Start of the first line not parsed yet.
+    parsed: usize,
+    /// How far past `parsed` no line end was found.
+    scanned: usize,
+    /// The request line, once parsed.
+    request: Option<Request>,
+    header_lines: usize,
+    content_length: usize,
+    /// Where the request ends (head, then body), once the head has.
+    end: Option<usize>,
+}
+
+impl Pending {
+    /// Parses what the bytes read so far settle. `Some(Some(request))`
+    /// once the head and its body are in (or, with `eof`, as much of them
+    /// as will come); `Some(None)` when the bytes are not an acceptable
+    /// request (no target, non-UTF-8, oversized line, header flood);
+    /// `None` while more bytes are needed.
+    fn advance(&mut self, eof: bool) -> Option<Option<Request>> {
+        while self.end.is_none() {
+            let rest = &self.buf[self.parsed..];
+            let len = match rest[self.scanned..].iter().position(|&b| b == b'\n') {
+                Some(i) => self.scanned + i + 1,
+                None if rest.len() > MAX_LINE_BYTES => return Some(None),
+                None if !eof => {
+                    self.scanned = rest.len();
+                    return None;
+                }
+                None => rest.len(),
+            };
+            if len > MAX_LINE_BYTES {
+                return Some(None);
+            }
+            let Ok(line) = std::str::from_utf8(&rest[..len]) else {
+                return Some(None);
+            };
+            self.parsed += len;
+            self.scanned = 0;
+            if self.request.is_none() {
+                self.request = Request::parse(line);
+                if self.request.is_none() {
+                    return Some(None);
+                }
+            } else if len == 0 {
+                // The peer closed inside the head.
+                self.end = Some(self.parsed);
+            } else {
+                self.header_lines += 1;
+                if self.header_lines > MAX_HEADER_LINES {
+                    return Some(None);
+                }
+                let header = line.trim().to_ascii_lowercase();
+                if header.is_empty() {
+                    self.end = Some(self.parsed + self.content_length.min(MAX_BODY_BYTES));
+                } else if let Some(v) = header.strip_prefix("content-length:") {
+                    self.content_length = v.trim().parse().unwrap_or(0);
+                }
+            }
+        }
+        (eof || self.end.is_some_and(|end| self.buf.len() >= end)).then(|| self.request.take())
     }
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Ok(None);
-    };
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let query = query_str
-        .split('&')
-        .filter(|kv| !kv.is_empty())
-        .filter_map(|kv| kv.split_once('='))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    let request = Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        query,
-    };
-    // Drain the headers so the peer can read our response cleanly.
-    let mut content_length = 0usize;
-    let mut header_lines = 0usize;
+}
+
+/// Reads `conn`'s request until it is whole, the peer closes, or `within`
+/// of accept passes (then a `WouldBlock` or `TimedOut` error). `Ok(None)`
+/// means the bytes are not an acceptable request; other errors are socket
+/// failures.
+fn read_request(conn: &mut Conn, within: Duration) -> io::Result<Option<Request>> {
+    let Conn {
+        stream,
+        accepted,
+        pending,
+        trace,
+    } = conn;
+    let until = *accepted + within;
+    let _parse_span = trace.as_ref().map(|(t, _)| t.span("http.parse", Some(0)));
+    let mut chunk = [0u8; 4096];
+    let mut eof = false;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
+        eof |= pending.buf.len() as u64 >= MAX_REQUEST_BYTES;
+        if let Some(request) = pending.advance(eof) {
+            return Ok(request);
         }
-        header_lines += 1;
-        if header_lines > MAX_HEADER_LINES || header.len() > MAX_LINE_BYTES {
-            return Ok(None);
-        }
-        let header = header.trim();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v.parse().unwrap_or(0);
+        arm(stream, until)?;
+        let room = (MAX_REQUEST_BYTES as usize - pending.buf.len()).min(chunk.len());
+        match stream.read(&mut chunk[..room]) {
+            Ok(n) => {
+                eof = n == 0;
+                pending.buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    // Drain any body too (we only use query parameters); cap the read so a
-    // hostile Content-Length cannot pin the thread.
-    let mut body = vec![0u8; content_length.min(64 * 1024)];
-    if !body.is_empty() {
-        let _ = reader.read_exact(&mut body);
-    }
-    Ok(Some(request))
+}
+
+/// Answers a connection whose request read ended with `read`, and writes
+/// the reply by the connection's deadline. A panic on the way (the
+/// injected `serve.http.worker_panic` among them) drops this connection
+/// only.
+fn answer(conn: Conn, read: io::Result<Option<Request>>, front: &Front) {
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        let Conn {
+            mut stream,
+            accepted,
+            trace,
+            ..
+        } = conn;
+        let trace = trace.map(|(t, _)| t);
+        let outcome = respond(
+            &mut stream,
+            read,
+            accepted + HttpServer::IO_TIMEOUT,
+            front,
+            trace.as_ref(),
+        );
+        if let Some(trace) = trace {
+            trace.finish(outcome);
+        }
+    }));
 }
 
 /// Content type of every JSON route.
@@ -506,8 +570,9 @@ struct ErrorBody {
     error: String,
 }
 
-/// Body of `GET /stats`: the engine's counters, the accept queue, the
-/// queue-depth histogram (`null` before the first sample), and the audit
+/// Body of `GET /stats`: the engine's counters, the connections waiting
+/// (for a worker, or for the rest of their request), their histogram at
+/// admission (`null` before the first sample), and the audit
 /// summary.
 #[derive(Serialize)]
 struct StatsBody {
@@ -573,16 +638,18 @@ fn recommendation_body(r: &Recommendation) -> String {
     )
 }
 
-fn respond(stream: &mut TcpStream, front: &Front, trace: Option<&ActiveTrace>) -> TraceOutcome {
-    // Both unacceptable requests (`Ok(None)`) and read errors (e.g.
-    // non-UTF-8 bytes in the request line) get an explicit 400, and a peer
-    // that stalls past the read timeout a 408: the server answers every
+fn respond(
+    stream: &mut TcpStream,
+    read: io::Result<Option<Request>>,
+    deadline: Instant,
+    front: &Front,
+    trace: Option<&ActiveTrace>,
+) -> TraceOutcome {
+    // Both unacceptable requests (`Ok(None)`) and read errors (e.g. a
+    // reset) get an explicit 400, and a peer whose request was still
+    // incomplete at its deadline a 408: the server answers every
     // connection it accepted rather than silently hanging up.
-    let request = {
-        let _parse_span = trace.map(|t| t.span("http.parse", Some(0)));
-        parse_request(stream)
-    };
-    let reply = match request {
+    let reply = match read {
         Ok(Some(request)) => {
             // Chaos site: drop the connection after a full parse, before
             // any byte of the response — the client sees a clean EOF,
@@ -599,13 +666,15 @@ fn respond(stream: &mut TcpStream, front: &Front, trace: Option<&ActiveTrace>) -
             }
             route(&request, front, trace)
         }
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+        Err(e) if timed_out(&e) => {
             inbox_obs::counter("serve.http.timeout").incr();
             Reply::error(408, "Request Timeout", "request timeout")
         }
         Ok(None) | Err(_) => Reply::bad_request("bad request"),
     };
-    reply.write(stream, trace);
+    if arm(stream, deadline).is_ok() {
+        reply.write(stream, trace);
+    }
     reply.outcome
 }
 
@@ -663,7 +732,7 @@ fn route(request: &Request, front: &Front, trace: Option<&ActiveTrace>) -> Reply
                 fallbacks: s.fallbacks,
                 ingests: s.ingests,
                 sheds: s.sheds,
-                queued: front.queued.load(Ordering::Relaxed),
+                queued: front.waiting.load(Ordering::Relaxed),
                 cached_boxes: service.engine().cache_len(),
                 queue_depth: value_stat("serve.queue.depth"),
                 audit_backlog: service.audit_backlog(),

@@ -60,10 +60,10 @@ pub struct ServeConfig {
     /// checked like [`max_batch`](ServeConfig::max_batch), and due for
     /// deletion with it.
     pub batch_wait: Duration,
-    /// Bound of the HTTP accept queue: a connection accepted while this
-    /// many are already waiting for a worker is answered `503`
-    /// ([`ServeError::Overloaded`]) at once. Also bounds the slow peers
-    /// parked on threads of their own (see [`HttpServer`]).
+    /// Most HTTP connections waiting at once, for a worker or (a slow
+    /// peer, see [`HttpServer`]) for the rest of their request: one
+    /// accepted while this many wait is answered `503`
+    /// ([`ServeError::Overloaded`]) at once.
     pub queue_cap: usize,
     /// Box cache capacity (entries ≈ users resident at once).
     pub cache_cap: usize,

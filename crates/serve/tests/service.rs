@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inbox_core::{InBoxConfig, InBoxModel, InBoxScorer, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
@@ -272,10 +272,11 @@ fn expected_body(r: &Recommendation) -> String {
 
 #[test]
 fn admission_queue_sheds_with_overloaded() {
-    // One worker, one queue slot, one parking place. Peers that send half
-    // a request head fill them all: the first is parked after the grace,
-    // the worker then serves the next itself and waits on it, and the
-    // queue holds one more. Later peers find the queue full and are shed.
+    // One worker and room for one waiting connection. Every peer sends
+    // half a request head and holds it. The worker takes at most one peer
+    // (for its grace, then it moves the peer to a thread of its own, where
+    // it still counts as waiting), so from the third peer on one always
+    // waits and each later arrival is shed at accept.
     let serve_cfg = ServeConfig {
         threads: 1,
         queue_cap: 1,
@@ -294,7 +295,12 @@ fn admission_queue_sheds_with_overloaded() {
             s
         })
         .collect();
-    // Finish every head; a shed peer's socket may already be closed.
+    // Only once the sheds are booked are the heads finished.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().sheds < u64::from(PEERS - 2) {
+        assert!(Instant::now() < deadline, "the late peers were not shed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     for s in &mut peers {
         let _ = s.write_all(b"\r\n");
     }
@@ -314,7 +320,7 @@ fn admission_queue_sheds_with_overloaded() {
             answered += 1;
         }
     }
-    assert!(shed >= 1, "a full accept queue must shed");
+    assert!(shed >= PEERS - 2, "a full accept queue must shed");
     assert_eq!(answered + shed, PEERS);
     let stats = service.stats();
     assert_eq!(stats.sheds, u64::from(shed));
