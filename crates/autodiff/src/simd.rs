@@ -124,25 +124,6 @@ impl F32x8 {
         unsafe { Self((_mm_loadu_ps(s.as_ptr()), _mm_loadu_ps(s.as_ptr().add(4)))) }
     }
 
-    /// Loads `s[0..8]` signed bytes as exactly-converted f32 lanes
-    /// (every `i8` is representable in f32, so there is no rounding and
-    /// the two backends are trivially bit-identical). Panics if `s` is
-    /// shorter than 8.
-    #[inline(always)]
-    pub fn load_i8(s: &[i8]) -> Self {
-        assert!(s.len() >= 8, "F32x8::load_i8 needs 8 elements");
-        // SAFETY: bounds asserted above; loadl_epi64 reads exactly 8 bytes.
-        unsafe {
-            let raw = _mm_loadl_epi64(s.as_ptr() as *const __m128i);
-            // Sign-extend i8 → i16 → i32 by duplicating and arithmetic-
-            // shifting the high copy back down.
-            let w = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(raw, raw));
-            let lo = _mm_srai_epi32::<16>(_mm_unpacklo_epi16(w, w));
-            let hi = _mm_srai_epi32::<16>(_mm_unpackhi_epi16(w, w));
-            Self((_mm_cvtepi32_ps(lo), _mm_cvtepi32_ps(hi)))
-        }
-    }
-
     /// Lane-wise `a + b`.
     #[inline(always)]
     pub fn add(self, o: Self) -> Self {
@@ -236,18 +217,6 @@ impl F32x8 {
         assert!(s.len() >= 8, "F32x8::load needs 8 elements");
         let mut out = [0.0f32; 8];
         out.copy_from_slice(&s[..8]);
-        Self(out)
-    }
-
-    /// Loads `s[0..8]` signed bytes as exactly-converted f32 lanes.
-    /// Panics if `s` is shorter than 8.
-    #[inline(always)]
-    pub fn load_i8(s: &[i8]) -> Self {
-        assert!(s.len() >= 8, "F32x8::load_i8 needs 8 elements");
-        let mut out = [0.0f32; 8];
-        for j in 0..8 {
-            out[j] = s[j] as f32;
-        }
         Self(out)
     }
 

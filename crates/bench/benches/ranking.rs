@@ -3,10 +3,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use inbox_core::model::{InBoxModel, UniverseSizes};
-use inbox_core::predict::{all_user_boxes, user_interest_box, InBoxScorer};
-use inbox_core::InBoxConfig;
+use inbox_core::predict::{all_user_boxes, user_interest_box};
+use inbox_core::{InBoxConfig, ItemScorer};
 use inbox_data::{Dataset, SyntheticConfig};
-use inbox_eval::{top_k_masked, Scorer};
+use inbox_eval::top_k_masked;
 use inbox_kg::UserId;
 
 fn bench_ranking(c: &mut Criterion) {
@@ -26,12 +26,13 @@ fn bench_ranking(c: &mut Criterion) {
     });
 
     let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-    let scorer = InBoxScorer::new(&model, &boxes, &cfg, ds.n_items());
+    let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+    let user_box = boxes[user.index()].as_ref();
     c.bench_function("score_all_items_900", |b| {
-        b.iter(|| scorer.score_items(black_box(user)))
+        b.iter(|| scorer.score_user(black_box(user_box)))
     });
 
-    let scores = scorer.score_items(user);
+    let scores = scorer.score_user(user_box);
     let mask = ds.train.items_of(user);
     c.bench_function("top20_of_900", |b| {
         b.iter(|| top_k_masked(black_box(&scores), mask, 20))

@@ -78,8 +78,7 @@ fn main() {
     }
     eprintln!("[diversity] InBox ...");
     let (trained, _m, _t) = run_inbox(ds, &harness, Ablation::Base);
-    let scorer = trained.scorer();
-    measure("InBox", &scorer);
+    measure("InBox", &trained);
 
     // Popularity as the worst-case concentration reference.
     let (_, _) = run_baseline(ds, &harness, BaselineKind::Popularity);

@@ -24,11 +24,11 @@ use inbox_core::model::{InBoxModel, UniverseSizes};
 use inbox_core::predict::{all_user_boxes_with, HistoryCache};
 use inbox_core::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
 use inbox_core::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
-use inbox_core::{InBoxConfig, InBoxScorer, ItemScorer, Quantization, ScoreScratch};
+use inbox_core::{InBoxConfig, ItemScorer, ScoreScratch};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::{evaluate_with_threads, top_k_masked_into, TopKScratch};
 use inbox_index::{auto_nprobe, BoxQuery, IvfIndex, IvfParams, QueryScratch};
-use inbox_kg::ItemId;
+use inbox_kg::{ItemId, UserId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -67,23 +67,6 @@ struct IndexedStage {
     candidates_per_sec: f64,
 }
 
-/// The quantization stage: f32 vs int8 full-scan top-20 over the same
-/// items-scaled clustered catalog and users as [`IndexedStage`].
-/// `agreement_at_20` is the mean per-user overlap between the int8 and f32
-/// exact top-20 (the testkit contract requires ≥ 0.99); `bound_slack` is
-/// the conservative quantized-vs-f32 score gap the int8 refine re-scores
-/// within.
-#[derive(Debug, Clone, Serialize)]
-struct QuantizedStage {
-    n_items: usize,
-    n_users_ranked: usize,
-    bound_slack: f64,
-    f32_scan_ms: f64,
-    int8_scan_ms: f64,
-    scan_speedup: f64,
-    agreement_at_20: f64,
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     dataset: String,
@@ -93,7 +76,6 @@ struct Report {
     reps: usize,
     current: Numbers,
     indexed: IndexedStage,
-    quantized: QuantizedStage,
 }
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -182,9 +164,10 @@ fn measure(ds: &Dataset, cfg: &InBoxConfig, reps: usize) -> Numbers {
         all_user_boxes_with(&model, &cache, cfg, runner.pool())
     });
 
-    let scorer = InBoxScorer::new(&model, &boxes, cfg, sizes.n_items);
+    let scorer = ItemScorer::new(&model, cfg, sizes.n_items);
+    let score = |user: UserId| scorer.score_user(boxes[user.index()].as_ref());
     let (rank_secs, metrics) = best_of(reps, || {
-        evaluate_with_threads(&scorer, &ds.train, &ds.test, 20, cfg.threads)
+        evaluate_with_threads(&score, &ds.train, &ds.test, 20, cfg.threads)
     });
 
     Numbers {
@@ -217,7 +200,7 @@ fn measure_indexed(
     cfg: &InBoxConfig,
     reps: usize,
     scale: usize,
-) -> (IndexedStage, QuantizedStage) {
+) -> IndexedStage {
     let big = synth.clone().with_items_scale(scale);
     let ds = Dataset::synthetic(&big, 7);
     let sizes = UniverseSizes {
@@ -294,7 +277,7 @@ fn measure_indexed(
         (tops, candidates)
     });
 
-    let indexed = IndexedStage {
+    IndexedStage {
         items_scale: scale,
         n_items: ds.kg.n_items(),
         n_users_ranked: users.len(),
@@ -307,33 +290,7 @@ fn measure_indexed(
         recall_at_20: overlap(&full_tops, &ivf_tops),
         mean_candidates: candidates as f64 / users.len().max(1) as f64,
         candidates_per_sec: candidates as f64 / ivf_secs,
-    };
-
-    // Quantized stage: the same users and catalog scored through the
-    // dequantize-free int8 kernel (agreement is measured against the f32
-    // full-sort top-20 above).
-    let qscorer = ItemScorer::with_quantization(&model, cfg, ds.kg.n_items(), Quantization::Int8);
-    let (int8_secs, int8_tops) = best_of(reps, || {
-        let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        for b in &users {
-            // The production quantized full sort: int8 scan + bounded-error
-            // refine (exact f32 re-scoring of near-threshold candidates).
-            qscorer.score_box_into(b, &mut score_scratch, &mut scores);
-            qscorer.top_k_into(Some(b), &mut score_scratch, &scores, &[], k, &mut ranked);
-            tops.push(ranked.iter().map(|&(i, _)| i).collect());
-        }
-        tops
-    });
-    let quantized = QuantizedStage {
-        n_items: ds.kg.n_items(),
-        n_users_ranked: users.len(),
-        bound_slack: qscorer.bound_slack() as f64,
-        f32_scan_ms: full_secs * 1e3,
-        int8_scan_ms: int8_secs * 1e3,
-        scan_speedup: full_secs / int8_secs,
-        agreement_at_20: overlap(&full_tops, &int8_tops),
-    };
-    (indexed, quantized)
+    }
 }
 
 fn main() {
@@ -385,7 +342,7 @@ fn main() {
     );
 
     let current = measure(&ds, &cfg, reps);
-    let (indexed, quantized) = measure_indexed(&synth, &cfg, reps, items_scale);
+    let indexed = measure_indexed(&synth, &cfg, reps, items_scale);
 
     let report = Report {
         dataset: synth.name.clone(),
@@ -395,7 +352,6 @@ fn main() {
         reps,
         current,
         indexed,
-        quantized,
     };
 
     println!(
@@ -416,11 +372,6 @@ fn main() {
     println!(
         "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
         ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
-    );
-    let qz = &report.quantized;
-    println!(
-        "quantized int8: scan {:>8.1} ms ({:.2}x vs f32)   agreement@20 {:.4}   slack {:.2e}",
-        qz.int8_scan_ms, qz.scan_speedup, qz.agreement_at_20, qz.bound_slack,
     );
 
     let json = serde_json::to_string_pretty(&report).expect("serialise throughput report");

@@ -70,11 +70,11 @@ pub enum Direction {
 /// Classifies a dotted metric path. The rules are name-conventional:
 /// `*_per_sec` / `qps` / `*speedup*` / `*hit_rate` are rates where more is
 /// better; `recall*` / `hit*` / `agreement*` are retrieval-quality
-/// fractions where more is better (the index's recall@k contract, the
-/// quantized scorer's agreement@k contract, and the shadow-oracle audit
-/// series land here); `psi*` / `drift*` / `displacement*` leaves are
-/// quality-divergence measures where less is better, as is anything under
-/// a `*_ms` segment (latencies); everything else is informational.
+/// fractions where more is better (the index's recall@k contract and the
+/// shadow-oracle audit series land here); `psi*` / `drift*` /
+/// `displacement*` leaves are quality-divergence measures where less is
+/// better, as is anything under a `*_ms` segment (latencies); everything
+/// else is informational.
 pub fn direction(path: &str) -> Direction {
     let last = path.rsplit('.').next().unwrap_or(path);
     if last.ends_with("_per_sec")
@@ -272,11 +272,6 @@ mod tests {
         assert_eq!(direction("indexed.recall_at_20"), Direction::HigherBetter);
         assert_eq!(direction("recall@20"), Direction::HigherBetter);
         assert_eq!(direction("eval.hits"), Direction::HigherBetter);
-        // The quantized scorer's ranking-agreement contract.
-        assert_eq!(
-            direction("quantized.agreement_at_20"),
-            Direction::HigherBetter
-        );
         assert_eq!(direction("agreement@20"), Direction::HigherBetter);
         assert_eq!(
             direction("indexed.candidates_per_sec"),

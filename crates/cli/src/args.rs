@@ -21,6 +21,8 @@ pub enum ArgError {
     Duplicate(String),
     /// A required flag is missing.
     MissingFlag(&'static str),
+    /// A flag the subcommand does not accept.
+    UnknownFlag(String),
     /// A flag value failed to parse.
     BadValue {
         /// Flag name.
@@ -36,6 +38,7 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::Duplicate(k) => write!(f, "flag --{k} given twice"),
             ArgError::MissingFlag(k) => write!(f, "required flag --{k} missing"),
+            ArgError::UnknownFlag(k) => write!(f, "unknown flag --{k}"),
             ArgError::BadValue { flag, message } => write!(f, "bad value for --{flag}: {message}"),
         }
     }
@@ -95,9 +98,37 @@ impl Parsed {
         }
     }
 
+    /// A count flag with a default; `0` is rejected, since every count
+    /// flag sizes a pool, queue or cache that needs at least one slot.
+    pub fn get_positive(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.get_parsed(key, default)? {
+            0 => Err(ArgError::BadValue {
+                flag: key.to_string(),
+                message: "must be at least 1".to_string(),
+            }),
+            n => Ok(n),
+        }
+    }
+
     /// True when a bare `--switch` was given.
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
+    }
+
+    /// Rejects the first flag or switch, in name order, that `known`
+    /// does not accept.
+    pub fn reject_unknown(&self, known: impl Fn(&str) -> bool) -> Result<(), ArgError> {
+        let mut given: Vec<&str> = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .collect();
+        given.sort_unstable();
+        match given.into_iter().find(|f| !known(f)) {
+            Some(f) => Err(ArgError::UnknownFlag(f.to_string())),
+            None => Ok(()),
+        }
     }
 }
 
@@ -134,6 +165,33 @@ mod tests {
         let err = parse(&["x", "--a", "1", "--a", "2"]).unwrap_err();
         assert_eq!(err, ArgError::Duplicate("a".into()));
         assert!(err.to_string().contains("twice"));
+    }
+
+    #[test]
+    fn unknown_flags_and_switches_rejected() {
+        let p = parse(&["serve", "--threds", "3", "--smoke", "--index", "ivf"]).unwrap();
+        let known = |f: &str| ["threads", "smoke"].contains(&f);
+        assert_eq!(
+            p.reject_unknown(known).unwrap_err(),
+            ArgError::UnknownFlag("index".into())
+        );
+        let p = parse(&["serve", "--threads", "3", "--smoke", "--verbose"]).unwrap();
+        let err = p.reject_unknown(known).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --verbose");
+        let p = parse(&["serve", "--threads", "3", "--smoke"]).unwrap();
+        assert_eq!(p.reject_unknown(known), Ok(()));
+    }
+
+    #[test]
+    fn zero_counts_rejected() {
+        let p = parse(&["serve", "--threads", "0", "--queue-cap", "4"]).unwrap();
+        let err = p.get_positive("threads", 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad value for --threads: must be at least 1"
+        );
+        assert_eq!(p.get_positive("queue-cap", 1), Ok(4));
+        assert_eq!(p.get_positive("cache-cap", 9), Ok(9));
     }
 
     #[test]

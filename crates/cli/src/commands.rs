@@ -12,7 +12,7 @@ use inbox_kg::UserId;
 use inbox_obs::{ConsoleSink, JsonlSink, Verbosity};
 use inbox_serve::{Engine, HttpServer, ServeConfig, Service};
 
-use crate::args::Parsed;
+use crate::args::{ArgError, Parsed};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -32,7 +32,7 @@ USAGE:
                   [--cache-cap 100000] [--threads NPROC]
                   [--slo-ms 50] [--trace-slow-ms 250] [--trace-sample 1]
                   [--index full|ivf] [--nlist 0] [--nprobe 0] (0 = auto)
-                  [--quantize none|int8] [--smoke]
+                  [--smoke]
                   [--audit-sample 32] [--audit-queue-cap 256] [--audit-floor F]
                   (shadow-oracle audit: re-rank 1-in-N answers through the
                    exact full-sort oracle; 0 disables; --audit-floor arms the
@@ -52,6 +52,52 @@ Presets: tiny | small | lastfm | yelp | ifashion | amazon
 Data dirs use the KGIN format: train.txt, test.txt, kg_final.txt";
 
 type CmdResult = Result<(), Box<dyn Error>>;
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: &str = "log-level metrics-out";
+
+/// The flags `command` accepts besides [`GLOBAL_FLAGS`], space-separated;
+/// `None` for an unknown subcommand.
+fn flags_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "stats" => "preset data seed",
+        "export" => "preset out seed",
+        "train" => "preset data seed out dim epochs1 epochs2 epochs3 lr gamma maxmin quick",
+        "evaluate" => "model preset data seed k",
+        "recommend" => "model preset data seed user k explain",
+        "serve" => {
+            "model preset data seed addr queue-cap cache-cap threads slo-ms trace-slow-ms \
+             trace-sample index nlist nprobe smoke audit-sample audit-queue-cap audit-floor"
+        }
+        "obs" => "addr interval-ms iters",
+        "help" | "--help" | "-h" => "",
+        _ => return None,
+    })
+}
+
+/// Rejects a flag the subcommand does not accept, so a misspelt or
+/// retired flag fails instead of being silently ignored. An unknown
+/// subcommand passes; the dispatcher rejects it.
+pub fn check_flags(parsed: &Parsed) -> Result<(), ArgError> {
+    match flags_of(&parsed.command) {
+        Some(own) => parsed.reject_unknown(|f| {
+            own.split_whitespace()
+                .chain(GLOBAL_FLAGS.split_whitespace())
+                .any(|known| known == f)
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The process exit code for a failed subcommand: `2` for input the CLI
+/// cannot honour (an [`ArgError`]), `1` for everything else.
+pub fn exit_code(e: &(dyn Error + 'static)) -> i32 {
+    if e.is::<ArgError>() {
+        2
+    } else {
+        1
+    }
+}
 
 static VERBOSITY: OnceLock<Verbosity> = OnceLock::new();
 
@@ -329,37 +375,37 @@ pub fn serve_config_from_flags(parsed: &Parsed) -> Result<ServeConfig, Box<dyn E
                 nprobe: parsed.get_parsed("nprobe", 0usize)?,
             },
             Some(mode) => mode,
-            None => return Err(format!("--index {name}: expected 'full' or 'ivf'").into()),
+            None => {
+                return Err(ArgError::BadValue {
+                    flag: "index".into(),
+                    message: format!("{name:?}: expected 'full' or 'ivf'"),
+                }
+                .into())
+            }
         },
-    };
-    // Inference quantization: `--quantize int8` scores through the
-    // dequantize-free int8 kernel; `none` (default) keeps f32.
-    let quantize = match parsed.get("quantize") {
-        None => defaults.quantize,
-        Some(name) => {
-            inbox_serve::Quantization::parse(name).map_err(|e| format!("--quantize {name}: {e}"))?
-        }
     };
     // Shadow-oracle auditing: `--audit-sample N` re-ranks 1-in-N answers
     // through the exact oracle in the background (0 disables), and
     // `--audit-floor F` arms the latched degradation alert on windowed
-    // audit recall.
+    // audit recall. The audit queue exists only while auditing is on.
+    let audit_sample = parsed.get_parsed("audit-sample", defaults.audit_sample)?;
+    let audit_queue_cap = if audit_sample > 0 {
+        parsed.get_positive("audit-queue-cap", defaults.audit_queue_cap)?
+    } else {
+        parsed.get_parsed("audit-queue-cap", defaults.audit_queue_cap)?
+    };
     let audit_floor = match parsed.get("audit-floor") {
         None => defaults.audit_floor,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|e| format!("bad --audit-floor: {e}"))?,
-        ),
+        Some(_) => Some(parsed.get_parsed("audit-floor", 0.0)?),
     };
     Ok(ServeConfig {
         index,
-        quantize,
-        audit_sample: parsed.get_parsed("audit-sample", defaults.audit_sample)?,
-        audit_queue_cap: parsed.get_parsed("audit-queue-cap", defaults.audit_queue_cap)?,
+        audit_sample,
+        audit_queue_cap,
         audit_floor,
-        queue_cap: parsed.get_parsed("queue-cap", defaults.queue_cap)?,
-        cache_cap: parsed.get_parsed("cache-cap", defaults.cache_cap)?,
-        threads: parsed.get_parsed("threads", defaults.threads)?,
+        queue_cap: parsed.get_positive("queue-cap", defaults.queue_cap)?,
+        cache_cap: parsed.get_positive("cache-cap", defaults.cache_cap)?,
+        threads: parsed.get_positive("threads", defaults.threads)?,
         slo_objective: std::time::Duration::from_millis(
             parsed.get_parsed("slo-ms", defaults.slo_objective.as_millis() as u64)?,
         ),
@@ -412,7 +458,7 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
         .map_err(|e| format!("cannot bind --addr {addr}: {e}"))?;
     if chatty() {
         println!(
-            "serving {} on http://{} (workers {}, queue {}, cache {}, index {}, quantize {})",
+            "serving {} on http://{} (workers {}, queue {}, cache {}, index {})",
             ds.name,
             http.local_addr(),
             serve_cfg.threads,
@@ -421,8 +467,7 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
             match service.engine().index_active() {
                 Some((nlist, nprobe)) => format!("ivf(nlist={nlist},nprobe={nprobe})"),
                 None => "full".to_string(),
-            },
-            service.engine().quantization().as_str()
+            }
         );
         println!("routes: GET /health  GET /recommend?user=U&k=K  POST /ingest?user=U&item=I  GET /stats  GET /audit  GET /metrics  GET /traces");
     }
@@ -770,12 +815,8 @@ mod tests {
         assert!(recommend(&p).is_err());
 
         // serve --smoke: checkpoint up, HTTP round-trips, clean exit —
-        // under IVF, then int8 through the full sort and through IVF.
-        for extra in [
-            &["--index", "ivf"][..],
-            &["--quantize", "int8"],
-            &["--index", "ivf", "--quantize", "int8"],
-        ] {
+        // under the full sort and under IVF.
+        for extra in [&[][..], &["--index", "ivf"]] {
             let mut tokens = vec![
                 "serve",
                 "--model",
@@ -857,6 +898,60 @@ mod tests {
             }
         );
         assert!(serve_config_from_flags(&parsed(&["serve", "--index", "rtree"])).is_err());
+    }
+
+    /// [`parsed`] over one whitespace-separated command line.
+    fn line(s: &str) -> Parsed {
+        parsed(&s.split_whitespace().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_sizes_are_rejected_as_usage_errors() {
+        for flag in ["threads", "queue-cap", "cache-cap", "audit-queue-cap"] {
+            let err = serve_config_from_flags(&line(&format!("serve --{flag} 0"))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("bad value for --{flag}: must be at least 1")
+            );
+            assert_eq!(exit_code(err.as_ref()), 2, "{flag}");
+        }
+        // With auditing off there is no audit queue to size.
+        let cfg = serve_config_from_flags(&line("serve --audit-sample 0 --audit-queue-cap 0"));
+        let cfg = cfg.unwrap();
+        assert_eq!((cfg.audit_sample, cfg.audit_queue_cap), (0, 0));
+        // Unparseable values are usage errors too; a missing file is not.
+        for bad in ["serve --index rtree", "serve --audit-floor high"] {
+            let err = serve_config_from_flags(&line(bad)).unwrap_err();
+            assert_eq!(exit_code(err.as_ref()), 2, "{bad}");
+        }
+        let missing = line("evaluate --model /nonexistent/m.json --preset tiny");
+        assert_eq!(exit_code(evaluate(&missing).unwrap_err().as_ref()), 1);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        for (cmd, flag) in [
+            ("serve --batch-max 8", "batch-max"),
+            ("serve --threds 3 --smoke --cache 9", "cache"),
+            ("train --out m.json --k 5", "k"),
+            ("evaluate --model m.json --explain", "explain"),
+            ("obs --preset tiny", "preset"),
+            ("help --verbose", "verbose"),
+        ] {
+            let want = Err(ArgError::UnknownFlag(flag.into()));
+            assert_eq!(check_flags(&line(cmd)), want, "{cmd}");
+        }
+        // Every flag a subcommand reads is on its list, and the global
+        // flags pass everywhere.
+        for cmd in [
+            "serve --model m.json --preset tiny --smoke --log-level quiet",
+            "train --preset tiny --out m.json --dim 8 --epochs1 1 --epochs2 1 --epochs3 1 \
+             --lr 0.1 --seed 3 --gamma 2 --maxmin --quick --metrics-out x.jsonl",
+        ] {
+            assert_eq!(check_flags(&line(cmd)), Ok(()), "{cmd}");
+        }
+        // The dispatcher, not the flag check, rejects unknown subcommands.
+        assert_eq!(check_flags(&line("fly --high")), Ok(()));
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! inbox recommend --model model.json (--preset P | --data DIR) --user 3 [--k 10] [--explain]
 //! inbox serve     --model model.json (--preset P | --data DIR) [--addr HOST:PORT]
 //!                 [--queue-cap 1024] [--cache-cap 100000] [--threads NPROC]
-//!                 [--slo-ms 50]
-//!                 [--trace-slow-ms 250] [--smoke]
+//!                 [--slo-ms 50] [--trace-slow-ms 250] [--index full|ivf] [--smoke]
 //! inbox obs       [--addr HOST:PORT] [--interval-ms 1000] [--iters 0]
 //! ```
 //!
 //! Every subcommand also accepts `--log-level quiet|info|debug` (console
 //! verbosity) and `--metrics-out PATH` (JSONL telemetry: per-epoch training
-//! records plus a final span/counter summary).
+//! records plus a final span/counter summary). A flag the subcommand does
+//! not accept, or a value it cannot honour, exits with status 2.
 //!
 //! `--preset` generates a synthetic dataset twin (`tiny`, `small`, `lastfm`,
 //! `yelp`, `ifashion`, `amazon`); `--data` loads a KGIN-format directory
@@ -30,7 +30,7 @@ use args::Parsed;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Parsed::parse(&argv) {
+    let parsed = match Parsed::parse(&argv).and_then(|p| commands::check_flags(&p).map(|()| p)) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -63,6 +63,6 @@ fn main() {
     inbox_obs::flush_sinks();
     if let Err(e) = result {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(commands::exit_code(e.as_ref()));
     }
 }

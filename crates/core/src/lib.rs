@@ -42,7 +42,6 @@ pub use model::{InBoxModel, TapeBox, UniverseSizes};
 pub use pool::WorkerPool;
 pub use predict::{
     all_user_boxes, all_user_boxes_with, user_box_from_history, user_interest_box, HistoryCache,
-    InBoxScorer, ItemScorer, ScoreScratch,
+    ItemScorer, ScoreScratch,
 };
-pub use simd::{Quantization, QuantizedItems};
 pub use trainer::{train, TrainReport, TrainedInBox};

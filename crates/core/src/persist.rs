@@ -389,8 +389,8 @@ mod tests {
             }
         }
         future.insert(
-            "quantization",
-            serde::value::Value::String("int8-blockwise".into()),
+            "compression",
+            serde::value::Value::String("zstd-blockwise".into()),
         );
         let path = std::env::temp_dir().join(format!("inbox-future-{}.json", std::process::id()));
         std::fs::write(

@@ -4,7 +4,7 @@
 //! The hot path is organised around two amortisations: a [`HistoryCache`]
 //! precomputes every user's capped `(item, concepts)` history once per
 //! training run (history and KG are immutable during training), and
-//! [`InBoxScorer`] snapshots the item-embedding table into one contiguous
+//! [`ItemScorer`] snapshots the item-embedding table into one contiguous
 //! matrix so scoring a user is a single linear scan instead of per-item row
 //! lookups. [`all_user_boxes_with`] fans the per-user forward passes out
 //! over the training run's persistent [`WorkerPool`].
@@ -13,14 +13,13 @@ use std::sync::{Mutex, OnceLock};
 
 use inbox_autodiff::Tape;
 use inbox_data::Interactions;
-use inbox_eval::{Scorer, TopKScratch};
 use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 
 use crate::config::InBoxConfig;
 use crate::geometry::BoxEmb;
 use crate::model::{InBoxModel, ItemBoxParts};
 use crate::pool::WorkerPool;
-use crate::simd::{self, Quantization, QuantizedItems};
+use crate::simd;
 
 /// Precomputed per-user history: the first `max_history_infer` training
 /// items, each with its first `max_concepts` concepts — exactly the history
@@ -279,22 +278,12 @@ pub fn all_user_boxes_with(
     }
 }
 
-/// Reusable buffers for [`ItemScorer::score_box_into`] and
-/// [`ItemScorer::top_k_into`]: the per-dimension box bounds (plus, under
-/// int8 quantization, the bounds transformed into the quantized domain)
-/// and the ranking buffers, kept warm so steady-state scoring and ranking
-/// allocate nothing.
+/// Reusable buffers for [`ItemScorer::score_box_into`]: the per-dimension
+/// box bounds, kept warm so steady-state scoring allocates nothing.
 #[derive(Default)]
 pub struct ScoreScratch {
     lo: Vec<f32>,
     hi: Vec<f32>,
-    /// Quantized-domain bounds/center, stride-padded; filled by
-    /// `prepare_box_bounds` only when the scorer is quantized.
-    qlo: Vec<f32>,
-    qhi: Vec<f32>,
-    qcen: Vec<f32>,
-    /// The masked top-k selector `top_k_into` ranks through.
-    topk: TopKScratch,
 }
 
 impl ScoreScratch {
@@ -330,6 +319,23 @@ fn score_row(
     gamma - (out + inside_weight * inside)
 }
 
+/// Pinned for servebench; delete with the next benchmark change. The
+/// item matrix is always scored in f32; this one-variant enum only keeps
+/// the serving benchmark's `ServeConfig::quantize` reads compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Quantization {
+    /// Full f32 scoring, the only mode.
+    #[default]
+    None,
+}
+
+impl Quantization {
+    /// Pinned for servebench; delete with the next benchmark change.
+    pub fn as_str(&self) -> &'static str {
+        "none"
+    }
+}
+
 /// An owned snapshot of the item-embedding table that scores any interest
 /// box against every item: `γ - D_PB(v_i, b)` (Eq. (29)).
 ///
@@ -350,17 +356,12 @@ pub struct ItemScorer {
     dim: usize,
     /// Row-major `n_items × dim` snapshot of the item points.
     items: Vec<f32>,
-    /// Int8 twin of `items` when quantized inference is enabled; the full
-    /// scan then goes through the dequantize-free kernel instead of
-    /// `items`.
-    quant: Option<QuantizedItems>,
     /// Lazily-built score vector for history-less users, cloned per call.
     sentinel: OnceLock<Vec<f32>>,
 }
 
 impl ItemScorer {
-    /// Snapshots the current item-point matrix of `model` (full-f32
-    /// scoring; see [`with_quantization`](Self::with_quantization)).
+    /// Snapshots the current item-point matrix of `model`.
     pub fn new(model: &InBoxModel, config: &InBoxConfig, n_items: usize) -> Self {
         let table = model.item_point_matrix();
         assert!(n_items <= table.rows(), "n_items exceeds item table");
@@ -371,49 +372,25 @@ impl ItemScorer {
             n_items,
             dim,
             items: table.data()[..n_items * dim].to_vec(),
-            quant: None,
             sentinel: OnceLock::new(),
         }
     }
 
-    /// [`new`](Self::new) plus an optional int8 quantization of the item
-    /// matrix. The f32 snapshot is kept either way — index construction,
-    /// per-item scoring and the refine read it — but the full scan
-    /// ([`score_box_into`](Self::score_box_into)) under
-    /// [`Quantization::Int8`] goes through the dequantize-free kernel,
-    /// within [`bound_slack`](Self::bound_slack) of the f32 scores.
+    /// Pinned for servebench; delete with the next benchmark change.
+    /// The same as [`new`](Self::new): `quantization` has one value.
     pub fn with_quantization(
         model: &InBoxModel,
         config: &InBoxConfig,
         n_items: usize,
-        quantization: Quantization,
+        _quantization: Quantization,
     ) -> Self {
-        let mut scorer = Self::new(model, config, n_items);
-        if quantization == Quantization::Int8 {
-            scorer.quant = Some(QuantizedItems::from_items(
-                &scorer.items,
-                scorer.n_items,
-                scorer.dim,
-                scorer.inside_weight,
-            ));
-        }
-        scorer
+        Self::new(model, config, n_items)
     }
 
-    /// The active quantization mode.
-    pub fn quantization(&self) -> Quantization {
-        if self.quant.is_some() {
-            Quantization::Int8
-        } else {
-            Quantization::None
-        }
-    }
-
-    /// Conservative bound on `|full-scan score - f32 score|` per item
-    /// under the active quantization (`0.0` when unquantized): the margin
-    /// [`top_k_into`](Self::top_k_into) refines within.
+    /// Pinned for servebench; delete with the next benchmark change.
+    /// Always `0.0`: every score is exact f32.
     pub fn bound_slack(&self) -> f32 {
-        self.quant.as_ref().map_or(0.0, |q| q.bound_slack())
+        0.0
     }
 
     /// Number of items the snapshot covers.
@@ -445,7 +422,7 @@ impl ItemScorer {
     /// the exact `cen ± relu(off)` values the scan path uses. Splitting
     /// this out lets candidate-generation paths score arbitrary item
     /// subsets via [`score_item_prepared`](ItemScorer::score_item_prepared)
-    /// with bit-identical results to the f32 full scan.
+    /// with bit-identical results to the full scan.
     pub fn prepare_box_bounds(&self, b: &BoxEmb, scratch: &mut ScoreScratch) {
         let d = self.dim;
         let lo = &mut scratch.lo;
@@ -462,23 +439,12 @@ impl ItemScorer {
             lo.push(b.cen[k] - half);
             hi.push(b.cen[k] + half);
         }
-        if let Some(q) = &self.quant {
-            q.transform_bounds(
-                &scratch.lo,
-                &scratch.hi,
-                &b.cen,
-                &mut scratch.qlo,
-                &mut scratch.qhi,
-                &mut scratch.qcen,
-            );
-        }
     }
 
     /// Scores one item against a box whose bounds were prepared by
-    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds), in **f32**
-    /// whatever the active quantization. Identical arithmetic and
-    /// operation order to the unquantized full scan, so the score is
-    /// bit-identical to an f32 `score_box_into`'s entry for the same item.
+    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds). Identical
+    /// arithmetic and operation order to the full scan, so the score is
+    /// bit-identical to `score_box_into`'s entry for the same item.
     pub fn score_item_prepared(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
         let d = self.dim;
         let row = &self.items[item as usize * d..(item as usize + 1) * d];
@@ -492,58 +458,7 @@ impl ItemScorer {
         )
     }
 
-    /// The masked top-k of a full scan, best-first, as `(item, f32
-    /// score)` — the scorer's one ranking of `scores`, the output of
-    /// [`score_box_into`](Self::score_box_into) for `b`. `mask` must be
-    /// sorted ascending; ties order by item id, as in
-    /// `inbox_eval::top_k_masked`. Pass `b = None` for scores this scorer
-    /// did not produce (the serving layer's popularity fallback): they
-    /// are ranked as given.
-    ///
-    /// Unquantized, `scores` are the exact f32 scores and go straight
-    /// through the selector. Under int8 they are coarse, and this is the
-    /// bounded-error refine behind `--quantize int8`: the selector's
-    /// k-th unmasked int8 score defines a threshold
-    /// `kth - 2·bound_slack`, and every unmasked item at or above it is
-    /// re-scored through the f32
-    /// [`score_item_prepared`](Self::score_item_prepared) into the
-    /// selector. Every int8 score sits within
-    /// [`bound_slack`](Self::bound_slack) of its f32 score, so a true
-    /// top-k item `i` has `int8_i ≥ f32_kth − slack ≥ int8_kth − 2·slack`:
-    /// the survivors contain the exact f32 top-k and the answer is
-    /// bit-identical to an unquantized full sort.
-    pub fn top_k_into(
-        &self,
-        b: Option<&BoxEmb>,
-        scratch: &mut ScoreScratch,
-        scores: &[f32],
-        mask: &[ItemId],
-        k: usize,
-        out: &mut Vec<(ItemId, f32)>,
-    ) {
-        // Taken out of the scratch so the f32 re-scoring can borrow the
-        // prepared bounds still inside it.
-        let mut topk = std::mem::take(&mut scratch.topk);
-        topk.select(scores, mask, k);
-        if let (Some(b), Some(_)) = (b, &self.quant) {
-            // While fewer than `k` items are unmasked, all of them survive.
-            let threshold = topk
-                .kth()
-                .map_or(f32::NEG_INFINITY, |kth| kth - 2.0 * self.bound_slack());
-            topk.reset(k);
-            for (i, &s) in scores.iter().enumerate() {
-                let item = ItemId(i as u32);
-                if s >= threshold && mask.binary_search(&item).is_err() {
-                    topk.push(item, self.score_item_prepared(b, scratch, item.0));
-                }
-            }
-        }
-        out.clear();
-        topk.finish(|item, s| out.push((item, s)));
-        scratch.topk = topk;
-    }
-
-    /// Scores every item against one interest box, best-first by value.
+    /// Scores every item against one interest box, in item order.
     pub fn score_box(&self, b: &BoxEmb) -> Vec<f32> {
         let mut scratch = ScoreScratch::default();
         let mut scores = Vec::new();
@@ -568,19 +483,6 @@ impl ItemScorer {
         self.prepare_box_bounds(b, scratch);
         out_scores.clear();
         out_scores.reserve(self.n_items);
-        if let Some(q) = &self.quant {
-            for item in 0..self.n_items as u32 {
-                let (out, inside) = simd::quantized_d_pb_parts(
-                    q.row(item),
-                    q.scales(),
-                    &scratch.qlo,
-                    &scratch.qhi,
-                    &scratch.qcen,
-                );
-                out_scores.push(self.gamma - (out + self.inside_weight * inside));
-            }
-            return;
-        }
         for row in self.items.chunks_exact(self.dim) {
             out_scores.push(score_row(
                 row,
@@ -600,36 +502,14 @@ impl ItemScorer {
             .get_or_init(|| vec![f32::MIN / 2.0; self.n_items])
             .clone()
     }
-}
 
-/// A [`Scorer`] over precomputed user interest boxes: an [`ItemScorer`]
-/// snapshot plus a borrowed boxes slice mapping users to their boxes.
-pub struct InBoxScorer<'a> {
-    boxes: &'a [Option<BoxEmb>],
-    items: ItemScorer,
-}
-
-impl<'a> InBoxScorer<'a> {
-    /// Creates a scorer over precomputed boxes, snapshotting the current
-    /// item-point matrix.
-    pub fn new(
-        model: &'a InBoxModel,
-        boxes: &'a [Option<BoxEmb>],
-        config: &InBoxConfig,
-        n_items: usize,
-    ) -> Self {
-        Self {
-            boxes,
-            items: ItemScorer::new(model, config, n_items),
-        }
-    }
-}
-
-impl Scorer for InBoxScorer<'_> {
-    fn score_items(&self, user: UserId) -> Vec<f32> {
-        match &self.boxes[user.index()] {
-            Some(b) => self.items.score_box(b),
-            None => self.items.sentinel_scores(),
+    /// A user's full score vector: [`score_box`](Self::score_box) for a
+    /// user with a box, [`sentinel_scores`](Self::sentinel_scores) for a
+    /// history-less one (`None`).
+    pub fn score_user(&self, b: Option<&BoxEmb>) -> Vec<f32> {
+        match b {
+            Some(b) => self.score_box(b),
+            None => self.sentinel_scores(),
         }
     }
 }
@@ -640,7 +520,9 @@ mod tests {
     use crate::config::InBoxConfig;
     use crate::geometry;
     use crate::model::UniverseSizes;
+    use crate::trainer::TrainedInBox;
     use inbox_data::{Dataset, SyntheticConfig};
+    use inbox_eval::Scorer;
 
     fn setup() -> (Dataset, InBoxModel, InBoxConfig) {
         let ds = Dataset::synthetic(&SyntheticConfig::tiny(), 33);
@@ -675,8 +557,8 @@ mod tests {
     fn scorer_returns_full_score_vectors() {
         let (ds, model, cfg) = setup();
         let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let scorer = InBoxScorer::new(&model, &boxes, &cfg, ds.n_items());
-        let scores = scorer.score_items(UserId(0));
+        let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+        let scores = scorer.score_user(boxes[0].as_ref());
         assert_eq!(scores.len(), ds.n_items());
         assert!(scores.iter().all(|s| s.is_finite()));
         // Scores are bounded above by gamma (distance >= 0).
@@ -718,11 +600,10 @@ mod tests {
     fn matrix_snapshot_scores_match_per_item_path() {
         let (ds, model, cfg) = setup();
         let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let scorer = InBoxScorer::new(&model, &boxes, &cfg, ds.n_items());
+        let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
         for (u, user_box) in boxes.iter().enumerate() {
-            let user = UserId(u as u32);
             let Some(b) = user_box else { continue };
-            let fast = scorer.score_items(user);
+            let fast = scorer.score_box(b);
             for (i, &s) in fast.iter().enumerate() {
                 let p = model.item_point_f32(ItemId(i as u32));
                 let reference = cfg.gamma - geometry::d_pb_weighted(p, b, cfg.inside_weight);
@@ -738,19 +619,20 @@ mod tests {
     }
 
     #[test]
-    fn item_scorer_score_box_matches_inbox_scorer() {
+    fn item_scorer_score_box_matches_the_trained_scorer() {
         let (ds, model, cfg) = setup();
         let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let scorer = InBoxScorer::new(&model, &boxes, &cfg, ds.n_items());
         let owned = ItemScorer::new(&model, &cfg, ds.n_items());
         assert_eq!(owned.n_items(), ds.n_items());
+        let trained = TrainedInBox::from_parts(model, cfg, boxes.clone(), Default::default());
         for (u, b) in boxes.iter().enumerate() {
-            let via_trait = scorer.score_items(UserId(u as u32));
+            let user = UserId(u as u32);
             let via_box = match b {
                 Some(b) => owned.score_box(b),
                 None => owned.sentinel_scores(),
             };
-            assert_eq!(via_trait, via_box, "user {u}");
+            assert_eq!(owned.score_user(b.as_ref()), via_box, "user {u}");
+            assert_eq!(Scorer::score_items(&trained, user), via_box, "user {u}");
         }
     }
 
@@ -848,76 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn quantized_scorer_stays_within_its_bound_slack() {
-        let (ds, model, cfg) = setup();
-        let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let exact = ItemScorer::new(&model, &cfg, ds.n_items());
-        let quant = ItemScorer::with_quantization(&model, &cfg, ds.n_items(), Quantization::Int8);
-        assert_eq!(exact.quantization(), Quantization::None);
-        assert_eq!(exact.bound_slack(), 0.0);
-        assert_eq!(quant.quantization(), Quantization::Int8);
-        let slack = quant.bound_slack();
-        assert!(slack > 0.0 && slack.is_finite());
-        for b in boxes.iter().flatten() {
-            let want = exact.score_box(b);
-            let got = quant.score_box(b);
-            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    (g - w).abs() <= slack,
-                    "item {i}: quantized {g} vs f32 {w}, slack {slack}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_top_k_is_the_f32_top_k() {
-        let (ds, model, cfg) = setup();
-        let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let exact = ItemScorer::new(&model, &cfg, ds.n_items());
-        let quant = ItemScorer::with_quantization(&model, &cfg, ds.n_items(), Quantization::Int8);
-        let (mut exact_scratch, mut quant_scratch) =
-            (ScoreScratch::default(), ScoreScratch::default());
-        let (mut f32_scores, mut int8_scores) = (Vec::new(), Vec::new());
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let bits = |r: &[(ItemId, f32)]| -> Vec<(ItemId, u32)> {
-            r.iter().map(|&(i, s)| (i, s.to_bits())).collect()
-        };
-        for (u, b) in boxes.iter().enumerate() {
-            let Some(b) = b else { continue };
-            let mask = ds.train.items_of(UserId(u as u32));
-            exact.score_box_into(b, &mut exact_scratch, &mut f32_scores);
-            quant.score_box_into(b, &mut quant_scratch, &mut int8_scores);
-            for k in [0, 1, 10, ds.n_items()] {
-                exact.top_k_into(Some(b), &mut exact_scratch, &f32_scores, mask, k, &mut want);
-                quant.top_k_into(Some(b), &mut quant_scratch, &int8_scores, mask, k, &mut got);
-                assert_eq!(bits(&got), bits(&want), "user {u} k {k}");
-            }
-            // The per-item path is the f32 kernel under int8 too.
-            for (i, &s) in f32_scores.iter().enumerate() {
-                let one = quant.score_item_prepared(b, &quant_scratch, i as u32);
-                assert_eq!(one.to_bits(), s.to_bits(), "user {u} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_sentinel_path_is_byte_identical_to_f32() {
-        let (ds, model, cfg) = setup();
-        let exact = ItemScorer::new(&model, &cfg, ds.n_items());
-        let quant = ItemScorer::with_quantization(&model, &cfg, ds.n_items(), Quantization::Int8);
-        // History-less users never touch the item matrix: the sentinel
-        // vector must not depend on the quantization mode at all.
-        assert_eq!(exact.sentinel_scores(), quant.sentinel_scores());
-    }
-
-    #[test]
     fn historyless_users_share_the_sentinel_scores() {
         let (ds, model, cfg) = setup();
-        let boxes: Vec<Option<BoxEmb>> = vec![None; ds.n_users()];
-        let scorer = InBoxScorer::new(&model, &boxes, &cfg, ds.n_items());
-        let a = scorer.score_items(UserId(0));
-        let b = scorer.score_items(UserId(1));
+        let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+        let a = scorer.score_user(None);
+        let b = scorer.score_user(None);
         assert_eq!(a, b);
         assert_eq!(a, vec![f32::MIN / 2.0; ds.n_items()]);
     }

@@ -1,6 +1,8 @@
 //! Three-stage training orchestration (Figure 3) with the paper's learning
 //! rate schedule and early-stopping rule.
 
+use std::sync::OnceLock;
+
 use inbox_autodiff::{Adam, GradStore};
 use inbox_data::Dataset;
 use inbox_eval::{evaluate_with_threads, top_k_masked, RankingMetrics, Scorer};
@@ -11,7 +13,7 @@ use rand::SeedableRng;
 use crate::config::InBoxConfig;
 use crate::geometry::BoxEmb;
 use crate::model::{InBoxModel, UniverseSizes};
-use crate::predict::{all_user_boxes_with, HistoryCache, InBoxScorer};
+use crate::predict::{all_user_boxes_with, HistoryCache, ItemScorer};
 use crate::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
 use crate::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
 
@@ -44,7 +46,10 @@ pub struct TrainedInBox {
     pub boxes: Vec<Option<BoxEmb>>,
     /// Training history.
     pub report: TrainReport,
-    n_items: usize,
+    /// The item-matrix snapshot every score goes through, taken on first
+    /// use, so ranking many users copies the matrix once and a checkpoint
+    /// that is only served never copies it here.
+    scorer: OnceLock<ItemScorer>,
 }
 
 impl TrainedInBox {
@@ -55,25 +60,26 @@ impl TrainedInBox {
         boxes: Vec<Option<BoxEmb>>,
         report: TrainReport,
     ) -> Self {
-        let n_items = model.sizes().n_items;
         Self {
             model,
             config,
             boxes,
             report,
-            n_items,
+            scorer: OnceLock::new(),
         }
     }
 
-    /// A [`Scorer`] view for the evaluation harness.
-    pub fn scorer(&self) -> InBoxScorer<'_> {
-        InBoxScorer::new(&self.model, &self.boxes, &self.config, self.n_items)
+    /// The item-matrix snapshot behind [`Scorer::score_items`], built on
+    /// the first call.
+    pub fn scorer(&self) -> &ItemScorer {
+        self.scorer
+            .get_or_init(|| ItemScorer::new(&self.model, &self.config, self.model.sizes().n_items))
     }
 
     /// Top-`k` recommendations for `user`, excluding already-interacted
     /// `mask` items (pass the user's train items), best first.
     pub fn recommend(&self, user: UserId, mask: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        let scores = self.scorer().score_items(user);
+        let scores = self.score_items(user);
         top_k_masked(&scores, mask, k)
             .into_iter()
             .map(|i| (i, scores[i.index()]))
@@ -104,19 +110,13 @@ impl TrainedInBox {
 
     /// Evaluates recall@K / ndcg@K on a dataset split.
     pub fn evaluate(&self, dataset: &Dataset, k: usize) -> RankingMetrics {
-        evaluate_with_threads(
-            &self.scorer(),
-            &dataset.train,
-            &dataset.test,
-            k,
-            self.config.threads,
-        )
+        evaluate_with_threads(self, &dataset.train, &dataset.test, k, self.config.threads)
     }
 }
 
 impl Scorer for TrainedInBox {
     fn score_items(&self, user: UserId) -> Vec<f32> {
-        self.scorer().score_items(user)
+        self.scorer().score_user(self.boxes[user.index()].as_ref())
     }
 }
 
@@ -345,9 +345,10 @@ pub fn train(dataset: &Dataset, config: InBoxConfig) -> TrainedInBox {
         report.stage3_losses.push(loss);
 
         let boxes = all_user_boxes_with(&model, &history, &config, runner.pool());
-        let scorer = InBoxScorer::new(&model, &boxes, &config, sizes.n_items);
+        let scorer = ItemScorer::new(&model, &config, sizes.n_items);
+        let score = |user: UserId| scorer.score_user(boxes[user.index()].as_ref());
         let metrics =
-            evaluate_with_threads(&scorer, &dataset.train, &dataset.test, 20, config.threads);
+            evaluate_with_threads(&score, &dataset.train, &dataset.test, 20, config.threads);
         report.stage3_recalls.push(metrics.recall);
         clock.emit(
             run,
@@ -372,13 +373,7 @@ pub fn train(dataset: &Dataset, config: InBoxConfig) -> TrainedInBox {
     }
 
     let boxes = all_user_boxes_with(&model, &history, &config, runner.pool());
-    TrainedInBox {
-        model,
-        config,
-        boxes,
-        report,
-        n_items: sizes.n_items,
-    }
+    TrainedInBox::from_parts(model, config, boxes, report)
 }
 
 #[cfg(test)]

@@ -170,11 +170,8 @@ pub struct BoxQuery<'a> {
     pub inside_weight: f32,
     /// Score offset (`γ` in Eq. (29)); scores are `gamma - distance`.
     pub gamma: f32,
-    /// Conservative upper bound on how far the caller's scorer can sit
-    /// *below* the f32 geometry the rectangle bound describes; the prune
-    /// test widens by this much, so a score that rounded down never lets
-    /// a partition holding a true top-k item be discarded. The serving
-    /// engine always re-ranks with the exact f32 scorer and passes `0.0`.
+    /// Pinned for servebench; delete with the next benchmark change.
+    /// Nothing reads it: every re-rank scores with the exact f32 kernel.
     pub bound_slack: f32,
 }
 
@@ -449,12 +446,11 @@ impl IvfIndex {
     /// Stage 2 — box pruning + exact re-rank over the probed partitions:
     /// visits `scratch`'s probe list nearest-first, skips partitions whose
     /// rectangle bound cannot beat the selector's k-th best score (minus
-    /// [`PRUNE_SLACK`] and the query's `bound_slack`), and feeds every
-    /// remaining unmasked member, scored through `score` (exact,
-    /// caller-supplied), to the masked top-k selector. `mask` must be
-    /// sorted ascending. The result lands in `out` best-first with the
-    /// evaluation protocol's tie-breaking; the returned stats feed the
-    /// candidate-set telemetry.
+    /// [`PRUNE_SLACK`]), and feeds every remaining unmasked member, scored
+    /// through `score` (exact, caller-supplied), to the masked top-k
+    /// selector. `mask` must be sorted ascending. The result lands in
+    /// `out` best-first with the evaluation protocol's tie-breaking; the
+    /// returned stats feed the candidate-set telemetry.
     pub fn rerank(
         &self,
         q: &BoxQuery<'_>,
@@ -470,7 +466,7 @@ impl IvfIndex {
         for &(_, _, c) in probes.iter() {
             let c = c as usize;
             if let Some(kth) = topk.kth() {
-                let floor = kth as f64 - PRUNE_SLACK - q.bound_slack as f64;
+                let floor = kth as f64 - PRUNE_SLACK;
                 if self.rect_score_bound(q, c) < floor {
                     stats.pruned_partitions += 1;
                     continue;

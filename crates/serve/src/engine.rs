@@ -22,8 +22,8 @@
 //! other direction, so the engine cannot deadlock against itself.
 //!
 //! The hot scoring path is allocation-free at steady state: per-thread
-//! scratch buffers back [`ItemScorer::score_box_into`] and
-//! [`ItemScorer::top_k_into`], and the `engine.score` / `engine.rank`
+//! scratch buffers back [`ItemScorer::score_box_into`] and the masked
+//! top-k selector ([`TopKScratch`]), and the `engine.score` / `engine.rank`
 //! allocation scopes make that property checkable at runtime against the
 //! instrumented global allocator.
 
@@ -37,7 +37,7 @@ use inbox_core::{
     BoxEmb, HistoryCache, InBoxConfig, InBoxModel, ItemScorer, ScoreScratch, TrainedInBox,
 };
 use inbox_data::Interactions;
-use inbox_eval::top_k_masked;
+use inbox_eval::{top_k_masked, TopKScratch};
 use inbox_index::{
     auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
 };
@@ -129,6 +129,8 @@ struct LiveState {
 struct RecommendScratch {
     score: ScoreScratch,
     scores: Vec<f32>,
+    /// The full sort's masked top-k selector.
+    topk: TopKScratch,
     /// IVF probe + selector buffers (unused under [`IndexMode::FullSort`]).
     query: QueryScratch,
     /// The ranked answer, best first.
@@ -183,7 +185,7 @@ impl Engine {
         );
         let n_users = train.n_users();
         let n_items = train.n_items();
-        let scorer = ItemScorer::with_quantization(&model, &config, n_items, serve.quantize);
+        let scorer = ItemScorer::new(&model, &config, n_items);
         let popularity = train
             .item_popularity()
             .into_iter()
@@ -271,11 +273,6 @@ impl Engine {
         self.index
             .as_ref()
             .map(|(ix, nprobe)| (ix.nlist(), *nprobe))
-    }
-
-    /// The item-matrix quantization the scorer was built with.
-    pub fn quantization(&self) -> inbox_core::Quantization {
-        self.scorer.quantization()
     }
 
     /// Number of interest boxes currently resident in the box cache.
@@ -411,17 +408,18 @@ impl Engine {
             let RecommendScratch {
                 score,
                 scores,
+                topk,
                 query,
                 ranked,
             } = &mut *scratch;
             // Indexed path: candidate generation (probe selection) + exact
-            // f32 re-rank over the probed partitions, whatever the
-            // quantization. Only box-backed users go through the index —
-            // cold users keep the popularity fallback below, bit-for-bit
-            // unchanged. The re-rank scores candidates through the f32
-            // per-item kernel of the full scan and ranks them with the same
-            // selector, so whenever the probed partitions contain the true
-            // top-k the answer is byte-identical to `IndexMode::FullSort`.
+            // re-rank over the probed partitions. Only box-backed users go
+            // through the index — cold users keep the popularity fallback
+            // below, bit-for-bit unchanged. The re-rank scores candidates
+            // through the per-item kernel of the full scan and ranks them
+            // with the same selector, so whenever the probed partitions
+            // contain the true top-k the answer is byte-identical to
+            // `IndexMode::FullSort`.
             if let (Some(b), Some((index, nprobe))) = (resolved.as_deref(), self.index.as_ref()) {
                 self.scorer.prepare_box_bounds(b, score);
                 let q = BoxQuery {
@@ -469,9 +467,9 @@ impl Engine {
                 let _rank_span = inbox_obs::ctx_span("engine.rank");
                 let _rank_alloc = inbox_obs::alloc_scope("engine.rank");
                 let live = self.live.read().unwrap();
-                let mask = &live.masks[user.index()];
-                self.scorer
-                    .top_k_into(resolved.as_deref(), score, scores, mask, k, ranked);
+                topk.select(scores, &live.masks[user.index()], k);
+                ranked.clear();
+                topk.finish(|item, s| ranked.push((item, s)));
             }
             ranked.clone()
         });
@@ -490,7 +488,7 @@ impl Engine {
     /// exact f32 full sort at the user's current live state. Because the
     /// forward pass is deterministic, [`Engine::recommend_now`] is
     /// bit-identical to this for any fixed history version under the full
-    /// sort, int8 included, and under full-probe IVF.
+    /// sort and under full-probe IVF.
     pub fn oracle(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
@@ -530,9 +528,9 @@ impl Engine {
     /// The one reference ranker behind [`oracle`](Self::oracle) and
     /// [`audit_rerank`](Self::audit_rerank). Snapshots the user's version,
     /// history and mask under a single read guard, rebuilds the box with a
-    /// fresh forward pass and ranks every item scored through the f32
-    /// [`ItemScorer::score_item_prepared`] — whatever the serving
-    /// quantization or index — or the popularity scores for a cold user.
+    /// fresh forward pass and ranks every item scored through
+    /// [`ItemScorer::score_item_prepared`] — whatever the serving index —
+    /// or the popularity scores for a cold user.
     ///
     /// With `served = Some((version, items))` it returns `None` instead
     /// when the snapshot is not the state those items were served from:

@@ -45,7 +45,6 @@ pub use cache::BoxCache;
 pub use engine::{Engine, Ingested, Recommendation, ServeStats};
 pub use error::ServeError;
 pub use http::HttpServer;
-pub use inbox_core::Quantization;
 pub use inbox_index::IndexMode;
 
 /// Tuning knobs for the service.
@@ -83,14 +82,9 @@ pub struct ServeConfig {
     /// partitions + box pruning + exact re-rank). An index that fails to
     /// build degrades to full sort — never a startup failure.
     pub index: IndexMode,
-    /// Item-matrix quantization for the full-sort scan.
-    /// [`Quantization::None`] keeps the f32 matrix; [`Quantization::Int8`]
-    /// scans through the dequantize-free int8 kernel and re-scores the
-    /// items within `2·bound_slack` of the k-th int8 score in f32, so the
-    /// answer stays byte-identical to offline ranking. The IVF re-rank
-    /// scores in f32 under either setting, and cold users (popularity
-    /// fallback) bypass quantization byte-identically.
-    pub quantize: Quantization,
+    /// Pinned for servebench; delete with the next benchmark change. The
+    /// engine always scores in f32; nothing reads this field.
+    pub quantize: inbox_core::predict::Quantization,
     /// Shadow-oracle audit sampling: 1-in-this-many answered requests are
     /// copied to the background audit worker and re-ranked through the
     /// exact FullSort f32 oracle. `0` disables auditing entirely (no
@@ -121,7 +115,7 @@ impl Default for ServeConfig {
             slo_objective: Duration::from_millis(50),
             trace_slow: Duration::from_millis(250),
             index: IndexMode::FullSort,
-            quantize: Quantization::None,
+            quantize: Default::default(),
             audit_sample: 32,
             audit_queue_cap: 256,
             audit_floor: None,

@@ -8,12 +8,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use inbox_core::{InBoxConfig, InBoxModel, InBoxScorer, UniverseSizes};
-use inbox_data::{Dataset, SyntheticConfig};
+use inbox_core::{InBoxConfig, InBoxModel, ItemScorer, UniverseSizes};
+use inbox_data::{Dataset, Interactions, SyntheticConfig};
 use inbox_eval::top_k_masked;
 use inbox_kg::{ItemId, UserId};
 use inbox_serve::{
-    Engine, HttpServer, IndexMode, Quantization, Recommendation, ServeConfig, ServeError, Service,
+    Engine, HttpServer, IndexMode, Recommendation, ServeConfig, ServeError, Service,
 };
 
 /// Builds a tiny synthetic universe and an (untrained but deterministic)
@@ -47,14 +47,12 @@ fn served_ranking_is_bit_identical_to_offline_scorer() {
     // scorer, mask training interactions, take top-K — computed up front
     // because the engine takes ownership of the model.
     let expected: Vec<Option<(Vec<ItemId>, Vec<f32>)>> = {
-        use inbox_eval::Scorer;
         let boxes = inbox_core::all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
-        let offline = InBoxScorer::new(&model, &boxes, &cfg, ds.train.n_items());
+        let offline = ItemScorer::new(&model, &cfg, ds.train.n_items());
         (0..ds.train.n_users() as u32)
             .map(|u| {
                 let user = UserId(u);
-                boxes[user.index()].as_ref()?;
-                let scores = offline.score_items(user);
+                let scores = offline.score_box(boxes[user.index()].as_ref()?);
                 let top = top_k_masked(&scores, ds.train.items_of(user), K);
                 Some((top, scores))
             })
@@ -352,22 +350,34 @@ fn unknown_ids_are_typed_errors() {
 
 #[test]
 fn cold_user_gets_popularity_fallback() {
-    let (ds, _cfg, engine) = engine(48, &ServeConfig::default());
-    let Some(cold) = (0..ds.train.n_users() as u32)
-        .map(UserId)
-        .find(|&u| ds.train.items_of(u).is_empty())
-    else {
-        // Fixture produced no cold user at this seed; nothing to test.
-        return;
-    };
+    let (ds, model, cfg) = fixture(48);
+    // Drop user 0's history: the user exists but is cold.
+    let pairs = (1..ds.train.n_users() as u32).flat_map(|u| {
+        ds.train
+            .items_of(UserId(u))
+            .iter()
+            .map(move |&i| (UserId(u), i))
+    });
+    let train = Interactions::from_pairs(ds.train.n_users(), ds.train.n_items(), pairs).unwrap();
+    let engine = Engine::new(model, cfg, ds.kg.clone(), &train, &ServeConfig::default());
+    let cold = UserId(0);
     let r = engine.recommend_now(cold, K).unwrap();
     assert!(r.fallback);
-    assert!(!r.items.is_empty());
-    // Fallback ranks by popularity: counts are non-increasing.
-    let pop = ds.train.item_popularity();
-    for w in r.items.windows(2) {
-        assert!(pop[w[0].0.index()] >= pop[w[1].0.index()]);
-    }
+    // Byte for byte the popularity ranking: training counts as scores,
+    // nothing masked, ties by item id.
+    let pop: Vec<f32> = train
+        .item_popularity()
+        .into_iter()
+        .map(|c| c as f32)
+        .collect();
+    let want: Vec<(ItemId, u32)> = top_k_masked(&pop, &[], K)
+        .into_iter()
+        .map(|i| (i, pop[i.index()].to_bits()))
+        .collect();
+    let got: Vec<(ItemId, u32)> = r.items.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+    assert_eq!(got.len(), K);
+    assert_eq!(got, want);
+    assert_eq!(r, engine.oracle(cold, K).unwrap());
     assert_eq!(engine.stats().fallbacks, 1);
     // The fallback is cached too (as an absence): no rebuild on repeat.
     engine.recommend_now(cold, K).unwrap();
@@ -420,34 +430,5 @@ fn oversized_ivf_knobs_clamp_to_the_built_partition_count() {
             engine.oracle(user, K).unwrap(),
             "user {u}"
         );
-    }
-}
-
-#[test]
-fn ivf_answers_do_not_depend_on_quantization() {
-    // The IVF re-rank always scores in f32, so quantizing the item matrix
-    // must not move a single bit of an indexed answer.
-    let ivf = |quantize| ServeConfig {
-        index: IndexMode::Ivf {
-            nlist: 0,
-            nprobe: 0,
-        },
-        quantize,
-        ..ServeConfig::default()
-    };
-    let (ds, _cfg, plain) = engine(59, &ivf(Quantization::None));
-    let (_, _, int8) = engine(59, &ivf(Quantization::Int8));
-    assert!(plain.index_active().is_some());
-    assert_eq!(plain.index_active(), int8.index_active());
-    for u in 0..ds.train.n_users() as u32 {
-        let user = UserId(u);
-        let want = plain.recommend_now(user, K).unwrap();
-        let got = int8.recommend_now(user, K).unwrap();
-        assert_eq!(got.items.len(), want.items.len(), "user {u}");
-        for ((gi, gs), (wi, ws)) in got.items.iter().zip(&want.items) {
-            assert_eq!(gi, wi, "user {u}");
-            assert_eq!(gs.to_bits(), ws.to_bits(), "user {u} item {}", gi.0);
-        }
-        assert_eq!((got.fallback, got.version), (want.fallback, want.version));
     }
 }
