@@ -2,14 +2,14 @@
 
 use std::error::Error;
 use std::io::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use inbox_core::interpret::{explain, format_explanation};
 use inbox_core::{persist, InBoxConfig, IntersectionMode};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::{beyond_accuracy, Scorer};
 use inbox_kg::UserId;
-use inbox_obs::{ConsoleSink, JsonlSink, Verbosity};
+use inbox_obs::Verbosity;
 use inbox_serve::{Engine, HttpServer, ServeConfig, Service};
 
 use crate::args::{ArgError, Parsed};
@@ -40,7 +40,7 @@ USAGE:
   inbox obs       [--addr 127.0.0.1:7878] [--interval-ms 1000] [--iters 0]
                   live dashboard over a running server's GET /metrics
                   (qps, p99, cache hit rate, queue depth, shed rate, SLO burn,
-                  allocs/s, hottest contended lock, audit recall + drift PSI)
+                  hottest contended lock, audit recall + drift PSI)
 
 GLOBAL FLAGS:
   --log-level quiet|info|debug   console verbosity (default info); quiet
@@ -99,36 +99,29 @@ pub fn exit_code(e: &(dyn Error + 'static)) -> i32 {
     }
 }
 
-static VERBOSITY: OnceLock<Verbosity> = OnceLock::new();
-
-/// Installs telemetry sinks from the global flags: a console sink at
+/// Installs the telemetry output from the global flags: stderr lines at
 /// `--log-level` (default `info`) and, when `--metrics-out PATH` is given, a
-/// JSONL file sink receiving every epoch record and the final run summary.
-pub fn init_observability(parsed: &Parsed) -> Result<Verbosity, Box<dyn Error>> {
+/// JSONL file receiving every epoch record and the final run summary.
+pub fn init_observability(parsed: &Parsed) -> CmdResult {
     let level: Verbosity = parsed
         .get("log-level")
         .unwrap_or("info")
         .parse()
         .map_err(|e: String| -> Box<dyn Error> { e.into() })?;
-    let _ = VERBOSITY.set(level);
-    inbox_obs::add_sink(Arc::new(ConsoleSink::new(level)));
-    if let Some(path) = parsed.get("metrics-out") {
-        let sink = JsonlSink::create(std::path::Path::new(path))
-            .map_err(|e| format!("cannot create --metrics-out {path}: {e}"))?;
-        inbox_obs::add_sink(Arc::new(sink));
-    }
-    Ok(level)
+    let metrics_out = parsed.get("metrics-out");
+    inbox_obs::install(level, metrics_out.map(std::path::Path::new)).map_err(|e| {
+        format!(
+            "cannot create --metrics-out {}: {e}",
+            metrics_out.unwrap_or("")
+        )
+    })?;
+    Ok(())
 }
 
-/// The verbosity chosen at startup (`info` when running without
-/// [`init_observability`], e.g. from unit tests).
-fn verbosity() -> Verbosity {
-    VERBOSITY.get().copied().unwrap_or(Verbosity::Info)
-}
-
-/// Whether non-error console output is allowed.
+/// Whether non-error console output is allowed (`info` when running
+/// without [`init_observability`], e.g. from unit tests).
 fn chatty() -> bool {
-    verbosity() > Verbosity::Quiet
+    inbox_obs::verbosity() > Verbosity::Quiet
 }
 
 fn preset_by_name(name: &str) -> Result<SyntheticConfig, Box<dyn Error>> {
@@ -283,7 +276,6 @@ pub fn train(parsed: &Parsed) -> CmdResult {
     // Final span/counter aggregation under the training run's id, so the
     // JSONL stream ends with a summary matching its epoch records.
     inbox_obs::emit_run_summary(trained.report.run_id);
-    inbox_obs::flush_sinks();
     Ok(())
 }
 
@@ -525,7 +517,6 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
         http.shutdown();
         service.shutdown();
         inbox_obs::emit_run_summary(inbox_obs::next_run_id());
-        inbox_obs::flush_sinks();
         return Ok(());
     }
     // Serve until the process is killed.
@@ -621,8 +612,6 @@ pub fn render_dashboard(metrics_text: &str) -> String {
         &[("name", "serve.recommend"), ("window", "60s")],
     )
     .unwrap_or(0.0);
-    let alloc_rate =
-        sample(&samples, "inbox_alloc_window", &[("window", "10s")]).unwrap_or(0.0) / 10.0;
     let hot_lock = samples
         .iter()
         .filter_map(|(m, ls, v)| {
@@ -662,7 +651,7 @@ pub fn render_dashboard(metrics_text: &str) -> String {
     };
     let psi = sample(&samples, "inbox_audit_drift", &[("stat", "psi.score")]).unwrap_or(0.0);
     format!(
-        "qps {qps:8.1} | p99 {p99_ms:8.2} ms | cache hit {hit_pct:5.1}% | queue p99 {queue_p99:5.0} | shed/s {shed_rate:6.2} | burn60 {burn:5.2} | alloc/s {alloc_rate:8.1} | hot lock {hot_lock} | audit {audit_audited:.0}/{audit_sampled:.0} bl {audit_backlog:3.0} rec60 {audit_recall:4.2}{audit_state} | psi {psi:6.3}"
+        "qps {qps:8.1} | p99 {p99_ms:8.2} ms | cache hit {hit_pct:5.1}% | queue p99 {queue_p99:5.0} | shed/s {shed_rate:6.2} | burn60 {burn:5.2} | hot lock {hot_lock} | audit {audit_audited:.0}/{audit_sampled:.0} bl {audit_backlog:3.0} rec60 {audit_recall:4.2}{audit_state} | psi {psi:6.3}"
     )
 }
 
@@ -965,7 +954,6 @@ inbox_counter_window{name=\"serve.cache.hits\",window=\"10s\"} 150
 inbox_counter_window{name=\"serve.shed\",window=\"10s\"} 20
 inbox_value_window{name=\"serve.queue.depth\",window=\"10s\",quantile=\"0.99\"} 7
 inbox_slo_burn_rate{name=\"serve.recommend\",window=\"60s\"} 1.25
-inbox_alloc_window{window=\"10s\"} 420
 inbox_counter_total{name=\"lock.engine.cache.contended\"} 3
 inbox_counter_total{name=\"lock.engine.live.contended\"} 17
 inbox_audit_sampled_total 9
@@ -981,7 +969,6 @@ inbox_audit_drift{stat=\"psi.score\"} 0.042
         assert!(line.contains("cache hit  75.0%"), "{line}");
         assert!(line.contains("shed/s   2.00"), "{line}");
         assert!(line.contains("burn60  1.25"), "{line}");
-        assert!(line.contains("alloc/s     42.0"), "{line}");
         assert!(line.contains("hot lock engine.live(17)"), "{line}");
         assert!(line.contains("audit 8/9"), "{line}");
         assert!(line.contains("bl   2"), "{line}");

@@ -60,7 +60,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    inbox_obs::flush_sinks();
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(commands::exit_code(e.as_ref()));

@@ -41,20 +41,9 @@ impl HistoryCache {
     pub fn build(kg: &KnowledgeGraph, train: &Interactions, config: &InBoxConfig) -> Self {
         let histories: Vec<Vec<(ItemId, Vec<Concept>)>> = (0..train.n_users() as u32)
             .map(|u| {
-                let items = train.items_of(UserId(u));
-                let capped: &[ItemId] = if items.len() > config.max_history_infer {
-                    &items[..config.max_history_infer]
-                } else {
-                    items
-                };
-                capped
-                    .iter()
-                    .map(|&i| {
-                        let cs = kg.concepts_of(i);
-                        let take = cs.len().min(config.max_concepts);
-                        (i, cs[..take].to_vec())
-                    })
-                    .collect()
+                let mut history = Vec::new();
+                push_capped(kg, config, &mut history, train.items_of(UserId(u)));
+                history
             })
             .collect();
         let versions = vec![0; histories.len()];
@@ -94,15 +83,31 @@ impl HistoryCache {
         item: ItemId,
     ) -> bool {
         let history = &mut self.histories[user.index()];
-        if history.len() >= config.max_history_infer || history.iter().any(|(i, _)| *i == item) {
+        if history.iter().any(|(i, _)| *i == item) || push_capped(kg, config, history, &[item]) == 0
+        {
             return false;
         }
-        let cs = kg.concepts_of(item);
-        let take = cs.len().min(config.max_concepts);
-        history.push((item, cs[..take].to_vec()));
         self.versions[user.index()] += 1;
         true
     }
+}
+
+/// Appends `items` to `history` under the one history cap: at most
+/// `max_history_infer` entries, each item with its first `max_concepts`
+/// concepts. Returns how many items were appended.
+fn push_capped(
+    kg: &KnowledgeGraph,
+    config: &InBoxConfig,
+    history: &mut Vec<(ItemId, Vec<Concept>)>,
+    items: &[ItemId],
+) -> usize {
+    let room = config.max_history_infer.saturating_sub(history.len());
+    let taken = &items[..items.len().min(room)];
+    history.extend(taken.iter().map(|&i| {
+        let cs = kg.concepts_of(i);
+        (i, cs[..cs.len().min(config.max_concepts)].to_vec())
+    }));
+    taken.len()
 }
 
 /// Builds the interest box of a single user from their training history
@@ -115,40 +120,16 @@ pub fn user_interest_box(
     config: &InBoxConfig,
     user: UserId,
 ) -> Option<BoxEmb> {
-    let items = train.items_of(user);
-    if items.is_empty() {
-        return None;
-    }
-    let capped: &[ItemId] = if items.len() > config.max_history_infer {
-        &items[..config.max_history_infer]
-    } else {
-        items
-    };
-    let history: Vec<(ItemId, Vec<Concept>)> = capped
-        .iter()
-        .map(|&i| {
-            let cs = kg.concepts_of(i);
-            let take = cs.len().min(config.max_concepts);
-            (i, cs[..take].to_vec())
-        })
-        .collect();
-    let mut tape = Tape::new();
-    tape.reset();
-    let b = model.interest_box(
-        &mut tape,
-        user,
-        &history,
-        config.intersection,
-        config.user_box,
-    );
-    Some(model.box_values(&tape, b))
+    let mut history = Vec::new();
+    push_capped(kg, config, &mut history, train.items_of(user));
+    user_box_from_history(model, config, &mut Tape::new(), user, &history)
 }
 
 /// Builds one user's interest box from an explicit (already capped) history
 /// on a reusable tape — the single-user building block behind online
-/// serving. Follows the exact op sequence of [`user_interest_box`], so a box
-/// computed here is bit-identical to one computed from an [`Interactions`]
-/// set carrying the same history. Returns `None` for an empty history.
+/// serving and [`user_interest_box`], so a box computed here is
+/// bit-identical to one computed from an [`Interactions`] set carrying the
+/// same history. Returns `None` for an empty history.
 pub fn user_box_from_history(
     model: &InBoxModel,
     config: &InBoxConfig,

@@ -419,18 +419,25 @@ mod tests {
     #[test]
     fn telemetry_emits_one_record_per_epoch() {
         let ds = Dataset::synthetic(&SyntheticConfig::tiny(), 57);
-        let capture = std::sync::Arc::new(inbox_obs::CaptureSink::new());
-        inbox_obs::add_sink(capture.clone());
+        // The only test in this binary that installs the process-wide
+        // output; its own lines are told apart by run id.
+        let dir = std::env::temp_dir().join(format!("inbox-trainer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.jsonl");
+        inbox_obs::install(inbox_obs::Verbosity::Quiet, Some(&path)).unwrap();
         let trained = train(&ds, InBoxConfig::tiny_test());
         let run = trained.report.run_id;
         assert!(run > 0, "train() must allocate a run id");
-        let records: Vec<inbox_obs::EpochRecord> = capture
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                inbox_obs::TelemetryEvent::Epoch(r) if r.run == run => Some(r),
-                _ => None,
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let records: Vec<inbox_obs::EpochRecord> = text
+            .lines()
+            .filter_map(|line| {
+                let event: serde_json::Value = serde_json::from_str(line).unwrap();
+                let epoch = event.as_object()?.get("epoch")?;
+                Some(serde_json::from_value::<inbox_obs::EpochRecord>(epoch).unwrap())
             })
+            .filter(|r| r.run == run)
             .collect();
         let per_stage = |s: u8| records.iter().filter(|r| r.stage == s).count();
         assert_eq!(per_stage(1), trained.report.stage1_losses.len());

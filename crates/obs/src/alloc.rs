@@ -22,13 +22,12 @@
 //!   allocations during thread teardown degrade to "unscoped" instead of
 //!   panicking,
 //! - scope *registration* (name → slot id) takes a `Mutex`, but only ever
-//!   from [`alloc_scope`] — never from the allocator hooks,
-//! - the sliding-window ring is stamped with [`crate::window::now_sec`],
-//!   which reads a monotonic clock and allocates nothing.
+//!   from [`alloc_scope`] — never from the allocator hooks.
 //!
 //! When [`set_alloc_tracking`] is off (the default) every hook is a single
 //! relaxed atomic load; the instrumented binary's throughput is otherwise
-//! unchanged.
+//! unchanged. The counts are a test instrument: tests read them through
+//! [`alloc_scope_stats`]; no exposition renders them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,13 +35,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::window::{now_sec, MAX_WINDOW_SECS, WINDOW_SLOTS};
-
 /// Maximum number of distinct allocation scopes (slot 0 is "unscoped").
 pub const MAX_ALLOC_SCOPES: usize = 32;
-
-/// Slot tag meaning "never written" in the window ring.
-const EMPTY: u64 = u64::MAX;
 
 static TRACK: AtomicBool = AtomicBool::new(false);
 
@@ -55,16 +49,6 @@ static NAMES_LEN: [AtomicUsize; MAX_ALLOC_SCOPES] =
     [const { AtomicUsize::new(0) }; MAX_ALLOC_SCOPES];
 static ALLOCS: [AtomicU64; MAX_ALLOC_SCOPES] = [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
 static ALLOC_BYTES: [AtomicU64; MAX_ALLOC_SCOPES] = [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
-static DEALLOCS: [AtomicU64; MAX_ALLOC_SCOPES] = [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
-static DEALLOC_BYTES: [AtomicU64; MAX_ALLOC_SCOPES] =
-    [const { AtomicU64::new(0) }; MAX_ALLOC_SCOPES];
-
-// Per-second ring for allocation rates, same rotation protocol as
-// `window::WindowedCounter` but over statics so the allocator path never
-// touches heap-backed structures.
-static WIN_SECOND: [AtomicU64; WINDOW_SLOTS] = [const { AtomicU64::new(EMPTY) }; WINDOW_SLOTS];
-static WIN_ALLOCS: [AtomicU64; WINDOW_SLOTS] = [const { AtomicU64::new(0) }; WINDOW_SLOTS];
-static WIN_BYTES: [AtomicU64; WINDOW_SLOTS] = [const { AtomicU64::new(0) }; WINDOW_SLOTS];
 
 /// Serialises scope registration (never taken from the allocator hooks).
 static REG: Mutex<()> = Mutex::new(());
@@ -73,7 +57,8 @@ thread_local! {
     /// Scope id current on this thread (0 = unscoped). `const`-initialised
     /// so reading it from the allocator needs no lazy TLS setup.
     static CURRENT: Cell<u16> = const { Cell::new(0) };
-    /// Allocations charged to this thread — the basis of [`count_allocs`].
+    /// Allocations charged to this thread — the basis of
+    /// [`allocator_installed`].
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -81,11 +66,6 @@ thread_local! {
 /// reduces every allocator hook to one relaxed atomic load.
 pub fn set_alloc_tracking(on: bool) {
     TRACK.store(on, Ordering::SeqCst);
-}
-
-/// Whether allocation tracking is currently recording.
-pub fn alloc_tracking() -> bool {
-    TRACK.load(Ordering::Relaxed)
 }
 
 fn slot_name(i: usize) -> Option<&'static str> {
@@ -185,44 +165,10 @@ fn on_alloc(size: usize) {
     ALLOCS[id].fetch_add(1, Ordering::Relaxed);
     ALLOC_BYTES[id].fetch_add(size as u64, Ordering::Relaxed);
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-    win_add(size as u64);
-}
-
-#[inline]
-fn on_dealloc(size: usize) {
-    if !TRACK.load(Ordering::Relaxed) {
-        return;
-    }
-    let id = CURRENT.try_with(Cell::get).unwrap_or(0) as usize;
-    let id = id.min(MAX_ALLOC_SCOPES - 1);
-    DEALLOCS[id].fetch_add(1, Ordering::Relaxed);
-    DEALLOC_BYTES[id].fetch_add(size as u64, Ordering::Relaxed);
-}
-
-#[inline]
-fn win_add(bytes: u64) {
-    let sec = now_sec();
-    let at = (sec % WINDOW_SLOTS as u64) as usize;
-    loop {
-        let tagged = WIN_SECOND[at].load(Ordering::Acquire);
-        if tagged == sec {
-            break;
-        }
-        if WIN_SECOND[at]
-            .compare_exchange(tagged, sec, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            WIN_ALLOCS[at].store(0, Ordering::Release);
-            WIN_BYTES[at].store(0, Ordering::Release);
-            break;
-        }
-    }
-    WIN_ALLOCS[at].fetch_add(1, Ordering::Relaxed);
-    WIN_BYTES[at].fetch_add(bytes, Ordering::Relaxed);
 }
 
 /// The instrumented allocator: [`System`] plus scope-attributed
-/// accounting. Install per binary:
+/// allocation counts (frees are not counted). Install per binary:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -252,13 +198,11 @@ unsafe impl GlobalAlloc for InstrumentedAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            on_dealloc(layout.size());
             on_alloc(new_size);
         }
         p
@@ -272,18 +216,12 @@ pub struct ScopeAllocStats {
     pub allocs: u64,
     /// Bytes allocated in the scope.
     pub bytes: u64,
-    /// Deallocations charged to the scope.
-    pub deallocs: u64,
-    /// Bytes freed in the scope.
-    pub dealloc_bytes: u64,
 }
 
 fn slot_stats(i: usize) -> ScopeAllocStats {
     ScopeAllocStats {
         allocs: ALLOCS[i].load(Ordering::Relaxed),
         bytes: ALLOC_BYTES[i].load(Ordering::Relaxed),
-        deallocs: DEALLOCS[i].load(Ordering::Relaxed),
-        dealloc_bytes: DEALLOC_BYTES[i].load(Ordering::Relaxed),
     }
 }
 
@@ -305,54 +243,18 @@ pub fn all_alloc_scopes() -> Vec<(String, ScopeAllocStats)> {
     out
 }
 
-/// Process-wide allocation totals (all scopes plus unscoped): every
-/// allocation is charged to exactly one slot, so the slots sum to it.
-pub fn alloc_totals() -> ScopeAllocStats {
-    (0..MAX_ALLOC_SCOPES)
-        .map(slot_stats)
-        .fold(ScopeAllocStats::default(), |a, s| ScopeAllocStats {
-            allocs: a.allocs + s.allocs,
-            bytes: a.bytes + s.bytes,
-            deallocs: a.deallocs + s.deallocs,
-            dealloc_bytes: a.dealloc_bytes + s.dealloc_bytes,
-        })
-}
-
-/// `(allocations, bytes)` recorded in the last `window` seconds.
-pub fn alloc_window(window: u64) -> (u64, u64) {
-    let window = window.clamp(1, MAX_WINDOW_SECS);
-    let now = now_sec();
-    let (mut allocs, mut bytes) = (0u64, 0u64);
-    for at in 0..WINDOW_SLOTS {
-        let tagged = WIN_SECOND[at].load(Ordering::Acquire);
-        if tagged != EMPTY && tagged <= now && now - tagged < window {
-            allocs += WIN_ALLOCS[at].load(Ordering::Relaxed);
-            bytes += WIN_BYTES[at].load(Ordering::Relaxed);
-        }
-    }
-    (allocs, bytes)
-}
-
-/// Zeroes every allocation counter and the rate ring. Registered scope
-/// names survive (handles and inventories stay valid). Part of
-/// [`crate::reset`].
+/// Zeroes every allocation counter. Registered scope names survive
+/// (handles and inventories stay valid). Part of [`crate::reset`].
 pub fn reset_alloc_stats() {
     for i in 0..MAX_ALLOC_SCOPES {
         ALLOCS[i].store(0, Ordering::Relaxed);
         ALLOC_BYTES[i].store(0, Ordering::Relaxed);
-        DEALLOCS[i].store(0, Ordering::Relaxed);
-        DEALLOC_BYTES[i].store(0, Ordering::Relaxed);
-    }
-    for at in 0..WINDOW_SLOTS {
-        WIN_SECOND[at].store(EMPTY, Ordering::Release);
-        WIN_ALLOCS[at].store(0, Ordering::Release);
-        WIN_BYTES[at].store(0, Ordering::Release);
     }
 }
 
 /// Whether this binary actually installed [`InstrumentedAlloc`]: probes by
 /// boxing a value with tracking forced on and checking the global counter
-/// moved. Zero-alloc assertions are vacuous (and say so) without it.
+/// moved. Zero-alloc assertions are vacuous without it.
 pub fn allocator_installed() -> bool {
     let was = TRACK.swap(true, Ordering::SeqCst);
     let before = THREAD_ALLOCS.with(Cell::get);
@@ -361,39 +263,6 @@ pub fn allocator_installed() -> bool {
     let after = THREAD_ALLOCS.with(Cell::get);
     TRACK.store(was, Ordering::SeqCst);
     after > before
-}
-
-/// Runs `f`, returning its result and the number of allocations the
-/// *calling thread* performed inside it. Always 0 unless the binary
-/// installed [`InstrumentedAlloc`] and tracking is on.
-pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = THREAD_ALLOCS.with(Cell::get);
-    let out = f();
-    let after = THREAD_ALLOCS.with(Cell::get);
-    (out, after.saturating_sub(before))
-}
-
-/// Asserts `f` performs no allocations on the calling thread, with
-/// tracking forced on for its duration. Vacuously passes (running `f`
-/// normally) when the binary did not install the instrumented allocator,
-/// so shared test helpers can call it unconditionally.
-///
-/// # Panics
-///
-/// Panics with `label` when `f` allocated and the allocator is installed.
-pub fn assert_alloc_free<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    if !allocator_installed() {
-        return f();
-    }
-    let was = alloc_tracking();
-    set_alloc_tracking(true);
-    let (out, n) = count_allocs(f);
-    set_alloc_tracking(was);
-    assert!(
-        n == 0,
-        "{label}: {n} allocation(s) in a region asserted allocation-free"
-    );
-    out
 }
 
 #[cfg(test)]
@@ -472,7 +341,7 @@ mod tests {
     #[test]
     fn accounting_hooks_attribute_to_the_current_scope() {
         // Drive the hooks directly (the unit-test binary does not install
-        // the allocator) and check attribution + totals arithmetic.
+        // the allocator) and check attribution arithmetic.
         let _gate = gate();
         set_alloc_tracking(true);
         let before = alloc_scope_stats("test.alloc.direct").unwrap_or_default();
@@ -480,35 +349,18 @@ mod tests {
             let _g = alloc_scope("test.alloc.direct");
             on_alloc(128);
             on_alloc(64);
-            on_dealloc(128);
         }
         let after = alloc_scope_stats("test.alloc.direct").unwrap();
         set_alloc_tracking(false);
         assert_eq!(after.allocs - before.allocs, 2);
         assert_eq!(after.bytes - before.bytes, 192);
-        assert_eq!(after.deallocs - before.deallocs, 1);
-        assert_eq!(after.dealloc_bytes - before.dealloc_bytes, 128);
-        let (win_allocs, win_bytes) = alloc_window(60);
-        assert!(win_allocs >= 2, "window missed samples: {win_allocs}");
-        assert!(win_bytes >= 192, "window missed bytes: {win_bytes}");
     }
 
     #[test]
-    fn tracking_off_drops_samples() {
+    fn probe_sees_no_allocator_in_this_binary() {
+        // This binary has no #[global_allocator]; tests/alloc.rs checks
+        // the probe's other answer.
         let _gate = gate();
-        set_alloc_tracking(false);
-        let before = alloc_totals();
-        on_alloc(1024);
-        assert_eq!(alloc_totals(), before);
-    }
-
-    #[test]
-    fn assert_alloc_free_is_vacuous_without_the_allocator() {
-        // This binary has no #[global_allocator]; the helper must not
-        // false-positive on real allocations.
-        let _gate = gate();
-        let v = assert_alloc_free("vacuous", || vec![1u8; 4096]);
-        assert_eq!(v.len(), 4096);
         assert!(!allocator_installed());
     }
 }

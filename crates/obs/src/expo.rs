@@ -1,6 +1,6 @@
 //! Live exposition: renders the registry table — cumulative, windowed,
-//! SLO and audit series — plus allocation and flight-recorder state as
-//! Prometheus text and JSON, for the serving stack's `GET /metrics` and
+//! SLO and audit series — plus flight-recorder state as Prometheus text
+//! and JSON, for the serving stack's `GET /metrics` and
 //! `GET /traces` endpoints.
 //!
 //! The Prometheus rendering keeps a small fixed family of metric names and
@@ -13,7 +13,7 @@
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{self, Kind};
 use crate::trace::{self, TraceRecord};
-use crate::{alloc, audit, slo};
+use crate::{audit, slo};
 use serde::{Deserialize, Serialize};
 use std::fmt::{Display, Write};
 
@@ -149,24 +149,6 @@ pub fn prometheus_text() -> String {
             let labels = [("name", name), ("window", window)];
             t.sample("inbox_slo_burn_rate", &labels, s.burn_rate);
         }
-    }
-
-    // -- allocation accounting ----------------------------------------------
-    // Kept outside the table (the allocator path cannot take its lock).
-    // Scope rows exist once a scope registered (counts stay 0 unless the
-    // binary installed the instrumented allocator and tracking is on); the
-    // windowed series aggregate across all scopes.
-    t.types("counter", &["inbox_alloc_total", "inbox_alloc_bytes_total"]);
-    for (scope, stats) in alloc::all_alloc_scopes() {
-        let label = [("scope", scope.as_str())];
-        t.sample("inbox_alloc_total", &label, stats.allocs);
-        t.sample("inbox_alloc_bytes_total", &label, stats.bytes);
-    }
-    t.types("gauge", &["inbox_alloc_window", "inbox_alloc_bytes_window"]);
-    for (w, window) in &windows {
-        let (allocs, bytes) = alloc::alloc_window(*w);
-        t.sample("inbox_alloc_window", &[("window", window)], allocs);
-        t.sample("inbox_alloc_bytes_window", &[("window", window)], bytes);
     }
 
     audit_families(&mut t, &windows);
@@ -323,7 +305,6 @@ mod tests {
         crate::rate_counter("test.expo.rate").add(2);
         crate::slo("test.expo.slo", Duration::from_millis(10), 0.99)
             .observe(Duration::from_millis(1));
-        drop(crate::alloc_scope("test.expo.alloc"));
         crate::set_drift_stat("test.expo.drift", 0.25);
 
         let text = prometheus_text();
@@ -342,10 +323,6 @@ mod tests {
             "inbox_counter_window{name=\"test.expo.rate\",window=\"10s\"}",
             "inbox_slo_events_total{name=\"test.expo.slo\"} ",
             "inbox_traces_retained{ring=\"recent\"}",
-            "inbox_alloc_total{scope=\"test.expo.alloc\"} ",
-            "inbox_alloc_bytes_total{scope=\"unscoped\"} ",
-            "inbox_alloc_window{window=\"10s\"}",
-            "inbox_alloc_bytes_window{window=\"60s\"}",
             "inbox_audit_sampled_total ",
             "inbox_audit_degraded ",
             "inbox_audit_recall{window=\"10s\"}",

@@ -9,8 +9,9 @@
 //!   ([`set_drift_stat`] and the SLO and audit producers). [`series`]
 //!   lists it, [`find_series`] reads one row, and every consumer below
 //!   reads through those two.
-//! - **Telemetry** ([`telemetry`]) — structured [`EpochRecord`] events fanned
-//!   out to pluggable sinks: console (leveled), JSONL file, in-memory capture.
+//! - **Telemetry** ([`telemetry`]) — structured [`EpochRecord`] events
+//!   written to one process-wide output ([`install`]): leveled stderr
+//!   lines and an optional JSONL file.
 //! - **Failpoints** ([`failpoints`]) — deterministic fault-injection sites
 //!   for chaos testing, compiled to no-ops unless an instrumented crate is
 //!   built with its `failpoints` feature.
@@ -26,8 +27,8 @@
 //!   and flight-recorder JSON for live `GET /metrics` / `GET /traces`.
 //! - **Allocation accounting** ([`alloc`]) — an opt-in instrumented
 //!   global allocator attributing alloc count/bytes to labeled scopes
-//!   ([`alloc_scope`]), making "allocation-free steady state" a
-//!   runtime-checkable invariant.
+//!   ([`alloc_scope`]); test binaries install it to check the
+//!   "allocation-free steady state" invariant.
 //! - **Contention accounting** ([`lock`]) — [`ObsMutex`]/[`ObsRwLock`]
 //!   wrappers recording wait/hold-time histograms and contention counters
 //!   per named lock.
@@ -57,9 +58,8 @@ pub mod trace;
 pub mod window;
 
 pub use alloc::{
-    all_alloc_scopes, alloc_scope, alloc_scope_stats, alloc_totals, alloc_tracking, alloc_window,
-    allocator_installed, assert_alloc_free, count_allocs, reset_alloc_stats, set_alloc_tracking,
-    AllocScopeGuard, InstrumentedAlloc, ScopeAllocStats, MAX_ALLOC_SCOPES,
+    all_alloc_scopes, alloc_scope, alloc_scope_stats, allocator_installed, reset_alloc_stats,
+    set_alloc_tracking, AllocScopeGuard, InstrumentedAlloc, ScopeAllocStats, MAX_ALLOC_SCOPES,
 };
 pub use audit::{
     audit_degraded, audit_floor, audit_snapshot, note_audit_sampled, note_audit_shed,
@@ -77,9 +77,8 @@ pub use registry::{
 };
 pub use slo::{slo, slo_snapshot, Slo, SloSnapshot};
 pub use telemetry::{
-    add_sink, emit_epoch, emit_run_summary, emit_trace, flush_sinks, next_run_id, BoxHealth,
-    CaptureSink, ConsoleSink, CounterSummary, EpochRecord, JsonlSink, RunSummary, Sink,
-    SpanSummary, TelemetryEvent, ValueSummary, Verbosity,
+    emit_epoch, emit_run_summary, emit_trace, install, next_run_id, verbosity, BoxHealth,
+    CounterSummary, EpochRecord, RunSummary, SpanSummary, ValueSummary, Verbosity,
 };
 pub use trace::{
     clear_traces, ctx_span, force_trace, notable_traces, recent_traces, set_slow_threshold,

@@ -1,22 +1,26 @@
-//! Training telemetry: structured per-epoch records fanned out to sinks.
+//! Training telemetry: structured per-epoch records written to one
+//! process-wide output.
 //!
 //! The trainer emits one [`EpochRecord`] per epoch and one [`RunSummary`]
-//! per run (aggregated span/counter statistics). Events flow through a
-//! process-global sink list so instrumentation needs no plumbing through
-//! call signatures: the CLI installs a console sink and optionally a JSONL
-//! file sink; tests install a [`CaptureSink`]. Every record carries a `run`
-//! id (from [`next_run_id`]) so concurrent runs in one process — e.g.
-//! parallel tests — can be told apart.
+//! per run (aggregated span/counter statistics); the flight recorder emits
+//! every error trace. Events go to the output [`install`]ed once per
+//! process, so instrumentation needs no plumbing through call signatures:
+//! progress lines on stderr at a [`Verbosity`] and, optionally, a JSONL
+//! file with one event per line. Every record carries a `run` id (from
+//! [`next_run_id`]) so concurrent runs in one process — e.g. parallel
+//! tests — can be told apart.
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::{self, Kind};
 use crate::trace::TraceRecord;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::value::{Map, Value};
-use serde::{DeError, Deserialize, Serialize};
-use std::io::Write;
+use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Geometric health of the tag-box population after an epoch.
 ///
@@ -47,7 +51,7 @@ impl BoxHealth {
     }
 }
 
-/// One epoch of one training stage, as emitted to telemetry sinks.
+/// One epoch of one training stage, as emitted to the telemetry output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EpochRecord {
     /// Run id from [`next_run_id`]; distinguishes concurrent runs.
@@ -155,29 +159,25 @@ pub struct RunSummary {
     /// All counters ever touched, sorted by name.
     pub counters: Vec<CounterSummary>,
     /// All value histograms that recorded at least once, sorted by name.
-    /// Defaults to empty when reading summaries written before this field
-    /// existed.
-    #[serde(default)]
     pub values: Vec<ValueSummary>,
 }
 
 /// A telemetry event, externally tagged in JSON as `{"epoch": {...}}`,
 /// `{"summary": {...}}`, or `{"trace": {...}}` so JSONL consumers can
 /// dispatch on the single key.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
+enum TelemetryEvent<'a> {
     /// One training epoch finished.
-    Epoch(EpochRecord),
+    Epoch(&'a EpochRecord),
     /// A run finished; aggregate statistics.
-    Summary(RunSummary),
+    Summary(&'a RunSummary),
     /// A request trace worth keeping (errors are emitted automatically by
     /// the flight recorder); carries the trace id and full span tree.
-    Trace(TraceRecord),
+    Trace(&'a TraceRecord),
 }
 
 // The vendored serde derive handles structs and unit enums only, so the
 // externally-tagged enum representation is written out by hand.
-impl Serialize for TelemetryEvent {
+impl Serialize for TelemetryEvent<'_> {
     fn serialize(&self) -> Value {
         let (tag, inner) = match self {
             TelemetryEvent::Epoch(r) => ("epoch", r.serialize()),
@@ -190,39 +190,10 @@ impl Serialize for TelemetryEvent {
     }
 }
 
-impl Deserialize for TelemetryEvent {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", value))?;
-        if let Some(inner) = obj.get("epoch") {
-            return Ok(TelemetryEvent::Epoch(EpochRecord::deserialize(inner)?));
-        }
-        if let Some(inner) = obj.get("summary") {
-            return Ok(TelemetryEvent::Summary(RunSummary::deserialize(inner)?));
-        }
-        if let Some(inner) = obj.get("trace") {
-            return Ok(TelemetryEvent::Trace(TraceRecord::deserialize(inner)?));
-        }
-        Err(DeError::custom(
-            "expected an object tagged `epoch`, `summary`, or `trace`",
-        ))
-    }
-}
-
-/// Receives telemetry events. Implementations must tolerate concurrent calls.
-pub trait Sink: Send + Sync {
-    /// Handles one event.
-    fn emit(&self, event: &TelemetryEvent);
-
-    /// Flushes buffered output, if any.
-    fn flush(&self) {}
-}
-
-/// How much the console sink prints.
+/// How much the stderr output prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verbosity {
-    /// Nothing (errors are the caller's concern, not the sink's).
+    /// Nothing (errors are the caller's concern, not telemetry's).
     Quiet,
     /// One line per epoch and a compact run summary.
     Info,
@@ -244,18 +215,6 @@ impl std::str::FromStr for Verbosity {
     }
 }
 
-/// Human-readable progress lines on stderr (stdout stays machine-parseable).
-pub struct ConsoleSink {
-    verbosity: Verbosity,
-}
-
-impl ConsoleSink {
-    /// A console sink printing at `verbosity`.
-    pub fn new(verbosity: Verbosity) -> Self {
-        ConsoleSink { verbosity }
-    }
-}
-
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
@@ -268,128 +227,81 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-impl Sink for ConsoleSink {
-    fn emit(&self, event: &TelemetryEvent) {
-        if self.verbosity == Verbosity::Quiet {
-            return;
+/// Human-readable progress lines on stderr (stdout stays machine-parseable).
+fn print_to_stderr(level: Verbosity, event: &TelemetryEvent) {
+    if level == Verbosity::Quiet {
+        return;
+    }
+    match event {
+        TelemetryEvent::Epoch(r) => {
+            let eval = match (r.recall, r.ndcg) {
+                (Some(rec), Some(nd)) => format!("  recall {rec:.4}  ndcg {nd:.4}"),
+                _ => String::new(),
+            };
+            eprintln!(
+                "stage {} epoch {:>3}  loss {:<10.5} {:>9.0} samp/s  |grad| {:.4}  \
+                 box[size {:.3}, collapsed {:.1}%]{}",
+                r.stage,
+                r.epoch,
+                r.loss,
+                r.samples_per_sec,
+                r.grad_norm,
+                r.box_health.mean_size,
+                100.0 * r.box_health.collapsed_frac,
+                eval,
+            );
         }
-        match event {
-            TelemetryEvent::Epoch(r) => {
-                let eval = match (r.recall, r.ndcg) {
-                    (Some(rec), Some(nd)) => format!("  recall {rec:.4}  ndcg {nd:.4}"),
-                    _ => String::new(),
-                };
-                eprintln!(
-                    "stage {} epoch {:>3}  loss {:<10.5} {:>9.0} samp/s  |grad| {:.4}  \
-                     box[size {:.3}, collapsed {:.1}%]{}",
-                    r.stage,
-                    r.epoch,
-                    r.loss,
-                    r.samples_per_sec,
-                    r.grad_norm,
-                    r.box_health.mean_size,
-                    100.0 * r.box_health.collapsed_frac,
-                    eval,
-                );
-            }
-            TelemetryEvent::Summary(s) => {
-                eprintln!(
-                    "run {} summary: {} spans, {} counters",
-                    s.run,
-                    s.spans.len(),
-                    s.counters.len()
-                );
-                if self.verbosity >= Verbosity::Debug {
-                    for sp in &s.spans {
-                        eprintln!(
-                            "  span {:<24} n {:>8}  p50 {:>9}  p95 {:>9}  p99 {:>9}",
-                            sp.name,
-                            sp.count,
-                            fmt_ns(sp.p50_ns),
-                            fmt_ns(sp.p95_ns),
-                            fmt_ns(sp.p99_ns),
-                        );
-                    }
-                    for v in &s.values {
-                        eprintln!(
-                            "  value {:<25} n {:>8}  p50 {:>9}  p95 {:>9}  p99 {:>9}",
-                            v.name, v.count, v.p50, v.p95, v.p99,
-                        );
-                    }
-                    for c in &s.counters {
-                        eprintln!("  counter {:<21} {:>10}", c.name, c.value);
-                    }
+        TelemetryEvent::Summary(s) => {
+            eprintln!(
+                "run {} summary: {} spans, {} counters",
+                s.run,
+                s.spans.len(),
+                s.counters.len()
+            );
+            if level >= Verbosity::Debug {
+                for sp in &s.spans {
+                    eprintln!(
+                        "  span {:<24} n {:>8}  p50 {:>9}  p95 {:>9}  p99 {:>9}",
+                        sp.name,
+                        sp.count,
+                        fmt_ns(sp.p50_ns),
+                        fmt_ns(sp.p95_ns),
+                        fmt_ns(sp.p99_ns),
+                    );
+                }
+                for v in &s.values {
+                    eprintln!(
+                        "  value {:<25} n {:>8}  p50 {:>9}  p95 {:>9}  p99 {:>9}",
+                        v.name, v.count, v.p50, v.p95, v.p99,
+                    );
+                }
+                for c in &s.counters {
+                    eprintln!("  counter {:<21} {:>10}", c.name, c.value);
                 }
             }
-            TelemetryEvent::Trace(t) => {
-                eprintln!(
-                    "trace {} {} {:?} {} ({} spans)",
-                    t.id,
-                    t.kind,
-                    t.outcome,
-                    fmt_ns(t.total_ns),
-                    t.spans.len(),
-                );
-            }
+        }
+        TelemetryEvent::Trace(t) => {
+            eprintln!(
+                "trace {} {} {:?} {} ({} spans)",
+                t.id,
+                t.kind,
+                t.outcome,
+                fmt_ns(t.total_ns),
+                t.spans.len(),
+            );
         }
     }
 }
 
-/// Appends one JSON object per event to a file (JSON Lines).
-pub struct JsonlSink {
-    writer: Mutex<std::io::BufWriter<std::fs::File>>,
+// ---- the process-wide output ---------------------------------------------
+
+/// Where events go: stderr at `level`, plus the JSONL file if one was given.
+struct Output {
+    level: Verbosity,
+    jsonl: Option<Mutex<File>>,
 }
 
-impl JsonlSink {
-    /// Creates (truncating) `path` and writes every event to it.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink {
-            writer: Mutex::new(std::io::BufWriter::new(file)),
-        })
-    }
-}
-
-impl Sink for JsonlSink {
-    fn emit(&self, event: &TelemetryEvent) {
-        let line = serde_json::to_string(event).expect("telemetry events always serialise");
-        let mut w = self.writer.lock();
-        // A failed metrics write should not abort training; drop the line.
-        let _ = writeln!(w, "{line}");
-    }
-
-    fn flush(&self) {
-        let _ = self.writer.lock().flush();
-    }
-}
-
-/// Buffers events in memory; for tests and programmatic consumers.
-#[derive(Default)]
-pub struct CaptureSink {
-    events: Mutex<Vec<TelemetryEvent>>,
-}
-
-impl CaptureSink {
-    /// An empty capture sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of everything captured so far.
-    pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.events.lock().clone()
-    }
-}
-
-impl Sink for CaptureSink {
-    fn emit(&self, event: &TelemetryEvent) {
-        self.events.lock().push(event.clone());
-    }
-}
-
-// ---- global sink hub -----------------------------------------------------
-
-static SINKS: RwLock<Vec<Arc<dyn Sink>>> = RwLock::new(Vec::new());
+static OUTPUT: OnceLock<Output> = OnceLock::new();
 static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh process-unique run id.
@@ -397,39 +309,64 @@ pub fn next_run_id() -> u64 {
     NEXT_RUN.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Registers a sink; it receives every subsequent event.
-pub fn add_sink(sink: Arc<dyn Sink>) {
-    SINKS.write().push(sink);
-}
-
-/// Flushes every registered sink.
-pub fn flush_sinks() {
-    for s in SINKS.read().iter() {
-        s.flush();
+/// Installs the process-wide telemetry output: progress lines on stderr at
+/// `level` and, when `metrics_out` is given, a JSONL file (created or
+/// truncated) receiving one JSON object per event. Until it is called,
+/// events go nowhere. Installs once per process; a second call fails with
+/// [`io::ErrorKind::AlreadyExists`].
+pub fn install(level: Verbosity, metrics_out: Option<&Path>) -> io::Result<()> {
+    if OUTPUT.get().is_some() {
+        return Err(already_installed());
     }
+    let jsonl = metrics_out.map(File::create).transpose()?.map(Mutex::new);
+    OUTPUT
+        .set(Output { level, jsonl })
+        .map_err(|_| already_installed())
 }
 
-/// Fans an event out to every registered sink (no-op while instrumentation
-/// is disabled).
-pub fn emit(event: &TelemetryEvent) {
+fn already_installed() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        "telemetry output already installed",
+    )
+}
+
+/// The installed output's level (`Info` before [`install`]).
+pub fn verbosity() -> Verbosity {
+    OUTPUT.get().map_or(Verbosity::Info, |o| o.level)
+}
+
+/// Writes an event to the installed output (no-op before [`install`] and
+/// while instrumentation is disabled).
+fn emit(event: &TelemetryEvent) {
+    let Some(out) = OUTPUT.get() else {
+        return;
+    };
     if !registry::enabled() {
         return;
     }
-    for s in SINKS.read().iter() {
-        s.emit(event);
+    print_to_stderr(out.level, event);
+    if let Some(file) = &out.jsonl {
+        let mut line = serde_json::to_string(event).expect("telemetry events always serialise");
+        line.push('\n');
+        // One unbuffered write per line: the line is in the file when
+        // `emit` returns, so a process that never exits (`inbox serve`)
+        // loses nothing when killed. A failed metrics write should not
+        // abort training; drop the line.
+        let _ = file.lock().write_all(line.as_bytes());
     }
 }
 
 /// Emits an [`EpochRecord`].
 pub fn emit_epoch(record: EpochRecord) {
-    emit(&TelemetryEvent::Epoch(record));
+    emit(&TelemetryEvent::Epoch(&record));
 }
 
 /// Emits a finished [`TraceRecord`] — called by the flight recorder for
 /// every error trace, and available to anything that wants a specific
 /// trace on the JSONL record.
 pub fn emit_trace(record: &TraceRecord) {
-    emit(&TelemetryEvent::Trace(record.clone()));
+    emit(&TelemetryEvent::Trace(record));
 }
 
 /// Builds a [`RunSummary`] from the registry table and emits it.
@@ -456,13 +393,14 @@ pub fn emit_run_summary(run: u64) -> RunSummary {
             Kind::Gauge => {}
         }
     }
-    emit(&TelemetryEvent::Summary(summary.clone()));
+    emit(&TelemetryEvent::Summary(&summary));
     summary
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample_record(run: u64) -> EpochRecord {
         EpochRecord {
@@ -485,18 +423,52 @@ mod tests {
         }
     }
 
+    /// The payload under `tag` of a line holding exactly one tagged event.
+    fn tagged(line: &str, tag: &str) -> Value {
+        let value: Value = serde_json::from_str(line).unwrap();
+        let obj = value.as_object().expect("an event line is an object");
+        assert_eq!(obj.len(), 1, "one tag per line: {line}");
+        obj.get(tag)
+            .unwrap_or_else(|| panic!("no `{tag}` in {line}"))
+            .clone()
+    }
+
+    /// This test binary's JSONL output, installed on first use. The output
+    /// is process-wide, so every test shares it and picks its own lines
+    /// out by run id.
+    fn installed_jsonl() -> &'static Path {
+        static PATH: OnceLock<PathBuf> = OnceLock::new();
+        PATH.get_or_init(|| {
+            let path = std::env::temp_dir()
+                .join(format!("inbox-obs-telemetry-{}.jsonl", std::process::id()));
+            install(Verbosity::Quiet, Some(&path)).unwrap();
+            path
+        })
+    }
+
+    /// The `tag` payloads of run `run` in the installed output, read
+    /// straight from disk.
+    fn lines_of_run(tag: &str, run: u64) -> Vec<Value> {
+        let text = std::fs::read_to_string(installed_jsonl()).unwrap();
+        text.lines()
+            .filter(|line| line.starts_with(&format!("{{\"{tag}\":")))
+            .map(|line| tagged(line, tag))
+            .filter(|v| v.as_object().and_then(|o| o.get("run")?.as_f64()) == Some(run as f64))
+            .collect()
+    }
+
     #[test]
     fn epoch_event_roundtrips_through_json() {
-        let event = TelemetryEvent::Epoch(sample_record(9));
-        let line = serde_json::to_string(&event).unwrap();
+        let record = sample_record(9);
+        let line = serde_json::to_string(&TelemetryEvent::Epoch(&record)).unwrap();
         assert!(line.starts_with("{\"epoch\":"), "tagged line: {line}");
-        let back: TelemetryEvent = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, event);
+        let back: EpochRecord = serde_json::from_value(&tagged(&line, "epoch")).unwrap();
+        assert_eq!(back, record);
     }
 
     #[test]
     fn summary_event_roundtrips_through_json() {
-        let event = TelemetryEvent::Summary(RunSummary {
+        let summary = RunSummary {
             run: 3,
             spans: vec![SpanSummary {
                 name: "grad.stage1".into(),
@@ -518,16 +490,16 @@ mod tests {
                 p95: 12,
                 p99: 12,
             }],
-        });
-        let line = serde_json::to_string(&event).unwrap();
+        };
+        let line = serde_json::to_string(&TelemetryEvent::Summary(&summary)).unwrap();
         assert!(line.starts_with("{\"summary\":"));
-        let back: TelemetryEvent = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, event);
+        let back: RunSummary = serde_json::from_value(&tagged(&line, "summary")).unwrap();
+        assert_eq!(back, summary);
     }
 
     #[test]
     fn trace_event_roundtrips_through_json() {
-        let event = TelemetryEvent::Trace(TraceRecord {
+        let trace = TraceRecord {
             id: 17,
             kind: "http.request".into(),
             outcome: crate::trace::TraceOutcome::Error,
@@ -539,70 +511,39 @@ mod tests {
                 start_ns: 0,
                 dur_ns: 0,
             }],
-        });
-        let line = serde_json::to_string(&event).unwrap();
+        };
+        let line = serde_json::to_string(&TelemetryEvent::Trace(&trace)).unwrap();
         assert!(line.starts_with("{\"trace\":"), "tagged line: {line}");
-        let back: TelemetryEvent = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, event);
+        let back: TraceRecord = serde_json::from_value(&tagged(&line, "trace")).unwrap();
+        assert_eq!(back, trace);
     }
 
     #[test]
-    fn summary_without_values_field_still_loads() {
-        // Summaries written before value histograms existed must read
-        // back with that list empty.
-        let line = "{\"summary\":{\"run\":4,\"spans\":[],\"counters\":[]}}";
-        let back: TelemetryEvent = serde_json::from_str(line).unwrap();
-        match back {
-            TelemetryEvent::Summary(s) => {
-                assert_eq!(s.run, 4);
-                assert!(s.values.is_empty());
-            }
-            other => panic!("expected summary, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn untagged_object_is_rejected() {
-        assert!(serde_json::from_str::<TelemetryEvent>("{\"other\":1}").is_err());
-        assert!(serde_json::from_str::<TelemetryEvent>("[1,2]").is_err());
-    }
-
-    #[test]
-    fn capture_sink_receives_emitted_events() {
+    fn installed_output_holds_each_line_without_a_flush() {
+        installed_jsonl();
         let run = next_run_id();
-        let capture = Arc::new(CaptureSink::new());
-        add_sink(capture.clone() as Arc<dyn Sink>);
         emit_epoch(sample_record(run));
+        // Read straight back: nothing flushes between the emit and here.
+        let epochs = lines_of_run("epoch", run);
+        assert_eq!(epochs.len(), 1);
+        let back: EpochRecord = serde_json::from_value(&epochs[0]).unwrap();
+        assert_eq!(back, sample_record(run));
+
         emit_epoch(sample_record(run));
-        let mine: Vec<_> = capture
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, TelemetryEvent::Epoch(r) if r.run == run))
-            .collect();
-        assert_eq!(mine.len(), 2);
+        let summary = emit_run_summary(run);
+        assert_eq!(lines_of_run("epoch", run).len(), 2);
+        let summaries = lines_of_run("summary", run);
+        assert_eq!(summaries.len(), 1);
+        let back: RunSummary = serde_json::from_value(&summaries[0]).unwrap();
+        assert_eq!(back, summary);
     }
 
     #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let dir = std::env::temp_dir().join(format!("inbox-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.emit(&TelemetryEvent::Epoch(sample_record(1)));
-        sink.emit(&TelemetryEvent::Summary(RunSummary {
-            run: 1,
-            spans: vec![],
-            counters: vec![],
-            values: vec![],
-        }));
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            serde_json::from_str::<TelemetryEvent>(line).unwrap();
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    fn output_installs_once() {
+        installed_jsonl();
+        let err = install(Verbosity::Debug, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(verbosity(), Verbosity::Quiet);
     }
 
     #[test]

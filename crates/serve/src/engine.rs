@@ -388,11 +388,14 @@ impl Engine {
     /// Answers one recommend request immediately on the calling thread
     /// ([`Service`](crate::Service) calls this inline; tests may call it
     /// directly). Users with a box get the geometric ranking; cold users
-    /// get the popularity fallback instead of an error.
+    /// get the popularity fallback instead of an error. `k` beyond the
+    /// catalog is clamped to it: no answer holds more than `n_items` items,
+    /// and the ranker reserves room for `k`.
     pub fn recommend_now(&self, user: UserId, k: usize) -> Result<Recommendation, ServeError> {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
         }
+        let k = k.min(self.n_items());
         let _recommend_span = inbox_obs::ctx_span("engine.recommend");
         let (version, resolved) = self.resolve_box(user);
         let fallback = resolved.is_none();
@@ -541,6 +544,8 @@ impl Engine {
         k: usize,
         served: Option<(u64, &[(ItemId, f32)])>,
     ) -> Option<Recommendation> {
+        // As in `recommend_now`: no answer holds more than the catalog.
+        let k = k.min(self.n_items());
         let (version, history, mask) = {
             let live = self.live.read().unwrap();
             let version = live.history.version(user);

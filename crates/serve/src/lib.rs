@@ -23,8 +23,8 @@
 //! erroring; every other degraded outcome is an explicit [`ServeError`].
 //! Serving emits `serve.*` counters, the `serve.queue.depth` value
 //! histogram, and the `serve.request` latency span through `inbox-obs`, so
-//! the existing telemetry sinks (`--metrics-out`) see serving traffic in
-//! the same schema as training.
+//! the telemetry output (`--metrics-out`) sees serving traffic in the same
+//! schema as training.
 
 #![warn(missing_docs)]
 

@@ -20,10 +20,6 @@ use inbox_serve::{Engine, HttpServer, ServeConfig, Service};
 use serde_json::Value;
 
 const TYPES: &[&str] = &[
-    "inbox_alloc_bytes_total counter",
-    "inbox_alloc_bytes_window gauge",
-    "inbox_alloc_total counter",
-    "inbox_alloc_window gauge",
     "inbox_audit_agreement gauge",
     "inbox_audit_audited_total counter",
     "inbox_audit_burn_total counter",
@@ -52,10 +48,6 @@ const TYPES: &[&str] = &[
 ];
 
 const SAMPLES: &[&str] = &[
-    "inbox_alloc_bytes_total{scope}",
-    "inbox_alloc_bytes_window{window}",
-    "inbox_alloc_total{scope}",
-    "inbox_alloc_window{window}",
     "inbox_audit_agreement{window}",
     "inbox_audit_audited_total{}",
     "inbox_audit_burn_total{}",

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use inbox_core::{InBoxConfig, InBoxModel, UniverseSizes};
 use inbox_data::{Dataset, SyntheticConfig};
-use inbox_serve::{Engine, HttpServer, ServeConfig, Service};
+use inbox_serve::{Engine, HttpServer, IndexMode, ServeConfig, Service};
 
 fn server(seed: u64) -> (Dataset, Arc<Service>, HttpServer) {
     server_with(seed, ServeConfig::default())
@@ -122,6 +122,49 @@ fn recommend_defaults_k_and_validates_params() {
     let bad_user = ds.train.n_users();
     let (status, body) = get(&http, &format!("/recommend?user={bad_user}"));
     assert_eq!(status, 404, "unknown user is not found; body: {body}");
+}
+
+#[test]
+fn huge_k_is_clamped_to_the_catalog() {
+    // A `k` past the catalog must not reach the ranker's `reserve(k)`: an
+    // allocation that large aborts the process, past any `catch_unwind`.
+    for index in [
+        IndexMode::FullSort,
+        IndexMode::Ivf {
+            nlist: 0,
+            nprobe: 0,
+        },
+    ] {
+        let serve_cfg = ServeConfig {
+            index,
+            ..ServeConfig::default()
+        };
+        let (ds, service, http) = server_with(59, serve_cfg);
+        let n_items = ds.n_items();
+        let user = (0..ds.train.n_users() as u32)
+            .find(|&u| !ds.train.items_of(inbox_kg::UserId(u)).is_empty())
+            .expect("an active user exists");
+        for k in [1_000_000_000_000u64, usize::MAX as u64] {
+            let (status, body) = get(&http, &format!("/recommend?user={user}&k={k}"));
+            assert_eq!(status, 200, "{index:?} k={k}: {body}");
+            let items = body.matches("\"item\":").count();
+            assert!(items <= n_items, "{index:?} k={k}: {items} items");
+            // The reference ranker clamps too; the full sort answers
+            // exactly what it does, the auto-probe IVF a subset.
+            let oracle = service
+                .engine()
+                .oracle(inbox_kg::UserId(user), k as usize)
+                .unwrap();
+            assert!(oracle.items.len() <= n_items, "{index:?} k={k}");
+            if index == IndexMode::FullSort {
+                assert_eq!(items, oracle.items.len(), "{index:?} k={k}");
+            }
+        }
+        let (status, _) = get(&http, "/health");
+        assert_eq!(status, 200, "{index:?}: the server survives");
+        http.shutdown();
+        service.shutdown();
+    }
 }
 
 #[test]
