@@ -13,15 +13,21 @@
 //! `--quick` runs a single repetition on the tiny dataset (CI smoke mode,
 //! written to `--out` or discarded); `--threads N` overrides the worker
 //! count (default 1 so numbers are comparable on any machine);
-//! `--items-scale N` sets the catalog multiplier for the indexed stage
-//! (default 100, or 10 under `--quick`).
+//! `--items-scale N` sets the catalog multiplier for the indexed and scan
+//! stages (default 100, or 10 under `--quick`).
+//!
+//! The scan stage times `ItemScorer::score_box_into` alone on that catalog
+//! twin at d = 32, 128 and 512 (d = 32 only under `--quick`), reporting
+//! items/s, GB/s of item matrix read (`n · d · 4` bytes per scan) and the
+//! lane backend the scan ran on.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use inbox_autodiff::Adam;
 use inbox_core::model::{InBoxModel, UniverseSizes};
-use inbox_core::predict::{all_user_boxes_with, HistoryCache};
+use inbox_core::predict::{all_user_boxes_with, user_interest_box, HistoryCache};
 use inbox_core::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
 use inbox_core::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
 use inbox_core::{InBoxConfig, ItemScorer, ScoreScratch};
@@ -67,6 +73,23 @@ struct IndexedStage {
     candidates_per_sec: f64,
 }
 
+/// One point of the scan stage's d sweep: the full scan
+/// (`ItemScorer::score_box_into`) of the items-scaled catalog twin against
+/// one interest box, best of reps, averaged over [`SCAN_BOXES`] boxes.
+#[derive(Debug, Clone, Serialize)]
+struct ScanPoint {
+    n_items: usize,
+    /// `"avx2"`, `"sse2"` or `"portable"` (`ItemScorer::backend`).
+    backend: &'static str,
+    scan_ms: f64,
+    items_per_sec: f64,
+    /// Item-matrix bytes read per second: `n · d · 4` per scan.
+    gb_per_sec: f64,
+}
+
+/// Interest boxes scored per timed rep of the scan stage.
+const SCAN_BOXES: usize = 8;
+
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     dataset: String,
@@ -76,6 +99,8 @@ struct Report {
     reps: usize,
     current: Numbers,
     indexed: IndexedStage,
+    /// The scan stage, keyed `d32`, `d128`, `d512`.
+    scan: BTreeMap<String, ScanPoint>,
 }
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -293,6 +318,42 @@ fn measure_indexed(
     }
 }
 
+/// Measures the scan stage at dimension `dim` on the items-scaled twin of
+/// `synth` (the indexed stage's catalog), with untrained parameters: the
+/// scan's cost does not depend on the values it reads.
+fn measure_scan(synth: &SyntheticConfig, dim: usize, reps: usize, scale: usize) -> ScanPoint {
+    let ds = Dataset::synthetic(&synth.clone().with_items_scale(scale), 7);
+    let sizes = UniverseSizes {
+        n_items: ds.kg.n_items(),
+        n_tags: ds.kg.n_tags(),
+        n_relations: ds.kg.n_relations(),
+        n_users: ds.n_users(),
+    };
+    let cfg = InBoxConfig::for_dim(dim);
+    let model = InBoxModel::new(sizes, &cfg);
+    let boxes: Vec<_> = (0..ds.n_users() as u32)
+        .filter_map(|u| user_interest_box(&model, &ds.kg, &ds.train, &cfg, UserId(u)))
+        .take(SCAN_BOXES)
+        .collect();
+    let scorer = ItemScorer::new(&model, &cfg, sizes.n_items);
+    let mut scratch = ScoreScratch::default();
+    let mut scores = Vec::new();
+    let (secs, ()) = best_of(reps, || {
+        for b in &boxes {
+            scorer.score_box_into(b, &mut scratch, &mut scores);
+        }
+    });
+    let per_scan = secs / boxes.len().max(1) as f64;
+    let n = sizes.n_items as f64;
+    ScanPoint {
+        n_items: sizes.n_items,
+        backend: scorer.backend(),
+        scan_ms: per_scan * 1e3,
+        items_per_sec: n / per_scan,
+        gb_per_sec: n * dim as f64 * 4.0 / per_scan / 1e9,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -343,6 +404,11 @@ fn main() {
 
     let current = measure(&ds, &cfg, reps);
     let indexed = measure_indexed(&synth, &cfg, reps, items_scale);
+    let scan_dims: &[usize] = if quick { &[32] } else { &[32, 128, 512] };
+    let scan = scan_dims
+        .iter()
+        .map(|&d| (format!("d{d}"), measure_scan(&synth, d, reps, items_scale)))
+        .collect();
 
     let report = Report {
         dataset: synth.name.clone(),
@@ -352,6 +418,7 @@ fn main() {
         reps,
         current,
         indexed,
+        scan,
     };
 
     println!(
@@ -373,6 +440,17 @@ fn main() {
         "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
         ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
     );
+
+    for (d, p) in &report.scan {
+        println!(
+            "scan {d:>4} ({} items, {}): {:>8.3} ms   {:>6.1} M items/s   {:>6.2} GB/s",
+            p.n_items,
+            p.backend,
+            p.scan_ms,
+            p.items_per_sec / 1e6,
+            p.gb_per_sec,
+        );
+    }
 
     let json = serde_json::to_string_pretty(&report).expect("serialise throughput report");
     std::fs::write(&out_path, json).expect("write BENCH_throughput.json");

@@ -259,45 +259,49 @@ pub fn all_user_boxes_with(
     }
 }
 
-/// Reusable buffers for [`ItemScorer::score_box_into`]: the per-dimension
-/// box bounds, kept warm so steady-state scoring allocates nothing.
+/// f32 elements per 64-byte cache line.
+const LINE: usize = 16;
+
+/// The first index of `buf`'s allocation that starts a cache line. Fill
+/// an empty `Vec` up to it, without reallocating, and the next element
+/// lands on a line boundary. The AVX2 scan loads 32 bytes at a time;
+/// from a line boundary, a load never straddles two lines, whatever
+/// address the allocator chose.
+fn line_offset(buf: &[f32]) -> usize {
+    (LINE - buf.as_ptr() as usize / 4 % LINE) % LINE
+}
+
+/// Reusable buffers for [`ItemScorer::score_box_into`]: the box centre and
+/// its per-dimension bounds, kept warm so steady-state scoring allocates
+/// nothing. Each of the three starts a 64-byte cache line, so the AVX2
+/// scan's loads never straddle two lines.
 #[derive(Default)]
 pub struct ScoreScratch {
-    lo: Vec<f32>,
-    hi: Vec<f32>,
+    /// `[pad | cen | lo | hi]`, each part `dim` rounded up to whole lines.
+    buf: Vec<f32>,
+    /// Where `cen` starts in `buf`.
+    at: usize,
+    dim: usize,
 }
 
 impl ScoreScratch {
+    /// Part `i` of the layout: 0 = `cen`, 1 = `lo`, 2 = `hi`.
+    fn part(&self, i: usize) -> &[f32] {
+        let start = self.at + i * self.dim.next_multiple_of(LINE);
+        &self.buf[start..start + self.dim]
+    }
+
     /// Lower box corner per dimension, as prepared by
     /// [`ItemScorer::prepare_box_bounds`].
     pub fn lo(&self) -> &[f32] {
-        &self.lo
+        self.part(1)
     }
 
     /// Upper box corner per dimension, as prepared by
     /// [`ItemScorer::prepare_box_bounds`].
     pub fn hi(&self) -> &[f32] {
-        &self.hi
+        self.part(2)
     }
-}
-
-/// The per-item scoring kernel shared by the full scan and the per-item
-/// path: `γ - (d_out + w·d_in)` via the lane-striped SIMD kernel
-/// ([`simd::d_pb_bounds_parts`]). Keeping both paths on this single
-/// function is what makes candidate re-ranking bit-identical to the full
-/// sort, and sharing the kernel with [`geometry::d_pb_weighted`] makes
-/// the matrix snapshot bit-identical to the per-item reference path too.
-#[inline]
-fn score_row(
-    row: &[f32],
-    cen: &[f32],
-    lo: &[f32],
-    hi: &[f32],
-    gamma: f32,
-    inside_weight: f32,
-) -> f32 {
-    let (out, inside) = simd::d_pb_bounds_parts(row, cen, lo, hi);
-    gamma - (out + inside_weight * inside)
 }
 
 /// Pinned for servebench; delete with the next benchmark change. The
@@ -335,10 +339,15 @@ pub struct ItemScorer {
     inside_weight: f32,
     n_items: usize,
     dim: usize,
-    /// Row-major `n_items × dim` snapshot of the item points.
-    items: Vec<f32>,
+    /// Row-major `n_items × dim` snapshot of the item points, from
+    /// `matrix[start]` on, which starts a cache line.
+    matrix: Vec<f32>,
+    start: usize,
     /// Lazily-built score vector for history-less users, cloned per call.
     sentinel: OnceLock<Vec<f32>>,
+    /// Present when this CPU runs AVX2, checked once here: the full scan
+    /// then runs at `__m256` width, bit-identical to [`simd::F32x8`].
+    avx2: Option<simd::Avx2>,
 }
 
 impl ItemScorer {
@@ -347,13 +356,20 @@ impl ItemScorer {
         let table = model.item_point_matrix();
         assert!(n_items <= table.rows(), "n_items exceeds item table");
         let dim = table.cols();
+        let len = n_items * dim;
+        let mut matrix = Vec::with_capacity(len + LINE - 1);
+        let start = line_offset(&matrix);
+        matrix.resize(start, 0.0);
+        matrix.extend_from_slice(&table.data()[..len]);
         Self {
             gamma: config.gamma,
             inside_weight: config.inside_weight,
             n_items,
             dim,
-            items: table.data()[..n_items * dim].to_vec(),
+            matrix,
+            start,
             sentinel: OnceLock::new(),
+            avx2: simd::Avx2::detect(),
         }
     }
 
@@ -396,7 +412,31 @@ impl ItemScorer {
 
     /// The row-major `n_items × dim` item-point snapshot.
     pub fn items(&self) -> &[f32] {
-        &self.items
+        &self.matrix[self.start..]
+    }
+
+    /// The lane backend the full scan runs on: `"avx2"`, `"sse2"` or
+    /// `"portable"`.
+    pub fn backend(&self) -> &'static str {
+        match self.avx2 {
+            Some(_) => "avx2",
+            None => simd::F32x8::BACKEND,
+        }
+    }
+
+    /// The box with the bounds `scratch` holds, ready to score rows:
+    /// [`score_item_prepared`](Self::score_item_prepared) and the full
+    /// scan share this one kernel, which is what keeps them bit-identical
+    /// (and, through the lane-striped kernel, equal to
+    /// [`geometry::d_pb_weighted`](crate::geometry::d_pb_weighted)).
+    fn prepared<'a>(&self, scratch: &'a ScoreScratch) -> simd::PreparedBox<'a> {
+        simd::PreparedBox {
+            cen: scratch.part(0),
+            lo: scratch.lo(),
+            hi: scratch.hi(),
+            gamma: self.gamma,
+            inside_weight: self.inside_weight,
+        }
     }
 
     /// Fills `scratch` with the box's per-dimension `[lo, hi]` bounds —
@@ -406,20 +446,24 @@ impl ItemScorer {
     /// with bit-identical results to the full scan.
     pub fn prepare_box_bounds(&self, b: &BoxEmb, scratch: &mut ScoreScratch) {
         let d = self.dim;
-        let lo = &mut scratch.lo;
-        let hi = &mut scratch.hi;
-        lo.clear();
-        hi.clear();
-        lo.reserve(d);
-        hi.reserve(d);
-        for k in 0..d {
-            // relu0, not f32::max: identical select semantics to the SIMD
-            // kernel's box form, so the bounds and box forms stay
-            // bit-identical.
-            let half = simd::relu0(b.off[k]);
-            lo.push(b.cen[k] - half);
-            hi.push(b.cen[k] + half);
-        }
+        let stride = d.next_multiple_of(LINE);
+        let buf = &mut scratch.buf;
+        buf.clear();
+        // Reserved before the offset is taken: the pushes below never
+        // reallocate, so every part stays where `line_offset` put it.
+        buf.reserve(LINE - 1 + 3 * stride);
+        let at = line_offset(buf);
+        buf.resize(at, 0.0);
+        buf.extend_from_slice(&b.cen[..d]);
+        // relu0, not f32::max: identical select semantics to the SIMD
+        // kernel's box form, so the bounds and box forms stay
+        // bit-identical.
+        buf.resize(at + stride, 0.0);
+        buf.extend((0..d).map(|k| b.cen[k] - simd::relu0(b.off[k])));
+        buf.resize(at + 2 * stride, 0.0);
+        buf.extend((0..d).map(|k| b.cen[k] + simd::relu0(b.off[k])));
+        scratch.at = at;
+        scratch.dim = d;
     }
 
     /// Scores one item against a box whose bounds were prepared by
@@ -427,16 +471,14 @@ impl ItemScorer {
     /// arithmetic and operation order to the full scan, so the score is
     /// bit-identical to `score_box_into`'s entry for the same item.
     pub fn score_item_prepared(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
+        debug_assert_eq!(
+            scratch.part(0),
+            &b.cen[..],
+            "scratch prepared from another box"
+        );
         let d = self.dim;
-        let row = &self.items[item as usize * d..(item as usize + 1) * d];
-        score_row(
-            row,
-            &b.cen,
-            &scratch.lo,
-            &scratch.hi,
-            self.gamma,
-            self.inside_weight,
-        )
+        let row = &self.items()[item as usize * d..(item as usize + 1) * d];
+        self.prepared(scratch).score(row)
     }
 
     /// Scores every item against one interest box, in item order.
@@ -451,7 +493,8 @@ impl ItemScorer {
     /// buffers: identical arithmetic and accumulation order (scores stay
     /// bit-identical to the reference path), but steady-state
     /// allocation-free once `scratch` and `out` have warmed to the
-    /// scorer's dimensions.
+    /// scorer's dimensions. Runs at AVX2 width when the CPU has it, with
+    /// the same bits as the [`simd::F32x8`] scan.
     pub fn score_box_into(
         &self,
         b: &BoxEmb,
@@ -462,17 +505,12 @@ impl ItemScorer {
         // `cen ± relu(off)` values and accumulation order as
         // `geometry::d_pb_weighted` keeps scores bit-identical.
         self.prepare_box_bounds(b, scratch);
-        out_scores.clear();
-        out_scores.reserve(self.n_items);
-        for row in self.items.chunks_exact(self.dim) {
-            out_scores.push(score_row(
-                row,
-                &b.cen,
-                &scratch.lo,
-                &scratch.hi,
-                self.gamma,
-                self.inside_weight,
-            ));
+        // The scan overwrites every slot, so a warm buffer is not re-zeroed.
+        out_scores.resize(self.n_items, 0.0);
+        let q = self.prepared(scratch);
+        match self.avx2 {
+            Some(avx2) => avx2.score_rows(&q, self.items(), out_scores),
+            None => q.score_rows(self.items(), out_scores),
         }
     }
 
@@ -706,6 +744,69 @@ mod tests {
             for (i, &s) in full.iter().enumerate() {
                 let one = scorer.score_item_prepared(b, &scratch, i as u32);
                 assert_eq!(one.to_bits(), s.to_bits(), "item {i}");
+            }
+        }
+    }
+
+    /// The dispatching scan (AVX2 when this CPU has it), the `F32x8` row
+    /// loop called directly and the per-item path agree to the bit, at
+    /// dims with and without remainder lanes and on boxes holding signed
+    /// zeros and subnormals.
+    #[test]
+    fn scan_backends_and_per_item_path_agree_bitwise() {
+        let (ds, _, _) = setup();
+        let specials = [0.0f32, -0.0, 1.1e-41, -7.0e-42, f32::MIN_POSITIVE];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |k: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            match (state >> 60) as usize {
+                0 => specials[k % specials.len()],
+                _ => ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.0,
+            }
+        };
+        for d in [1usize, 7, 8, 13, 32, 33] {
+            let cfg = InBoxConfig {
+                dim: d,
+                ..InBoxConfig::tiny_test()
+            };
+            let model = InBoxModel::new(
+                UniverseSizes {
+                    n_items: ds.kg.n_items(),
+                    n_tags: ds.kg.n_tags(),
+                    n_relations: ds.kg.n_relations(),
+                    n_users: ds.n_users(),
+                },
+                &cfg,
+            );
+            let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+            let mut scratch = ScoreScratch::default();
+            let mut dispatched = Vec::new();
+            let mut direct = vec![0.0f32; ds.n_items()];
+            for _ in 0..4 {
+                let cen: Vec<f32> = (0..d).map(&mut next).collect();
+                let off: Vec<f32> = (0..d).map(&mut next).collect();
+                let b = BoxEmb::new(cen, off);
+                scorer.score_box_into(&b, &mut scratch, &mut dispatched);
+                scorer
+                    .prepared(&scratch)
+                    .score_rows(scorer.items(), &mut direct);
+                assert_eq!(dispatched.len(), ds.n_items());
+                for (i, (&s, &f)) in dispatched.iter().zip(&direct).enumerate() {
+                    let one = scorer.score_item_prepared(&b, &scratch, i as u32);
+                    assert_eq!(
+                        s.to_bits(),
+                        f.to_bits(),
+                        "{} vs F32x8, dim {d} item {i}",
+                        scorer.backend()
+                    );
+                    assert_eq!(
+                        s.to_bits(),
+                        one.to_bits(),
+                        "scan vs per-item, dim {d} item {i}"
+                    );
+                }
             }
         }
     }

@@ -126,13 +126,33 @@ impl TopKScratch {
     }
 
     /// Resets to `k` and offers every item of `scores` (item id = index)
-    /// that is not in `mask`, which must be sorted ascending.
+    /// that is not in `mask`, which must be strictly ascending.
+    ///
+    /// The heap test comes first: most items cannot enter a warm heap, and
+    /// those never look at the mask. An item that would enter is checked
+    /// against the mask by a cursor that only moves forward, since items
+    /// arrive in id order. The pushes are the ones [`push`](Self::push)
+    /// would make for every unmasked item, so the answer is the same.
     pub fn select(&mut self, scores: &[f32], mask: &[ItemId], k: usize) {
+        debug_assert!(
+            mask.windows(2).all(|w| w[0] < w[1]),
+            "the mask must be strictly ascending"
+        );
         self.reset(k);
+        let mut masked = mask.iter().peekable();
         for (idx, &score) in scores.iter().enumerate() {
-            let item = ItemId(idx as u32);
-            if mask.binary_search(&item).is_err() {
-                self.push(item, score);
+            let entry = Ranked {
+                score,
+                item: ItemId(idx as u32),
+            };
+            let enters =
+                self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| entry < *worst);
+            if !enters {
+                continue;
+            }
+            while masked.next_if(|&&m| m < entry.item).is_some() {}
+            if masked.peek() != Some(&&entry.item) {
+                self.push(entry.item, entry.score);
             }
         }
     }

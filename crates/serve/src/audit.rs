@@ -145,7 +145,11 @@ impl Auditor {
     /// `serve.audit.queue_full` fault) the sample is dropped and counted
     /// shed — audit backpressure must never reach the serving path.
     fn offer(&self, sample: AuditSample) {
-        let mut queue = self.shared.queue.lock().unwrap();
+        let mut queue = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if queue.closed
             || queue.pending.len() >= self.queue_cap
             || inbox_obs::failpoint!("serve.audit.queue_full")
@@ -183,7 +187,12 @@ impl Auditor {
             queue.closed = true;
         }
         self.shared.nonempty.notify_all();
-        if let Some(worker) = self.worker.lock().unwrap().take() {
+        if let Some(worker) = self
+            .worker
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take()
+        {
             let _ = worker.join();
         }
     }

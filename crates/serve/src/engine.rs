@@ -20,6 +20,10 @@
 //! and contended acquisitions bump the matching `.contended` counters.
 //! Lock order is always live → cache; no code path acquires them in the
 //! other direction, so the engine cannot deadlock against itself.
+//! A panic while either lock is held poisons it; every acquisition here
+//! recovers the guard with `PoisonError::into_inner`, as the HTTP front
+//! end and the audit worker do, so one panicked request never turns every
+//! later one into a panic.
 //!
 //! The hot scoring path is allocation-free at steady state: per-thread
 //! scratch buffers back [`ItemScorer::score_box_into`] and the masked
@@ -29,7 +33,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
@@ -42,7 +46,7 @@ use inbox_index::{
     auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
 };
 use inbox_kg::{ItemId, KnowledgeGraph, UserId};
-use inbox_obs::{ObsMutex, ObsRwLock};
+use inbox_obs::{ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
 
 use crate::cache::BoxCache;
 use crate::error::ServeError;
@@ -255,6 +259,22 @@ impl Engine {
         Self::new(trained.model, trained.config, kg, train, serve)
     }
 
+    /// The live state, shared. Like every lock here, a guard poisoned by a
+    /// panicking holder is recovered rather than propagated.
+    fn read_live(&self) -> ObsReadGuard<'_, LiveState> {
+        self.live.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The live state, exclusive.
+    fn write_live(&self) -> ObsWriteGuard<'_, LiveState> {
+        self.live.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The box cache.
+    fn lock_cache(&self) -> ObsMutexGuard<'_, BoxCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of users in the serving universe.
     pub fn n_users(&self) -> usize {
         self.n_users
@@ -277,7 +297,7 @@ impl Engine {
 
     /// Number of interest boxes currently resident in the box cache.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.lock_cache().len()
     }
 
     /// Current serving statistics.
@@ -286,7 +306,7 @@ impl Engine {
             requests: self.stats.requests.load(Ordering::Relaxed),
             rebuilds: self.stats.rebuilds.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            evictions: self.cache.lock().unwrap().evictions(),
+            evictions: self.lock_cache().evictions(),
             fallbacks: self.stats.fallbacks.load(Ordering::Relaxed),
             ingests: self.stats.ingests.load(Ordering::Relaxed),
             sheds: self.stats.sheds.load(Ordering::Relaxed),
@@ -302,7 +322,7 @@ impl Engine {
         if user.index() >= self.n_users {
             return Err(ServeError::UnknownUser(user));
         }
-        Ok(self.live.read().unwrap().history.version(user))
+        Ok(self.read_live().history.version(user))
     }
 
     /// Records a live interaction. Takes the live write lock briefly; the
@@ -316,7 +336,7 @@ impl Engine {
             return Err(ServeError::UnknownItem(item));
         }
         let (version, history_changed, mask_changed) = {
-            let mut live = self.live.write().unwrap();
+            let mut live = self.write_live();
             let mask = &mut live.masks[user.index()];
             let mask_changed = match mask.binary_search(&item) {
                 Err(pos) => {
@@ -325,6 +345,14 @@ impl Engine {
                 }
                 Ok(_) => false,
             };
+            // Chaos site: a panic with the write lock held, between the
+            // two updates, poisons `live`. Every lock here recovers the
+            // guard, and the state left behind (mask grown, history not)
+            // is one a capped history reaches anyway, so later requests
+            // are still answered exactly.
+            if inbox_obs::failpoint!("serve.ingest.panic") {
+                panic!("injected failpoint: serve.ingest.panic");
+            }
             let history_changed = live.history.ingest(&self.kg, &self.config, user, item);
             (live.history.version(user), history_changed, mask_changed)
         };
@@ -347,9 +375,9 @@ impl Engine {
     /// insert. Returns the version the box belongs to.
     fn resolve_box(&self, user: UserId) -> (u64, Option<Arc<BoxEmb>>) {
         let _resolve_span = inbox_obs::ctx_span("engine.resolve_box");
-        let live = self.live.read().unwrap();
+        let live = self.read_live();
         let version = live.history.version(user);
-        if let Some(hit) = self.cache.lock().unwrap().get(user.0, version) {
+        if let Some(hit) = self.lock_cache().get(user.0, version) {
             drop(live);
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.obs_cache_hits.incr();
@@ -377,10 +405,7 @@ impl Engine {
         // entry being evicted by a concurrent flood of other users the
         // instant after it was cached — the answer must not change.
         if !inbox_obs::failpoint!("serve.cache.evict") {
-            self.cache
-                .lock()
-                .unwrap()
-                .insert(user.0, version, value.clone());
+            self.lock_cache().insert(user.0, version, value.clone());
         }
         (version, value)
     }
@@ -441,7 +466,7 @@ impl Engine {
                 let rerank_stats = {
                     let _rerank_span = inbox_obs::ctx_span("engine.rerank");
                     let _rerank_alloc = inbox_obs::alloc_scope("engine.rerank");
-                    let live = self.live.read().unwrap();
+                    let live = self.read_live();
                     let mask = &live.masks[user.index()];
                     index.rerank(
                         &q,
@@ -469,7 +494,7 @@ impl Engine {
             {
                 let _rank_span = inbox_obs::ctx_span("engine.rank");
                 let _rank_alloc = inbox_obs::alloc_scope("engine.rank");
-                let live = self.live.read().unwrap();
+                let live = self.read_live();
                 topk.select(scores, &live.masks[user.index()], k);
                 ranked.clear();
                 topk.finish(|item, s| ranked.push((item, s)));
@@ -547,7 +572,7 @@ impl Engine {
         // As in `recommend_now`: no answer holds more than the catalog.
         let k = k.min(self.n_items());
         let (version, history, mask) = {
-            let live = self.live.read().unwrap();
+            let live = self.read_live();
             let version = live.history.version(user);
             if served.is_some_and(|(v, _)| v != version) {
                 return None;

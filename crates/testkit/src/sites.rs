@@ -55,6 +55,9 @@ pub const ALL: &[&str] = &[
     // serve::http::respond — stall the connection worker (pure delay)
     // between parsing and answering.
     "serve.http.worker_stall",
+    // serve::engine::ingest — panic with `engine.live`'s write lock held,
+    // poisoning it; later requests must still be answered exactly.
+    "serve.ingest.panic",
 ];
 
 /// Every span name that can appear in a request trace's tree, sorted by

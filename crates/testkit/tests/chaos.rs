@@ -170,14 +170,25 @@ fn http_stack(seed: u64, serve_cfg: &ServeConfig) -> (Arc<Service>, HttpServer) 
 /// One `GET` round trip; returns the raw response (empty when the server
 /// dropped the connection without a byte).
 fn http_get(http: &HttpServer, path: &str) -> String {
+    http_call(http, &format!("GET {path} HTTP/1.1\r\n"))
+}
+
+/// One body-less `POST` round trip, as [`http_get`].
+fn http_post(http: &HttpServer, path: &str) -> String {
+    http_call(
+        http,
+        &format!("POST {path} HTTP/1.1\r\nContent-Length: 0\r\n"),
+    )
+}
+
+/// Sends `head` (request line plus any headers) and reads to EOF.
+fn http_call(http: &HttpServer, head: &str) -> String {
     let mut stream = TcpStream::connect(http.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
+        .write_all(format!("{head}Host: x\r\nConnection: close\r\n\r\n").as_bytes())
         .unwrap();
     let mut response = Vec::new();
     let _ = stream.read_to_end(&mut response);
@@ -248,6 +259,47 @@ fn worker_panic_costs_one_connection() {
     http.shutdown();
     service.shutdown();
     assert_eq!(service.recommend(UserId(0), 5), Err(ServeError::Closed));
+}
+
+/// A panic with `engine.live`'s write lock held, in the middle of an
+/// ingest, poisons the lock. It costs that ingest's connection only:
+/// `/health` answers, `/recommend` for the same user still equals
+/// `Engine::oracle`, and later ingests apply. The panic struck after the
+/// mask took the item, so the item the user was about to be recommended
+/// is masked from then on.
+#[test]
+fn ingest_panic_under_the_live_write_lock_keeps_answers_exact() {
+    let _serial = serial();
+    let serve_cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let (service, http) = http_stack(47, &serve_cfg);
+    let engine = service.engine();
+    let top = engine.oracle(UserId(0), 5).unwrap().items[0].0;
+    {
+        let _fp = FailGuard::new("serve.ingest.panic", Trigger::Nth(1));
+        let lost = http_post(&http, &format!("/ingest?user=0&item={}", top.0));
+        assert!(lost.is_empty(), "the panicked ingest got bytes: {lost:?}");
+        assert_eq!(failpoints::fired("serve.ingest.panic"), 1);
+    }
+    assert!(http_get(&http, "/health").starts_with("HTTP/1.1 200"));
+    assert_exact(&http_get(&http, "/recommend?user=0&k=5"), &service, 0);
+    assert!(
+        engine
+            .oracle(UserId(0), 5)
+            .unwrap()
+            .items
+            .iter()
+            .all(|&(i, _)| i != top),
+        "the mask update made before the panic must stand"
+    );
+    let next = engine.oracle(UserId(1), 5).unwrap().items[0].0;
+    let ingested = http_post(&http, &format!("/ingest?user=1&item={}", next.0));
+    assert!(ingested.starts_with("HTTP/1.1 200"), "{ingested}");
+    assert_exact(&http_get(&http, "/recommend?user=1&k=5"), &service, 1);
+    http.shutdown();
+    service.shutdown();
 }
 
 /// A one-shot stall in a worker delays its answer but loses nothing: the

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use inbox_core::persist;
 use inbox_core::trainer::{TrainReport, TrainedInBox};
-use inbox_kg::UserId;
+use inbox_kg::{ItemId, UserId};
 use inbox_serve::{HttpServer, ServeConfig, Service};
 use inbox_testkit::harness;
 use inbox_testkit::{failpoints, sites, FailGuard, Trigger};
@@ -163,6 +163,13 @@ fn every_registered_site_is_exercised_and_listed() {
             || failpoints::fired("serve.http.accept_error") >= 1,
             "accept error",
         );
+    }
+    {
+        // A panic under `engine.live`'s write lock poisons it; the next
+        // request still answers.
+        let _fp = FailGuard::new("serve.ingest.panic", Trigger::Nth(1));
+        let ingest = std::panic::AssertUnwindSafe(|| service.ingest(UserId(0), ItemId(1)));
+        assert!(std::panic::catch_unwind(ingest).is_err());
     }
     assert!(get("/recommend?user=0&k=5").starts_with("HTTP/1.1 200"));
     http.shutdown();

@@ -14,15 +14,22 @@
 //! tiny/normal magnitude mixes, and every remainder-lane width (dims not
 //! divisible by 8). The same assertions run in CI under the default
 //! (intrinsics) build *and* `--features scalar-fallback`, proving both
-//! backends implement the same contract.
+//! backends implement the same contract. The AVX2 instance of the scoring
+//! lane program runs against the same replica wherever the CPU has AVX2.
 
 use inbox_core::geometry::{self, BoxEmb};
-use inbox_core::simd::{d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row};
+use inbox_core::simd::{
+    d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row, Avx2, PreparedBox,
+};
 use proptest::prelude::*;
 
 /// Largest dimensionality exercised; covers 5 full chunks and every
 /// remainder width 1..=7 as `dim` sweeps 1..=MAX_DIM.
 const MAX_DIM: usize = 40;
+
+/// Largest dimensionality of the AVX2 sweep: 8 full chunks plus every
+/// remainder width, each dim in `1..=AVX2_MAX_DIM` checked per case.
+const AVX2_MAX_DIM: usize = 70;
 
 // ---------------------------------------------------------------------
 // Independent scalar replica of the reduction-order contract
@@ -90,6 +97,21 @@ fn row() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(lane_value(), MAX_DIM)
 }
 
+fn avx2_row() -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(lane_value(), AVX2_MAX_DIM)
+}
+
+/// The CPU's AVX2 instance, or `None` with one note on stderr: the AVX2
+/// tests pass vacuously on a CPU (or build) without it.
+fn avx2() -> Option<Avx2> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let found = Avx2::detect();
+    if found.is_none() {
+        NOTE.call_once(|| eprintln!("AVX2 absent (CPU or build): AVX2 lane tests skipped"));
+    }
+    found
+}
+
 fn dim() -> impl Strategy<Value = usize> {
     1usize..=MAX_DIM
 }
@@ -145,6 +167,44 @@ proptest! {
         prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
         prop_assert!(got_out.is_finite() && got_out >= 0.0);
         prop_assert!(got_in.is_finite() && got_in >= 0.0);
+    }
+
+    /// The AVX2 instance of the `d_pb_bounds_parts` lane program equals
+    /// the striped replica on both accumulator groups, to the bit, at
+    /// every dim from 1 to `AVX2_MAX_DIM`; its row loop equals the
+    /// `F32x8` row loop on the same rows.
+    #[test]
+    fn avx2_bounds_parts_are_bit_identical_to_the_striped_replica(
+        p in avx2_row(),
+        cen in avx2_row(),
+        off in avx2_row(),
+        w in prop_oneof![Just(0.0f32), Just(1.0f32), 0.0f32..2.0],
+    ) {
+        let Some(avx2) = avx2() else { return Ok(()) };
+        for d in 1..=AVX2_MAX_DIM {
+            let (p, cen, off) = (&p[..d], &cen[..d], &off[..d]);
+            let lo: Vec<f32> = (0..d).map(|k| cen[k] - relu(off[k])).collect();
+            let hi: Vec<f32> = (0..d).map(|k| cen[k] + relu(off[k])).collect();
+            let (out_terms, in_terms) = parts_terms(p, cen, &lo, &hi);
+            let (want_out, want_in) = (striped(&out_terms), striped(&in_terms));
+            let (got_out, got_in) = avx2.d_pb_bounds_parts(p, cen, &lo, &hi);
+            prop_assert_eq!(got_out.to_bits(), want_out.to_bits(), "dim {} out", d);
+            prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
+
+            // Three item rows, scored by both row loops.
+            let items = [p, off, cen].concat();
+            let q = PreparedBox { cen, lo: &lo, hi: &hi, gamma: 2.5, inside_weight: w };
+            let (mut wide, mut narrow) = ([0.0f32; 3], [0.0f32; 3]);
+            avx2.score_rows(&q, &items, &mut wide);
+            q.score_rows(&items, &mut narrow);
+            prop_assert_eq!(wide.map(f32::to_bits), narrow.map(f32::to_bits), "dim {} rows", d);
+            prop_assert_eq!(
+                wide[0].to_bits(),
+                (2.5 - (want_out + w * want_in)).to_bits(),
+                "dim {} score",
+                d
+            );
+        }
     }
 
     /// `d_pb_box_parts` — behind `geometry::d_pb`/`d_pb_weighted` — is
