@@ -50,11 +50,10 @@ pub struct TapeBox {
     pub off: Var,
 }
 
-/// The user-independent inference parts of one history item (built by
-/// [`InBoxModel::item_box_parts`], consumed by
-/// [`InBoxModel::interest_box_cached`]). Values depend on the current
-/// parameters, so caches of these must be rebuilt whenever parameters
-/// change.
+/// The values of [`InBoxModel::item_boxes`] for one history item: the
+/// user-independent part of its contribution to an interest box. Values
+/// depend on the current parameters, so caches of these must be rebuilt
+/// whenever parameters change.
 pub struct ItemBoxParts {
     /// `1 x d` center of `b_interI` (or of the degenerate self box).
     cen: Tensor,
@@ -62,7 +61,55 @@ pub struct ItemBoxParts {
     off: Tensor,
     /// `n x d` concept-box centers and raw offsets (`None` for items
     /// without KG concepts).
-    concept_mats: Option<(Tensor, Tensor)>,
+    concepts: Option<(Tensor, Tensor)>,
+}
+
+/// Where [`InBoxModel::interest_box`] takes each history item's boxes from.
+#[derive(Clone, Copy)]
+pub enum ItemSource<'a> {
+    /// Record [`InBoxModel::item_boxes`] on the tape with this intersection:
+    /// the training path, differentiable end to end.
+    Record(crate::config::IntersectionMode),
+    /// Read the item's precomputed [`ItemBoxParts`] (indexed by item id) as
+    /// constants: the same values with no intersection recomputed, for
+    /// inference on frozen parameters.
+    Parts(&'a [Option<ItemBoxParts>]),
+}
+
+impl ItemSource<'_> {
+    /// One history item's `b_interI` and concept boxes on `tape`. The parts
+    /// source copies the concept boxes only when `with_concepts` is set, so
+    /// a `b_interI`-only interest box copies nothing it does not read.
+    fn item_boxes(
+        self,
+        model: &InBoxModel,
+        tape: &mut Tape,
+        item: ItemId,
+        concepts: &[Concept],
+        with_concepts: bool,
+    ) -> (TapeBox, Option<(Var, Var)>) {
+        match self {
+            ItemSource::Record(intersection) => {
+                model.item_boxes(tape, item, concepts, intersection)
+            }
+            ItemSource::Parts(parts) => {
+                let p = parts[item.index()]
+                    .as_ref()
+                    .expect("history item missing from parts cache");
+                let b_i = TapeBox {
+                    cen: tape.constant_ref(&p.cen),
+                    off: tape.constant_ref(&p.off),
+                };
+                let concept_boxes = match &p.concepts {
+                    Some((cens, offs)) if with_concepts => {
+                        Some((tape.constant_ref(cens), tape.constant_ref(offs)))
+                    }
+                    _ => None,
+                };
+                (b_i, concept_boxes)
+            }
+        }
+    }
 }
 
 /// The InBox parameter set.
@@ -327,6 +374,22 @@ impl InBoxModel {
         TapeBox { cen, off }
     }
 
+    /// The stage-2 intersection `b_interI` of `n` boxes under `mode`:
+    /// [`Self::intersect_attention`] or [`Self::intersect_maxmin`].
+    pub fn intersect(
+        &self,
+        tape: &mut Tape,
+        cens: Var,
+        offs: Var,
+        mode: crate::config::IntersectionMode,
+    ) -> TapeBox {
+        use crate::config::IntersectionMode;
+        match mode {
+            IntersectionMode::Attention => self.intersect_attention(tape, cens, offs),
+            IntersectionMode::MaxMin => self.intersect_maxmin(tape, cens, offs),
+        }
+    }
+
     /// User-bias intersection (Eq. (21)–(24)): attention over concept boxes
     /// conditioned on the user vector (`1 x d`).
     pub fn intersect_user_bias(&self, tape: &mut Tape, cens: Var, offs: Var, user: Var) -> TapeBox {
@@ -438,52 +501,60 @@ impl InBoxModel {
         tape.scale(total, -w)
     }
 
+    /// One history item's user-independent boxes: its stage-2 intersection
+    /// `b_interI` (Eq. (13)–(20)) and the concept boxes it intersects, which
+    /// the user-bias attention (Eq. (21)–(24)) reads. An item without KG
+    /// concepts gets a degenerate "self box" centered at its point
+    /// embedding, with zero width, and no concept boxes.
+    pub fn item_boxes(
+        &self,
+        tape: &mut Tape,
+        item: ItemId,
+        concepts: &[Concept],
+        intersection: crate::config::IntersectionMode,
+    ) -> (TapeBox, Option<(Var, Var)>) {
+        if concepts.is_empty() {
+            let cen = self.item_points(tape, &[item]);
+            let off = tape.zeros(1, self.dim);
+            return (TapeBox { cen, off }, None);
+        }
+        let (cens, offs) = self.concept_boxes(tape, concepts);
+        let b_i = self.intersect(tape, cens, offs, intersection);
+        (b_i, Some((cens, offs)))
+    }
+
     /// Builds a user's **interest box** (Section 3.4) from their interaction
     /// history.
     ///
-    /// For every history item the concept boxes are intersected twice — by
-    /// the stage-2 attention network (`b_interI`) and by the user-bias
-    /// attention (`b_interU`, Eq. (21)–(24)) — then averaged per Eq. (25),
-    /// (26); the interest box is the mean over items (Eq. (27), (28)).
-    /// `mode` selects the paper's `w/o userI` / `only userI` ablations.
-    /// Items without KG concepts contribute a degenerate "self box" centered
-    /// at their point embedding.
+    /// For every history item, `source` gives `b_interI` and the concept
+    /// boxes; the user-bias attention intersects those into `b_interU`
+    /// (Eq. (21)–(24)), and the two are averaged per Eq. (25), (26). The
+    /// interest box is the mean over items (Eq. (27), (28)). `mode` selects
+    /// the paper's `w/o userI` / `only userI` ablations; a self box enters
+    /// the mean as it is. Both sources feed the same values to the same
+    /// ops, so their boxes are bit-identical.
     pub fn interest_box(
         &self,
         tape: &mut Tape,
         user: UserId,
         history: &[(ItemId, Vec<Concept>)],
-        intersection: crate::config::IntersectionMode,
+        source: ItemSource<'_>,
         mode: crate::config::UserBoxMode,
     ) -> TapeBox {
-        use crate::config::{IntersectionMode, UserBoxMode};
+        use crate::config::UserBoxMode;
         assert!(!history.is_empty(), "interest box requires history");
-        let user_var = if mode == UserBoxMode::OnlyInterI {
-            None
-        } else {
-            Some(self.user_vector(tape, user))
-        };
+        let user_var = (mode != UserBoxMode::OnlyInterI).then(|| self.user_vector(tape, user));
         let m = history.len();
         let mut acc: Option<TapeBox> = None;
         for (item, concepts) in history {
-            let item_box = if concepts.is_empty() {
-                // Degenerate self box: the item's point with zero width.
-                let cen = self.item_points(tape, &[*item]);
-                let off = tape.zeros(1, self.dim);
-                TapeBox { cen, off }
-            } else {
-                let (cens, offs) = self.concept_boxes(tape, concepts);
-                let b_i = match intersection {
-                    IntersectionMode::Attention => self.intersect_attention(tape, cens, offs),
-                    IntersectionMode::MaxMin => self.intersect_maxmin(tape, cens, offs),
-                };
-                match (mode, user_var) {
-                    (UserBoxMode::OnlyInterI, _) | (_, None) => b_i,
-                    (UserBoxMode::OnlyInterU, Some(u)) => {
-                        self.intersect_user_bias(tape, cens, offs, u)
-                    }
-                    (UserBoxMode::Both, Some(u)) => {
-                        let b_u = self.intersect_user_bias(tape, cens, offs, u);
+            let (b_i, concept_boxes) =
+                source.item_boxes(self, tape, *item, concepts, user_var.is_some());
+            let item_box = match (concept_boxes, user_var) {
+                (Some((cens, offs)), Some(u)) => {
+                    let b_u = self.intersect_user_bias(tape, cens, offs, u);
+                    if mode == UserBoxMode::OnlyInterU {
+                        b_u
+                    } else {
                         // Eq. (25), (26): elementwise average of the two boxes.
                         let cen_sum = tape.add(b_i.cen, b_u.cen);
                         let off_sum = tape.add(b_i.off, b_u.off);
@@ -493,6 +564,7 @@ impl InBoxModel {
                         }
                     }
                 }
+                _ => b_i,
             };
             acc = Some(match acc {
                 None => item_box,
@@ -510,13 +582,10 @@ impl InBoxModel {
         }
     }
 
-    /// Precomputes the user-independent part of one history item's
-    /// contribution to an interest box: its stage-2 intersected box
-    /// (`b_interI`) and, for items with concepts, the concept-box matrices
-    /// the user-bias attention consumes. Only depends on the item and the
-    /// current parameters, so inference computes it once per distinct item
-    /// and shares it across all users (see
-    /// [`Self::interest_box_cached`]).
+    /// The values of [`Self::item_boxes`] on a freshly reset `tape`. They
+    /// depend only on the item and the current parameters, so inference
+    /// computes them once per distinct item and shares them across all
+    /// users through [`ItemSource::Parts`].
     pub fn item_box_parts(
         &self,
         tape: &mut Tape,
@@ -524,96 +593,13 @@ impl InBoxModel {
         concepts: &[Concept],
         intersection: crate::config::IntersectionMode,
     ) -> ItemBoxParts {
-        use crate::config::IntersectionMode;
         tape.reset();
-        if concepts.is_empty() {
-            // Degenerate self box: the item's point with zero width.
-            let cen = self.item_points(tape, &[item]);
-            ItemBoxParts {
-                cen: tape.value(cen).clone(),
-                off: Tensor::zeros(1, self.dim),
-                concept_mats: None,
-            }
-        } else {
-            let (cens, offs) = self.concept_boxes(tape, concepts);
-            let b = match intersection {
-                IntersectionMode::Attention => self.intersect_attention(tape, cens, offs),
-                IntersectionMode::MaxMin => self.intersect_maxmin(tape, cens, offs),
-            };
-            ItemBoxParts {
-                cen: tape.value(b.cen).clone(),
-                off: tape.value(b.off).clone(),
-                concept_mats: Some((tape.value(cens).clone(), tape.value(offs).clone())),
-            }
-        }
-    }
-
-    /// [`Self::interest_box`] assembled from precomputed
-    /// [`ItemBoxParts`], indexed by item id. Inserting the cached values as
-    /// constants feeds downstream ops the numerically identical inputs, so
-    /// the resulting box is bit-identical to the uncached forward pass;
-    /// only the user-conditioned intersection (Eq. (21)–(24)) is recomputed
-    /// per user.
-    pub fn interest_box_cached(
-        &self,
-        tape: &mut Tape,
-        user: UserId,
-        history: &[(ItemId, Vec<Concept>)],
-        parts: &[Option<ItemBoxParts>],
-        mode: crate::config::UserBoxMode,
-    ) -> TapeBox {
-        use crate::config::UserBoxMode;
-        assert!(!history.is_empty(), "interest box requires history");
-        let user_var = if mode == UserBoxMode::OnlyInterI {
-            None
-        } else {
-            Some(self.user_vector(tape, user))
-        };
-        let m = history.len();
-        let mut acc: Option<TapeBox> = None;
-        for (item, _) in history {
-            let p = parts[item.index()]
-                .as_ref()
-                .expect("history item missing from parts cache");
-            let item_box = match (&p.concept_mats, user_var) {
-                (None, _) | (_, None) => TapeBox {
-                    cen: tape.constant_ref(&p.cen),
-                    off: tape.constant_ref(&p.off),
-                },
-                (Some((cens_t, offs_t)), Some(u)) => {
-                    let cens = tape.constant_ref(cens_t);
-                    let offs = tape.constant_ref(offs_t);
-                    match mode {
-                        UserBoxMode::OnlyInterI => unreachable!("user_var is None"),
-                        UserBoxMode::OnlyInterU => self.intersect_user_bias(tape, cens, offs, u),
-                        UserBoxMode::Both => {
-                            let b_u = self.intersect_user_bias(tape, cens, offs, u);
-                            let b_i_cen = tape.constant_ref(&p.cen);
-                            let b_i_off = tape.constant_ref(&p.off);
-                            // Eq. (25), (26): elementwise average of the two boxes.
-                            let cen_sum = tape.add(b_i_cen, b_u.cen);
-                            let off_sum = tape.add(b_i_off, b_u.off);
-                            TapeBox {
-                                cen: tape.scale(cen_sum, 0.5),
-                                off: tape.scale(off_sum, 0.5),
-                            }
-                        }
-                    }
-                }
-            };
-            acc = Some(match acc {
-                None => item_box,
-                Some(prev) => TapeBox {
-                    cen: tape.add(prev.cen, item_box.cen),
-                    off: tape.add(prev.off, item_box.off),
-                },
-            });
-        }
-        let total = acc.expect("non-empty history");
-        // Eq. (27), (28): mean over the m history items.
-        TapeBox {
-            cen: tape.scale(total.cen, 1.0 / m as f32),
-            off: tape.scale(total.off, 1.0 / m as f32),
+        let (b_i, concept_boxes) = self.item_boxes(tape, item, concepts, intersection);
+        ItemBoxParts {
+            cen: tape.value(b_i.cen).clone(),
+            off: tape.value(b_i.off).clone(),
+            concepts: concept_boxes
+                .map(|(cens, offs)| (tape.value(cens).clone(), tape.value(offs).clone())),
         }
     }
 

@@ -9,7 +9,7 @@
 //! lookups. [`all_user_boxes_with`] fans the per-user forward passes out
 //! over the training run's persistent [`WorkerPool`].
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use inbox_autodiff::Tape;
 use inbox_data::Interactions;
@@ -17,7 +17,7 @@ use inbox_kg::{Concept, ItemId, KnowledgeGraph, UserId};
 
 use crate::config::InBoxConfig;
 use crate::geometry::BoxEmb;
-use crate::model::{InBoxModel, ItemBoxParts};
+use crate::model::{InBoxModel, ItemBoxParts, ItemSource};
 use crate::pool::WorkerPool;
 use crate::simd;
 
@@ -137,29 +137,31 @@ pub fn user_box_from_history(
     user: UserId,
     history: &[(ItemId, Vec<Concept>)],
 ) -> Option<BoxEmb> {
-    if history.is_empty() {
-        return None;
-    }
-    tape.reset();
-    let b = model.interest_box(tape, user, history, config.intersection, config.user_box);
-    Some(model.box_values(tape, b))
+    box_from_history(
+        model,
+        config,
+        tape,
+        user,
+        history,
+        ItemSource::Record(config.intersection),
+    )
 }
 
-/// One user's box from an already-capped history and precomputed per-item
-/// parts, on a reusable tape.
+/// One user's box from an already-capped history, its items' boxes taken
+/// from `source`, on a reusable tape.
 fn box_from_history(
     model: &InBoxModel,
     config: &InBoxConfig,
     tape: &mut Tape,
     user: UserId,
     history: &[(ItemId, Vec<Concept>)],
-    parts: &[Option<ItemBoxParts>],
+    source: ItemSource<'_>,
 ) -> Option<BoxEmb> {
     if history.is_empty() {
         return None;
     }
     tape.reset();
-    let b = model.interest_box_cached(tape, user, history, parts, config.user_box);
+    let b = model.interest_box(tape, user, history, source, config.user_box);
     Some(model.box_values(tape, b))
 }
 
@@ -217,7 +219,7 @@ pub fn all_user_boxes_with(
     // Per-item parts are rebuilt on every call: they depend on the current
     // parameters, which change between calls during training.
     let parts = build_item_parts(model, cache, config);
-    let parts = &parts[..];
+    let source = ItemSource::Parts(&parts);
     match pool {
         Some(pool) if pool.workers() > 1 && n >= pool.workers() * 4 => {
             let workers = pool.workers();
@@ -237,7 +239,7 @@ pub fn all_user_boxes_with(
                         &mut tape,
                         user,
                         cache.history(user),
-                        parts,
+                        source,
                     ));
                 }
                 *slots[w].lock().unwrap() = out;
@@ -252,7 +254,7 @@ pub fn all_user_boxes_with(
             (0..n)
                 .map(|u| {
                     let user = UserId(u as u32);
-                    box_from_history(model, config, &mut tape, user, cache.history(user), parts)
+                    box_from_history(model, config, &mut tape, user, cache.history(user), source)
                 })
                 .collect()
         }
@@ -343,8 +345,6 @@ pub struct ItemScorer {
     /// `matrix[start]` on, which starts a cache line.
     matrix: Vec<f32>,
     start: usize,
-    /// Lazily-built score vector for history-less users, cloned per call.
-    sentinel: OnceLock<Vec<f32>>,
     /// Present when this CPU runs AVX2, checked once here: the full scan
     /// then runs at `__m256` width, bit-identical to [`simd::F32x8`].
     avx2: Option<simd::Avx2>,
@@ -368,7 +368,6 @@ impl ItemScorer {
             dim,
             matrix,
             start,
-            sentinel: OnceLock::new(),
             avx2: simd::Avx2::detect(),
         }
     }
@@ -517,9 +516,7 @@ impl ItemScorer {
     /// The constant score vector used for users without a box: a `-∞`-like
     /// value so they rank arbitrarily but harmlessly.
     pub fn sentinel_scores(&self) -> Vec<f32> {
-        self.sentinel
-            .get_or_init(|| vec![f32::MIN / 2.0; self.n_items])
-            .clone()
+        vec![f32::MIN / 2.0; self.n_items]
     }
 
     /// A user's full score vector: [`score_box`](Self::score_box) for a

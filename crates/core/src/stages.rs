@@ -7,7 +7,7 @@ use inbox_autodiff::{GradStore, Tape, Var};
 use inbox_kg::{ItemId, TagId};
 
 use crate::config::InBoxConfig;
-use crate::model::{InBoxModel, TapeBox};
+use crate::model::{InBoxModel, ItemSource, TapeBox};
 use crate::pool::WorkerPool;
 use crate::sampler::{IrtNegatives, Stage1Sample, Stage2Sample, Stage3Sample};
 
@@ -115,12 +115,8 @@ pub fn stage2_loss(
     s: &Stage2Sample,
     config: &InBoxConfig,
 ) -> Var {
-    use crate::config::IntersectionMode;
     let (cens, offs) = model.concept_boxes(tape, &s.concepts);
-    let b = match config.intersection {
-        IntersectionMode::Attention => model.intersect_attention(tape, cens, offs),
-        IntersectionMode::MaxMin => model.intersect_maxmin(tape, cens, offs),
-    };
+    let b = model.intersect(tape, cens, offs, config.intersection);
     let v = model.item_points(tape, &[s.item]);
     let d_pos = model.point_to_box_weighted(tape, v, b, config.inside_weight);
     let negs: Vec<ItemId> = s.neg_items.iter().map(|&i| ItemId(i)).collect();
@@ -141,7 +137,7 @@ pub fn stage3_loss(
         tape,
         s.user,
         &s.history,
-        config.intersection,
+        ItemSource::Record(config.intersection),
         config.user_box,
     );
     let pos: Vec<ItemId> = s.pos_items.iter().map(|&i| ItemId(i)).collect();

@@ -9,8 +9,8 @@
 //! suite fast.
 
 use inbox_autodiff::Tape;
-use inbox_core::predict::user_box_from_history;
-use inbox_core::{HistoryCache, InBoxConfig, InBoxModel, UniverseSizes};
+use inbox_core::predict::{all_user_boxes_with, user_box_from_history};
+use inbox_core::{HistoryCache, InBoxConfig, InBoxModel, UniverseSizes, WorkerPool};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_kg::{ItemId, UserId};
 use inbox_serve::{Engine, Recommendation, ServeConfig};
@@ -207,36 +207,54 @@ impl ScalarPipeline {
     }
 }
 
-/// Compares the production forward pass (`user_box_from_history` on a
-/// real tape, with fused ops and buffer reuse) against the scalar oracle
-/// for every user in `cache`, asserting bit-identity of both center and
-/// offset. Returns how many non-empty histories were compared.
+/// Compares both production forward paths against the scalar oracle for
+/// every user in `cache`, asserting bit-identity of both center and offset:
+/// `user_box_from_history` (each item recorded on a real tape, with fused
+/// ops and buffer reuse) and `all_user_boxes_with` (each item read from its
+/// precomputed parts), the latter both sequential and on a 4-worker pool.
+/// Returns how many non-empty histories were compared.
 pub fn check_forward_against_oracle(
     model: &InBoxModel,
     config: &InBoxConfig,
     cache: &HistoryCache,
 ) -> usize {
     let params = ModelParams::snapshot(model);
+    let sequential = all_user_boxes_with(model, cache, config, None);
+    let pooled = all_user_boxes_with(model, cache, config, Some(&WorkerPool::new(4)));
     let mut tape = Tape::new();
     let mut compared = 0;
     for u in 0..cache.n_users() as u32 {
         let user = UserId(u);
         let history = cache.history(user);
-        let produced = user_box_from_history(model, config, &mut tape, user, history);
         let expected = params.interest_box(config, user, history);
-        match (produced, expected) {
-            (None, None) => {}
-            (Some(b), Some((cen, off))) => {
-                assert_bits_eq(&b.cen, &cen, &format!("user {u} interest-box center"));
-                assert_bits_eq(&b.off, &off, &format!("user {u} interest-box offset"));
-                compared += 1;
+        let recorded = user_box_from_history(model, config, &mut tape, user, history);
+        for (path, produced) in [
+            ("recorded", recorded.as_ref()),
+            ("parts", sequential[user.index()].as_ref()),
+            ("pooled parts", pooled[user.index()].as_ref()),
+        ] {
+            match (produced, &expected) {
+                (None, None) => {}
+                (Some(b), Some((cen, off))) => {
+                    assert_bits_eq(
+                        &b.cen,
+                        cen,
+                        &format!("{path}: user {u} interest-box center"),
+                    );
+                    assert_bits_eq(
+                        &b.off,
+                        off,
+                        &format!("{path}: user {u} interest-box offset"),
+                    );
+                }
+                (p, e) => panic!(
+                    "{path}: user {u}: production={} oracle={}",
+                    if p.is_some() { "Some" } else { "None" },
+                    if e.is_some() { "Some" } else { "None" }
+                ),
             }
-            (p, e) => panic!(
-                "user {u}: production={} oracle={}",
-                if p.is_some() { "Some" } else { "None" },
-                if e.is_some() { "Some" } else { "None" }
-            ),
         }
+        compared += usize::from(expected.is_some());
     }
     compared
 }

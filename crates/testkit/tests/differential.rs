@@ -16,7 +16,9 @@ use rand::{Rng, SeedableRng};
 const K: usize = 10;
 
 /// The forward pass must agree with the scalar oracle bit-for-bit in every
-/// intersection × user-box configuration the paper ablates.
+/// intersection × user-box configuration the paper ablates: once with the
+/// capped concept lists, and once with `max_concepts: 0`, so every history
+/// item enters the interest box as its self box.
 #[test]
 fn forward_pass_matches_oracle_in_all_modes() {
     let modes = [
@@ -28,15 +30,18 @@ fn forward_pass_matches_oracle_in_all_modes() {
         (IntersectionMode::MaxMin, UserBoxMode::OnlyInterU),
     ];
     for (seed, (intersection, user_box)) in modes.into_iter().enumerate() {
-        let (ds, model, mut cfg) = harness::fixture(100 + seed as u64);
-        cfg.intersection = intersection;
-        cfg.user_box = user_box;
-        let cache = HistoryCache::build(&ds.kg, &ds.train, &cfg);
-        let compared = harness::check_forward_against_oracle(&model, &cfg, &cache);
-        assert!(
-            compared > 0,
-            "{intersection:?}/{user_box:?}: no non-empty histories compared"
-        );
+        for max_concepts in [None, Some(0)] {
+            let (ds, model, mut cfg) = harness::fixture(100 + seed as u64);
+            cfg.intersection = intersection;
+            cfg.user_box = user_box;
+            cfg.max_concepts = max_concepts.unwrap_or(cfg.max_concepts);
+            let cache = HistoryCache::build(&ds.kg, &ds.train, &cfg);
+            let compared = harness::check_forward_against_oracle(&model, &cfg, &cache);
+            assert!(
+                compared > 0,
+                "{intersection:?}/{user_box:?}/{max_concepts:?}: no non-empty histories compared"
+            );
+        }
     }
 }
 
