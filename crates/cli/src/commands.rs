@@ -35,8 +35,8 @@ USAGE:
                   [--smoke]
                   [--audit-sample 32] [--audit-queue-cap 256] [--audit-floor F]
                   (shadow-oracle audit: re-rank 1-in-N answers through the
-                   exact full-sort oracle; 0 disables; --audit-floor arms the
-                   degradation alert on windowed audit recall)
+                   exact full-sort oracle; 0 disables; --audit-floor F, F in
+                   [0, 1], arms the degradation alert on windowed audit recall)
   inbox obs       [--addr 127.0.0.1:7878] [--interval-ms 1000] [--iters 0]
                   live dashboard over a running server's GET /metrics
                   (qps, p99, cache hit rate, queue depth, shed rate, SLO burn,
@@ -388,7 +388,17 @@ pub fn serve_config_from_flags(parsed: &Parsed) -> Result<ServeConfig, Box<dyn E
     };
     let audit_floor = match parsed.get("audit-floor") {
         None => defaults.audit_floor,
-        Some(_) => Some(parsed.get_parsed("audit-floor", 0.0)?),
+        Some(_) => match parsed.get_parsed("audit-floor", 0.0)? {
+            // A recall floor is a fraction; NaN would read back as "off".
+            floor if (0.0..=1.0).contains(&floor) => Some(floor),
+            floor => {
+                return Err(ArgError::BadValue {
+                    flag: "audit-floor".into(),
+                    message: format!("{floor}: expected a recall in [0, 1]"),
+                }
+                .into())
+            }
+        },
     };
     Ok(ServeConfig {
         index,
@@ -503,13 +513,26 @@ pub fn serve(parsed: &Parsed) -> CmdResult {
         if serve_cfg.audit_sample > 0 && sampled == 0.0 {
             return Err("smoke: /audit recorded no sampled answers".into());
         }
-        let stats = service.stats();
+        // /stats is JSON that has counted the recommend above.
+        let stats = self_request(http.local_addr(), "/stats")?;
+        let stats: serde_json::Value = serde_json::from_str(&stats)
+            .map_err(|e| format!("smoke: /stats is not valid JSON: {e}"))?;
+        let stat = |key: &str| {
+            stats
+                .as_object()
+                .and_then(|o| o.get(key))
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0)
+        };
+        if stat("requests") < 1.0 {
+            return Err("smoke: /stats counted no requests".into());
+        }
         if chatty() {
             println!(
                 "smoke ok: {} request(s), {} rebuild(s), {} cache hit(s), {} metric sample(s), {} trace(s)",
-                stats.requests,
-                stats.rebuilds,
-                stats.cache_hits,
+                stat("requests"),
+                stat("rebuilds"),
+                stat("cache_hits"),
                 samples,
                 dump.recent.len()
             );
@@ -876,7 +899,17 @@ mod tests {
         assert_eq!(d.index, inbox_serve::IndexMode::FullSort);
         assert_eq!(d.audit_sample, 32, "auditing defaults on at 1-in-32");
         assert_eq!(d.audit_floor, None, "alerting defaults off");
-        assert!(serve_config_from_flags(&parsed(&["serve", "--audit-floor", "high"])).is_err());
+        let floor = |v: &str| serve_config_from_flags(&parsed(&["serve", "--audit-floor", v]));
+        for bad in ["high", "nan", "1.5", "-0.1"] {
+            let err = floor(bad).unwrap_err();
+            assert!(err.is::<ArgError>(), "--audit-floor {bad}: {err}");
+        }
+        for good in ["0", "0.9", "1"] {
+            assert_eq!(
+                floor(good).unwrap().audit_floor,
+                Some(good.parse().unwrap())
+            );
+        }
         // Bare `--index ivf` leaves both knobs on auto; junk is rejected.
         let auto = serve_config_from_flags(&parsed(&["serve", "--index", "ivf"])).unwrap();
         assert_eq!(

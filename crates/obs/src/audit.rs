@@ -36,7 +36,8 @@ const SHED: &str = "audit:shed";
 const STALE: &str = "audit:stale";
 /// Samples fully re-ranked and compared (rate counter).
 const AUDITED: &str = "audit:audited";
-/// Audited samples whose served answer differed from the oracle's (rate).
+/// Audited samples whose served answer differed from the oracle's
+/// (counter).
 const MISMATCHED: &str = "audit:mismatched";
 /// Recall numerator: served items found in the oracle top-k (rate).
 const HIT_ITEMS: &str = "audit:hit_items";
@@ -52,7 +53,8 @@ const FLOOR: &str = "audit:floor";
 const DEGRADED: &str = "audit:degraded";
 /// Times the latch tripped, 0 → 1 transitions (counter).
 const DEGRADED_EVENTS: &str = "audit:degraded_events";
-/// Below-floor audited samples observed while evaluating the alert (rate).
+/// Below-floor audited samples observed while evaluating the alert
+/// (counter).
 const BURN: &str = "audit:burn";
 
 fn in_window(name: &str, window: u64) -> u64 {
@@ -111,7 +113,7 @@ pub fn record_audit(obs: &AuditObservation) -> bool {
         rate_counter(TOTAL_ITEMS).add(obs.k as u64);
         crate::record_value(DISPLACEMENT, obs.max_displacement);
         if mismatched {
-            rate_counter(MISMATCHED).incr();
+            counter(MISMATCHED).incr();
         }
         evaluate_alert();
     }
@@ -131,7 +133,7 @@ fn evaluate_alert() {
         in_window(TOTAL_ITEMS, ALERT_WINDOW_SECS),
     );
     if recall < floor {
-        rate_counter(BURN).incr();
+        counter(BURN).incr();
         if gauge(DEGRADED).swap(1.0) != 1.0 {
             counter(DEGRADED_EVENTS).incr();
         }
@@ -158,7 +160,8 @@ pub fn audit_degraded() -> bool {
     find_series(DEGRADED, Kind::Gauge).is_some_and(|s| s.gauge() == 1.0)
 }
 
-/// Point-in-time view of the audit series over one sliding window.
+/// Point-in-time view of the audit series: cumulative counts, plus
+/// quality over one sliding window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuditSnapshot {
     /// Answers handed to the audit queue since boot.
@@ -175,12 +178,6 @@ pub struct AuditSnapshot {
     pub recall: f64,
     /// Cumulative agreement@k across all audited samples (1.0 when none).
     pub agreement: f64,
-    /// The sliding window the `window_*` fields cover, seconds.
-    pub window_secs: u64,
-    /// Samples compared inside the window.
-    pub window_audited: u64,
-    /// Mismatches inside the window.
-    pub window_mismatched: u64,
     /// Recall@k inside the window (1.0 when the window is empty — no
     /// audited traffic is no evidence of degradation).
     pub window_recall: f64,
@@ -198,8 +195,6 @@ pub struct AuditSnapshot {
     pub degraded_events: u64,
     /// Below-floor samples observed since boot (budget burn).
     pub burn: u64,
-    /// Below-floor samples observed inside the window.
-    pub window_burn: u64,
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -223,9 +218,6 @@ pub fn audit_snapshot(window: u64) -> AuditSnapshot {
         mismatched: counter_value(MISMATCHED),
         recall: ratio(counter_value(HIT_ITEMS), counter_value(TOTAL_ITEMS)),
         agreement: ratio(counter_value(AGREE_ITEMS), counter_value(TOTAL_ITEMS)),
-        window_secs: window,
-        window_audited: in_window(AUDITED, window),
-        window_mismatched: in_window(MISMATCHED, window),
         window_recall: ratio(in_window(HIT_ITEMS, window), in_window(TOTAL_ITEMS, window)),
         window_agreement: ratio(
             in_window(AGREE_ITEMS, window),
@@ -237,6 +229,5 @@ pub fn audit_snapshot(window: u64) -> AuditSnapshot {
         degraded: audit_degraded(),
         degraded_events: counter_value(DEGRADED_EVENTS),
         burn: counter_value(BURN),
-        window_burn: in_window(BURN, window),
     }
 }

@@ -1,5 +1,5 @@
 //! Deterministic failpoint registry: named fault-injection sites with
-//! seeded, schedule-driven triggers.
+//! schedule-driven triggers.
 //!
 //! Instrumented crates mark injection sites with the
 //! [`failpoint!`](crate::failpoint!) macro:
@@ -17,14 +17,15 @@
 //! each evaluation consults this registry, which decides whether the fault
 //! fires according to a per-site [`Trigger`] schedule.
 //!
-//! All schedules are deterministic: `Nth`/`From` count evaluations since
-//! the trigger was configured, and `Prob` draws from a private xorshift
-//! generator seeded explicitly, so a failing chaos test replays exactly.
+//! All schedules are deterministic: `Nth` counts evaluations since the
+//! trigger was configured, so a failing chaos test replays exactly.
 //!
-//! Every site additionally mirrors its evaluation and fire counts into the
-//! observability counter registry under `failpoint.hit.<site>` /
-//! `failpoint.fired.<site>`, which is what the CI chaos job's coverage
-//! check reads to prove each registered site is exercised.
+//! Every evaluation and every fire is counted once, in the observability
+//! counter registry under `failpoint.hit.<site>` / `failpoint.fired.<site>`.
+//! [`hits`] and [`fired`] read those counters, and the CI chaos job's
+//! coverage check reads them to prove each registered site is exercised.
+//! Like every counter they record only while the obs gate
+//! ([`crate::set_enabled`]) is on, and [`crate::reset`] clears them.
 //!
 //! This module is always compiled (the registry itself is off every hot
 //! path); only the *call sites* in other crates are feature-gated. Keeping
@@ -46,16 +47,6 @@ pub enum Trigger {
     Always,
     /// Fires on exactly the n-th evaluation (1-based) after configuration.
     Nth(u64),
-    /// Fires on every evaluation from the n-th (1-based) onward.
-    From(u64),
-    /// Fires independently with probability `p` per evaluation, driven by
-    /// a private deterministic generator seeded with `seed`.
-    Prob {
-        /// Per-evaluation fire probability in `[0, 1]`.
-        p: f64,
-        /// Seed for the site's private xorshift generator.
-        seed: u64,
-    },
     /// Sleeps for the given duration on the next evaluation, then reverts
     /// to [`Trigger::Off`]. The evaluation that slept counts as fired, so
     /// point this at sites that ignore the returned flag (pure stall
@@ -67,12 +58,6 @@ struct SiteState {
     trigger: Trigger,
     /// Evaluations since the current trigger was configured.
     calls: u64,
-    /// xorshift64* state for `Prob`.
-    rng: u64,
-    /// Lifetime evaluations (never reset by `configure`/`clear`).
-    hits: u64,
-    /// Lifetime fires (never reset by `configure`/`clear`).
-    fired: u64,
     hits_counter: &'static str,
     fired_counter: &'static str,
 }
@@ -82,9 +67,6 @@ impl SiteState {
         Self {
             trigger: Trigger::Off,
             calls: 0,
-            rng: 0,
-            hits: 0,
-            fired: 0,
             hits_counter: crate::registry::intern(format!("failpoint.hit.{site}")),
             fired_counter: crate::registry::intern(format!("failpoint.fired.{site}")),
         }
@@ -96,33 +78,11 @@ fn registry() -> &'static Mutex<HashMap<&'static str, SiteState>> {
     SITES.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// One xorshift64* step; returns the new state.
-fn xorshift(mut x: u64) -> u64 {
-    // Zero is a fixed point of xorshift; nudge it off.
-    if x == 0 {
-        x = 0x9e37_79b9_7f4a_7c15;
-    }
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x
-}
-
-/// Maps a generator state to a uniform draw in `[0, 1)`.
-fn uniform(x: u64) -> f64 {
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Installs `trigger` on `site`, resetting the site's evaluation counter
-/// (and, for [`Trigger::Prob`], reseeding its generator). Lifetime
-/// hit/fire counts are preserved.
+/// Installs `trigger` on `site`, resetting the site's evaluation counter.
+/// The hit/fire counts are preserved.
 pub fn configure(site: &'static str, trigger: Trigger) {
     let mut sites = registry().lock().unwrap();
     let state = sites.entry(site).or_insert_with(|| SiteState::new(site));
-    state.rng = match trigger {
-        Trigger::Prob { seed, .. } => seed,
-        _ => 0,
-    };
     state.trigger = trigger;
     state.calls = 0;
 }
@@ -137,67 +97,45 @@ pub fn clear(site: &'static str) {
 /// Called by the [`failpoint!`](crate::failpoint!) macro — instrumented code should not call
 /// this directly. Every evaluation is counted even when the trigger is
 /// off. A [`Trigger::DelayOnce`] sleep happens here, with the registry
-/// lock released.
+/// lock released. The counters are fetched by name on each evaluation, so
+/// evaluations after a [`crate::reset`] land in fresh cells.
 pub fn check(site: &'static str) -> bool {
-    let (fires, delay) = {
+    let (fires, delay, hits_counter, fired_counter) = {
         let mut sites = registry().lock().unwrap();
         let state = sites.entry(site).or_insert_with(|| SiteState::new(site));
-        state.hits += 1;
         state.calls += 1;
         let mut delay = None;
         let fires = match state.trigger {
             Trigger::Off => false,
             Trigger::Always => true,
             Trigger::Nth(n) => state.calls == n,
-            Trigger::From(n) => state.calls >= n,
-            Trigger::Prob { p, .. } => {
-                state.rng = xorshift(state.rng);
-                uniform(state.rng) < p
-            }
             Trigger::DelayOnce(d) => {
                 delay = Some(d);
                 state.trigger = Trigger::Off;
                 true
             }
         };
-        if fires {
-            state.fired += 1;
-        }
-        let (hits_counter, fired_counter) = (state.hits_counter, state.fired_counter);
-        drop(sites);
-        crate::counter(hits_counter).incr();
-        if fires {
-            crate::counter(fired_counter).incr();
-        }
-        (fires, delay)
+        (fires, delay, state.hits_counter, state.fired_counter)
     };
+    crate::counter(hits_counter).incr();
+    if fires {
+        crate::counter(fired_counter).incr();
+    }
     if let Some(d) = delay {
         std::thread::sleep(d);
     }
     fires
 }
 
-/// Zeroes every site's lifetime hit/fired counts (part of [`crate::reset`];
-/// triggers and schedules are left armed). The `failpoint.hit.*` /
-/// `failpoint.fired.*` mirrors live in the counter registry and are cleared
-/// by the same reset; [`check`] re-fetches its mirror cells per evaluation,
-/// so post-reset evaluations land in fresh counters.
-pub fn reset_counts() {
-    let mut sites = registry().lock().unwrap();
-    for state in sites.values_mut() {
-        state.hits = 0;
-        state.fired = 0;
-    }
-}
-
-/// Lifetime evaluation count of `site` (0 if never evaluated).
+/// Evaluations of `site` counted in `failpoint.hit.<site>` (0 if never
+/// evaluated).
 pub fn hits(site: &str) -> u64 {
-    registry().lock().unwrap().get(site).map_or(0, |s| s.hits)
+    crate::counter_value(&format!("failpoint.hit.{site}"))
 }
 
-/// Lifetime fire count of `site` (0 if never fired).
+/// Fires of `site` counted in `failpoint.fired.<site>` (0 if never fired).
 pub fn fired(site: &str) -> u64 {
-    registry().lock().unwrap().get(site).map_or(0, |s| s.fired)
+    crate::counter_value(&format!("failpoint.fired.{site}"))
 }
 
 /// Every site the registry has seen (configured or evaluated), sorted.
@@ -268,13 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn from_fires_from_n_onward() {
-        let _guard = FailGuard::new("test.fp.from", Trigger::From(2));
-        let fires: Vec<bool> = (0..4).map(|_| check("test.fp.from")).collect();
-        assert_eq!(fires, [false, true, true, true]);
-    }
-
-    #[test]
     fn configure_resets_the_schedule() {
         configure("test.fp.reset", Trigger::Nth(1));
         assert!(check("test.fp.reset"));
@@ -283,23 +214,11 @@ mod tests {
         assert!(check("test.fp.reset"), "counting restarts at configure");
         clear("test.fp.reset");
         assert!(!check("test.fp.reset"));
-        assert_eq!(hits("test.fp.reset"), 4, "lifetime hits survive resets");
-    }
-
-    #[test]
-    fn prob_is_deterministic_per_seed_and_roughly_calibrated() {
-        let sequence = |seed: u64| -> Vec<bool> {
-            configure("test.fp.prob", Trigger::Prob { p: 0.3, seed });
-            (0..64).map(|_| check("test.fp.prob")).collect()
-        };
-        let a = sequence(7);
-        let b = sequence(7);
-        assert_eq!(a, b, "same seed replays the same fire schedule");
-        let c = sequence(8);
-        assert_ne!(a, c, "different seeds diverge");
-        let rate = a.iter().filter(|&&f| f).count();
-        assert!((5..=35).contains(&rate), "p=0.3 over 64 draws fired {rate}");
-        clear("test.fp.prob");
+        assert_eq!(
+            hits("test.fp.reset"),
+            4,
+            "hit counts survive reconfiguration"
+        );
     }
 
     #[test]

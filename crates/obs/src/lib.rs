@@ -30,8 +30,8 @@
 //!   ([`alloc_scope`]); test binaries install it to check the
 //!   "allocation-free steady state" invariant.
 //! - **Contention accounting** ([`lock`]) — [`ObsMutex`]/[`ObsRwLock`]
-//!   wrappers recording wait/hold-time histograms and contention counters
-//!   per named lock.
+//!   wrappers recording a wait-time histogram and a contention counter per
+//!   named lock.
 //! - **Audit** ([`audit`]) — shadow-oracle ranking-quality series
 //!   (recall@k / agreement@k / rank displacement, cumulative and windowed)
 //!   with a latched degradation alert against a configured recall floor.
@@ -69,7 +69,7 @@ pub use audit::{
 pub use drift::{psi, set_drift_stat, PSI_EPS};
 pub use expo::{prometheus_text, traces_json, TraceDump};
 pub use histogram::{HistogramBuckets, HistogramSnapshot, LogHistogram};
-pub use lock::{ObsGuard, ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
+pub use lock::{ObsMutex, ObsRwLock};
 pub use registry::{
     counter, counter_value, enabled, find_series, rate_counter, record_duration, record_value,
     reset, series, set_enabled, span, span_snapshot, time, value_snapshot, Counter, Kind,

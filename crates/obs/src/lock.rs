@@ -1,59 +1,50 @@
 //! Contention accounting: drop-in wrappers around [`std::sync::Mutex`] and
-//! [`std::sync::RwLock`] that record wait-time and hold-time histograms
-//! plus a contention counter per lock.
+//! [`std::sync::RwLock`] that record a wait-time histogram plus a
+//! contention counter per lock.
 //!
 //! The serving engine guards its shared state with two locks (the live
 //! state and the box cache); whether those locks are contended at target
-//! load is the measurement that decides the ROADMAP's shard count. An [`ObsMutex`] / [`ObsRwLock`] keeps the std
-//! semantics — poisoning included, so existing `.lock().unwrap()` and
+//! load is the measurement that decides the ROADMAP's shard count. An
+//! [`ObsMutex`] / [`ObsRwLock`] hands out the std guards unchanged —
+//! poisoning included, so existing `.lock().unwrap()` and
 //! `unwrap_or_else(PoisonError::into_inner)` call sites survive unchanged
-//! — and feeds three series per lock name into the ordinary registry:
+//! — and feeds two series per lock name into the ordinary registry:
 //!
 //! - `lock.<name>.wait` (span histogram): time from requesting the lock to
 //!   holding it, recorded on **every** acquire, so the p99 shows what the
 //!   unlucky acquirer pays;
-//! - `lock.<name>.hold` (span histogram): time the guard was held;
 //! - `lock.<name>.contended` (rate counter): acquires that found the lock
 //!   already taken (`try_lock` said `WouldBlock`).
 //!
 //! An `ObsRwLock` shares one set of series between readers and writers:
 //! the question it answers is "is this lock a bottleneck", not "who is
-//! waiting", and splitting the histograms would halve every sample count.
+//! waiting", and splitting the histogram would halve every sample count.
 //! When the obs gate ([`crate::set_enabled`]) is off, acquires skip the
-//! `try_lock` probe and both clock reads.
+//! `try_lock` probe and the clock.
 //!
 //! The metric names are interned (leaked) once per lock construction;
 //! locks with the same name share registry cells, so short-lived engines
 //! in tests accumulate into one series rather than leaking new ones.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::{
-    LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    TryLockError, TryLockResult,
+    LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+    TryLockResult,
 };
 use std::time::Instant;
 
 use crate::registry::RateCounter;
 
-/// `"lock.<name>.<suffix>"`, interned so constructing the same lock name
-/// twice reuses one leak.
-fn intern_series(name: &str, suffix: &str) -> &'static str {
-    crate::registry::intern(format!("lock.{name}.{suffix}"))
-}
-
 struct Series {
     wait: &'static str,
-    hold: &'static str,
     contended: RateCounter,
 }
 
 impl Series {
     fn new(name: &str) -> Self {
-        let contended = crate::rate_counter(intern_series(name, "contended"));
+        let intern = |suffix: &str| crate::registry::intern(format!("lock.{name}.{suffix}"));
         Series {
-            wait: intern_series(name, "wait"),
-            hold: intern_series(name, "hold"),
-            contended,
+            wait: intern("wait"),
+            contended: crate::rate_counter(intern("contended")),
         }
     }
 
@@ -63,9 +54,9 @@ impl Series {
         &self,
         try_acquire: impl FnOnce() -> TryLockResult<G>,
         acquire: impl FnOnce() -> LockResult<G>,
-    ) -> LockResult<ObsGuard<G>> {
+    ) -> LockResult<G> {
         if !crate::enabled() {
-            return self.wrap(acquire(), false);
+            return acquire();
         }
         let start = Instant::now();
         let result = match try_acquire() {
@@ -77,34 +68,19 @@ impl Series {
             }
         };
         crate::record_duration(self.wait, start.elapsed());
-        self.wrap(result, true)
-    }
-
-    /// Wraps a std guard (poisoned or not), starting its hold clock when
-    /// `timed`.
-    fn wrap<G>(&self, result: LockResult<G>, timed: bool) -> LockResult<ObsGuard<G>> {
-        let make = |inner| ObsGuard {
-            inner,
-            hold: self.hold,
-            since: timed.then(Instant::now),
-        };
-        match result {
-            Ok(g) => Ok(make(g)),
-            Err(p) => Err(PoisonError::new(make(p.into_inner()))),
-        }
+        result
     }
 }
 
-/// A [`Mutex`] recording wait/hold-time histograms and a contention
-/// counter under `lock.<name>.*`.
+/// A [`Mutex`] recording a wait-time histogram and a contention counter
+/// under `lock.<name>.*`.
 pub struct ObsMutex<T> {
     series: Series,
     inner: Mutex<T>,
 }
 
 impl<T> ObsMutex<T> {
-    /// Wraps `value`; metrics appear as `lock.<name>.wait` / `.hold` /
-    /// `.contended`.
+    /// Wraps `value`; metrics appear as `lock.<name>.wait` / `.contended`.
     pub fn new(name: &str, value: T) -> Self {
         ObsMutex {
             series: Series::new(name),
@@ -115,7 +91,7 @@ impl<T> ObsMutex<T> {
     /// Acquires the lock, recording wait time (and contention if it was
     /// already held). Poisoning passes through exactly as with
     /// [`Mutex::lock`].
-    pub fn lock(&self) -> LockResult<ObsMutexGuard<'_, T>> {
+    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         self.series
             .acquire(|| self.inner.try_lock(), || self.inner.lock())
     }
@@ -129,16 +105,15 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ObsMutex<T> {
     }
 }
 
-/// An [`RwLock`] recording wait/hold-time histograms and a contention
-/// counter under `lock.<name>.*`, shared between readers and writers.
+/// An [`RwLock`] recording a wait-time histogram and a contention counter
+/// under `lock.<name>.*`, shared between readers and writers.
 pub struct ObsRwLock<T> {
     series: Series,
     inner: RwLock<T>,
 }
 
 impl<T> ObsRwLock<T> {
-    /// Wraps `value`; metrics appear as `lock.<name>.wait` / `.hold` /
-    /// `.contended`.
+    /// Wraps `value`; metrics appear as `lock.<name>.wait` / `.contended`.
     pub fn new(name: &str, value: T) -> Self {
         ObsRwLock {
             series: Series::new(name),
@@ -148,14 +123,14 @@ impl<T> ObsRwLock<T> {
 
     /// Acquires shared access, recording wait time (and contention when a
     /// writer holds the lock).
-    pub fn read(&self) -> LockResult<ObsReadGuard<'_, T>> {
+    pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
         self.series
             .acquire(|| self.inner.try_read(), || self.inner.read())
     }
 
     /// Acquires exclusive access, recording wait time (and contention when
     /// any other holder exists).
-    pub fn write(&self) -> LockResult<ObsWriteGuard<'_, T>> {
+    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
         self.series
             .acquire(|| self.inner.try_write(), || self.inner.write())
     }
@@ -169,62 +144,19 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ObsRwLock<T> {
     }
 }
 
-/// Guard of an [`ObsMutex`] or [`ObsRwLock`]: derefs like the std guard it
-/// wraps and records hold time when dropped.
-pub struct ObsGuard<G> {
-    inner: G,
-    hold: &'static str,
-    since: Option<Instant>,
-}
-
-/// Guard of an [`ObsMutex`].
-pub type ObsMutexGuard<'a, T> = ObsGuard<MutexGuard<'a, T>>;
-/// Shared guard of an [`ObsRwLock`].
-pub type ObsReadGuard<'a, T> = ObsGuard<RwLockReadGuard<'a, T>>;
-/// Exclusive guard of an [`ObsRwLock`].
-pub type ObsWriteGuard<'a, T> = ObsGuard<RwLockWriteGuard<'a, T>>;
-
-impl<G: Deref> Deref for ObsGuard<G> {
-    type Target = G::Target;
-    fn deref(&self) -> &G::Target {
-        &self.inner
-    }
-}
-
-impl<G: DerefMut> DerefMut for ObsGuard<G> {
-    fn deref_mut(&mut self) -> &mut G::Target {
-        &mut self.inner
-    }
-}
-
-impl<G> Drop for ObsGuard<G> {
-    fn drop(&mut self) {
-        if let Some(since) = self.since {
-            crate::record_duration(self.hold, since.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, PoisonError};
     use std::time::Duration;
 
     #[test]
-    fn mutex_records_wait_hold_and_contention() {
+    fn mutex_records_wait_and_contention() {
         let m = Arc::new(ObsMutex::new("test.lock.mutex", 0u32));
-        // Uncontended acquire: wait + hold recorded, no contention.
-        {
-            let mut g = m.lock().unwrap();
-            *g += 1;
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // Uncontended acquire: wait recorded, no contention.
+        *m.lock().unwrap() += 1;
         let wait = crate::span_snapshot("lock.test.lock.mutex.wait").unwrap();
         assert!(wait.count >= 1);
-        let hold = crate::span_snapshot("lock.test.lock.mutex.hold").unwrap();
-        assert!(hold.count >= 1);
-        assert!(hold.p99 >= 1_000_000, "held ≥2ms but p99 {} ns", hold.p99);
 
         // Forced contention: hold the lock while a second thread acquires.
         let contended_before = crate::counter_value("lock.test.lock.mutex.contended");

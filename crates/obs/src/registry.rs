@@ -151,8 +151,8 @@ fn record(name: &'static str, kind: Kind, value: u64) {
 }
 
 /// `name` as a `&'static str`, leaked once per distinct string. For series
-/// names built at run time (lock and SLO series); bounded by the number of
-/// distinct names.
+/// names built at run time (lock, SLO and failpoint series); bounded by
+/// the number of distinct names.
 pub(crate) fn intern(name: String) -> &'static str {
     static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut tab = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
@@ -446,15 +446,14 @@ pub fn value_snapshot(name: &str) -> Option<HistogramSnapshot> {
 
 /// Clears **every** observability namespace: the whole series table
 /// (counters, rate windows, span and value histograms, gauges, and so the
-/// SLO, audit and drift series), retained flight-recorder traces,
-/// allocation stats, and the failpoint hit/fired mirrors. Handles obtained
-/// before the reset keep writing into detached cells, so re-fetch them
+/// SLO, audit, drift and failpoint hit/fired series), retained
+/// flight-recorder traces, and allocation stats. Handles obtained before
+/// the reset keep writing into detached cells, so re-fetch them
 /// afterwards; intended for test isolation and the start of independent
 /// runs.
 pub fn reset() {
     table().write().clear();
     crate::trace::clear_traces();
-    crate::failpoints::reset_counts();
     crate::alloc::reset_alloc_stats();
 }
 

@@ -17,9 +17,9 @@
 //! *notable* ring retains only shed/error/slow traces so a burst of boring
 //! traffic cannot evict the one request an operator needs to see.
 //! Admission is one `fetch_add` plus an uncontended pointer swap — no
-//! allocation, no global lock. Error traces are additionally pushed to the
-//! telemetry sinks the moment they finish, so a `ServeError` always leaves
-//! a dump behind even if nobody polls `/traces`.
+//! allocation, no global lock. Error traces are additionally written to
+//! the telemetry output ([`crate::install`]) the moment they finish, so a
+//! `ServeError` always leaves a dump behind even if nobody polls `/traces`.
 //!
 //! Sampling: [`set_trace_sampling`] keeps 1-in-N requests (default 1 =
 //! every request). A sampled-out request pays one relaxed `fetch_add` and
@@ -53,18 +53,6 @@ pub enum TraceOutcome {
     Error,
     /// Completed, but slower than the configured threshold.
     Slow,
-}
-
-impl TraceOutcome {
-    /// Lower-case label, used in counter names and exposition.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceOutcome::Ok => "ok",
-            TraceOutcome::Shed => "shed",
-            TraceOutcome::Error => "error",
-            TraceOutcome::Slow => "slow",
-        }
-    }
 }
 
 /// One finished span inside a [`TraceRecord`].
@@ -179,8 +167,8 @@ impl ActiveTrace {
 
     /// Finishes the trace: stamps the outcome (promoting `Ok` to `Slow`
     /// past the [`set_slow_threshold`] threshold), retains the record in
-    /// the flight recorder, and — for errors — pushes it to the telemetry
-    /// sinks. Returns the finished record.
+    /// the flight recorder, and — for errors — writes it to the telemetry
+    /// output ([`crate::install`]). Returns the finished record.
     pub fn finish(self, outcome: TraceOutcome) -> Arc<TraceRecord> {
         let total_ns = self.offset_ns();
         let outcome = match outcome {

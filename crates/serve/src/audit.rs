@@ -21,7 +21,8 @@
 //! nothing about served answers.
 //!
 //! The worker doubles as the **drift monitor**: a reference snapshot of the
-//! served top-score distribution is captured at startup (oracle pass over a
+//! served top-score distribution (as the top item's distance `γ − score`,
+//! see [`distance_key`]) is captured at startup (oracle pass over a
 //! deterministic user sample), candidate-set sizes are snapshotted from the
 //! first observed traffic, and each periodic tick publishes PSI divergence
 //! of the live windowed distributions against those references plus the
@@ -82,6 +83,8 @@ pub struct Auditor {
     shared: Arc<Shared>,
     /// Sample 1-in-this-many answered requests.
     sample_every: u64,
+    /// The engine's γ, to turn a served score back into its distance.
+    gamma: f32,
     queue_cap: usize,
     tick: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
@@ -95,7 +98,8 @@ impl Auditor {
             config.audit_queue_cap >= 1,
             "audit_queue_cap must be at least 1"
         );
-        capture_score_reference(&engine);
+        let gamma = engine.gamma();
+        capture_score_reference(&engine, gamma);
         let shared = Arc::new(Shared {
             queue: Mutex::new(AuditQueue {
                 pending: VecDeque::new(),
@@ -113,6 +117,7 @@ impl Auditor {
         Self {
             shared,
             sample_every: config.audit_sample,
+            gamma,
             queue_cap: config.audit_queue_cap,
             tick: AtomicU64::new(0),
             worker: Mutex::new(Some(worker)),
@@ -132,7 +137,7 @@ impl Auditor {
         inbox_obs::note_audit_sampled();
         // The served top score feeds the drift monitor's live distribution.
         if let Some(&(_, top)) = rec.items.first() {
-            inbox_obs::record_value("audit.score.top", score_key(top));
+            inbox_obs::record_value("audit.score.top", distance_key(self.gamma, top));
         }
         self.offer(AuditSample {
             user: rec.user,
@@ -300,22 +305,19 @@ fn compare(served: &[(ItemId, f32)], oracle: &[(ItemId, f32)]) -> AuditObservati
     }
 }
 
-/// Monotone map from an f32 score to a histogram-bucketable u64: orders
-/// exactly like the float (negatives below positives), so bucket PSI over
-/// the mapped values tracks shifts of the real score distribution.
-fn score_key(score: f32) -> u64 {
-    let bits = score.to_bits();
-    if score.is_sign_negative() {
-        !bits as u64
-    } else {
-        (bits | 0x8000_0000) as u64
-    }
+/// The histogram key of a served top score: its Eq. (29) distance
+/// `γ − score` (≥ 0, clamped at 0 against rounding) in micro-units. The log
+/// buckets resolve that in steps of 25% or less, so bucket PSI tracks
+/// shifts of the served scores; the score's own f32 bits would land every
+/// top score from 2.5 to 100 in one bucket.
+fn distance_key(gamma: f32, score: f32) -> u64 {
+    (f64::from(gamma - score).max(0.0) * 1e6) as u64
 }
 
 /// Startup reference for the served-score drift monitor: the oracle's
 /// top-score distribution over a deterministic sample of users, captured
 /// before any live traffic so later PSI measures movement *since boot*.
-fn capture_score_reference(engine: &Engine) {
+fn capture_score_reference(engine: &Engine, gamma: f32) {
     if SCORE_REFERENCE.get().is_some() {
         return;
     }
@@ -328,7 +330,7 @@ fn capture_score_reference(engine: &Engine) {
         };
         if let Ok(Some(items)) = engine.audit_rerank(user, version, REFERENCE_K, &[]) {
             if let Some(&(_, top)) = items.first() {
-                buckets.record(score_key(top));
+                buckets.record(distance_key(gamma, top));
             }
         }
     }
@@ -419,10 +421,29 @@ mod tests {
     }
 
     #[test]
-    fn score_key_is_monotone_across_sign() {
-        let samples = [-10.5f32, -1.0, -f32::MIN_POSITIVE, 0.0, 0.25, 1.0, 42.0];
+    fn distance_key_falls_as_the_score_rises() {
+        let gamma = 10.67f32;
+        let samples = [-50.0f32, -2.5, 0.0, 2.5, 10.0, gamma];
         for w in samples.windows(2) {
-            assert!(score_key(w[0]) < score_key(w[1]), "{} vs {}", w[0], w[1]);
+            assert!(
+                distance_key(gamma, w[0]) > distance_key(gamma, w[1]),
+                "{} vs {}",
+                w[0],
+                w[1]
+            );
         }
+        assert_eq!(distance_key(gamma, gamma + 0.5), 0, "clamped at γ");
+    }
+
+    #[test]
+    fn psi_sees_the_top_distance_move() {
+        let gamma = 10.67f32;
+        let (mut reference, mut live) = (HistogramBuckets::new(), HistogramBuckets::new());
+        for _ in 0..100 {
+            reference.record(distance_key(gamma, gamma - 1.0));
+            live.record(distance_key(gamma, gamma - 2.0));
+        }
+        let psi = inbox_obs::psi(&reference, &live);
+        assert!(psi > 0.1, "a served top distance of 1 → 2 reads psi {psi}");
     }
 }

@@ -15,8 +15,8 @@
 //!   makes their cached box unreachable — invalidation without touching any
 //!   other user's entry.
 //!
-//! Both locks are instrumented ([`ObsRwLock`]/[`ObsMutex`]): wait and hold
-//! times land in the `lock.engine.live.*` / `lock.engine.cache.*` series,
+//! Both locks are instrumented ([`ObsRwLock`]/[`ObsMutex`]): wait times
+//! land in the `lock.engine.live.wait` / `lock.engine.cache.wait` series,
 //! and contended acquisitions bump the matching `.contended` counters.
 //! Lock order is always live → cache; no code path acquires them in the
 //! other direction, so the engine cannot deadlock against itself.
@@ -33,7 +33,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 use inbox_autodiff::Tape;
 use inbox_core::predict::user_box_from_history;
@@ -46,7 +46,7 @@ use inbox_index::{
     auto_nlist, auto_nprobe, BoxQuery, IndexMode, IvfIndex, IvfParams, QueryScratch,
 };
 use inbox_kg::{ItemId, KnowledgeGraph, UserId};
-use inbox_obs::{ObsMutex, ObsMutexGuard, ObsReadGuard, ObsRwLock, ObsWriteGuard};
+use inbox_obs::{ObsMutex, ObsRwLock};
 
 use crate::cache::BoxCache;
 use crate::error::ServeError;
@@ -261,18 +261,23 @@ impl Engine {
 
     /// The live state, shared. Like every lock here, a guard poisoned by a
     /// panicking holder is recovered rather than propagated.
-    fn read_live(&self) -> ObsReadGuard<'_, LiveState> {
+    fn read_live(&self) -> RwLockReadGuard<'_, LiveState> {
         self.live.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The live state, exclusive.
-    fn write_live(&self) -> ObsWriteGuard<'_, LiveState> {
+    fn write_live(&self) -> RwLockWriteGuard<'_, LiveState> {
         self.live.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The box cache.
-    fn lock_cache(&self) -> ObsMutexGuard<'_, BoxCache> {
+    fn lock_cache(&self) -> MutexGuard<'_, BoxCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The γ of Eq. (29): a served score is `γ −` the item's distance.
+    pub(crate) fn gamma(&self) -> f32 {
+        self.scorer.gamma()
     }
 
     /// Number of users in the serving universe.

@@ -12,7 +12,7 @@
 //! | `GET /health`                   | liveness probe                         |
 //! | `GET /recommend?user=U&k=K`     | top-K for user `U` (`k` defaults to 10)|
 //! | `POST /ingest?user=U&item=I`    | record a live interaction              |
-//! | `GET /stats`                    | serving counters + histogram snapshot  |
+//! | `GET /stats`                    | serving counters, queue, cached boxes  |
 //! | `GET /audit`                    | shadow-oracle audit + drift snapshot   |
 //! | `GET /metrics`                  | Prometheus text exposition (live)      |
 //! | `GET /traces`                   | flight-recorder dump as JSON           |
@@ -571,9 +571,9 @@ struct ErrorBody {
 }
 
 /// Body of `GET /stats`: the engine's counters, the connections waiting
-/// (for a worker, or for the rest of their request), their histogram at
-/// admission (`null` before the first sample), and the audit
-/// summary.
+/// (for a worker, or for the rest of their request) and the boxes in the
+/// cache. The queue-depth histogram is on `/metrics`, the audit on
+/// `/audit`.
 #[derive(Serialize)]
 struct StatsBody {
     requests: u64,
@@ -585,33 +585,6 @@ struct StatsBody {
     sheds: u64,
     queued: usize,
     cached_boxes: usize,
-    queue_depth: Option<ValueStat>,
-    audit_backlog: usize,
-    audit_sampled: u64,
-    audit_audited: u64,
-    audit_window_recall: f64,
-    audit_degraded: bool,
-}
-
-/// The value histogram in `/stats`.
-#[derive(Serialize)]
-struct ValueStat {
-    count: u64,
-    mean: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-}
-
-fn value_stat(name: &str) -> Option<ValueStat> {
-    let s = inbox_obs::value_snapshot(name)?;
-    Some(ValueStat {
-        count: s.count,
-        mean: s.mean,
-        p50: s.p50,
-        p95: s.p95,
-        p99: s.p99,
-    })
 }
 
 /// Body of `GET /audit`: the audit snapshot, the live queue backlog, and
@@ -723,7 +696,6 @@ fn route(request: &Request, front: &Front, trace: Option<&ActiveTrace>) -> Reply
         }
         ("GET", "/stats") => {
             let s = service.stats();
-            let audit = inbox_obs::audit_snapshot(inbox_obs::ALERT_WINDOW_SECS);
             Reply::json(&StatsBody {
                 requests: s.requests,
                 rebuilds: s.rebuilds,
@@ -734,12 +706,6 @@ fn route(request: &Request, front: &Front, trace: Option<&ActiveTrace>) -> Reply
                 sheds: s.sheds,
                 queued: front.waiting.load(Ordering::Relaxed),
                 cached_boxes: service.engine().cache_len(),
-                queue_depth: value_stat("serve.queue.depth"),
-                audit_backlog: service.audit_backlog(),
-                audit_sampled: audit.sampled,
-                audit_audited: audit.audited,
-                audit_window_recall: audit.window_recall,
-                audit_degraded: audit.degraded,
             })
         }
         ("GET", "/audit") => Reply::json(&AuditBody {

@@ -79,22 +79,11 @@ const SAMPLES: &[&str] = &[
 ];
 
 const STATS_KEYS: &[&str] = &[
-    "audit_audited",
-    "audit_backlog",
-    "audit_degraded",
-    "audit_sampled",
-    "audit_window_recall",
     "cache_hits",
     "cached_boxes",
     "evictions",
     "fallbacks",
     "ingests",
-    "queue_depth",
-    "queue_depth.count",
-    "queue_depth.mean",
-    "queue_depth.p50",
-    "queue_depth.p95",
-    "queue_depth.p99",
     "queued",
     "rebuilds",
     "requests",
@@ -115,13 +104,9 @@ const AUDIT_KEYS: &[&str] = &[
     "audit.shed",
     "audit.stale",
     "audit.window_agreement",
-    "audit.window_audited",
-    "audit.window_burn",
     "audit.window_displacement_p50",
     "audit.window_displacement_p99",
-    "audit.window_mismatched",
     "audit.window_recall",
-    "audit.window_secs",
     "backlog",
     "drift",
 ];

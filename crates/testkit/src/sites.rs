@@ -8,8 +8,9 @@
 //! appears here — and likewise every trace-span name opened in
 //! `inbox-serve` appears in [`TRACE_SPANS`], and every series a
 //! `crates/*/src` file creates appears in [`SERIES`] with the consumer
-//! that reads it (`tests/series.rs`). Adding a site to the code without
-//! listing it (or vice versa) fails CI.
+//! that reads it (`tests/series.rs`), as does every name the registry
+//! holds at run time. Adding a site to the code without listing it (or
+//! vice versa) fails CI.
 
 /// Every failpoint site in the workspace, sorted by name.
 pub const ALL: &[&str] = &[
@@ -135,16 +136,19 @@ pub enum Consumer {
 }
 
 /// Every named series the `crates/*/src` sources create — through
-/// `counter`, `rate_counter`, `record_value`, `record_duration`, `span`,
-/// `time`, `alloc_scope`, `slo`, `set_drift_stat` and
-/// `ObsMutex`/`ObsRwLock::new` — sorted by name, each with its consumer.
-/// A series nobody reads is deleted, not listed.
+/// `counter`, `rate_counter`, `gauge`, `record_value`, `record_duration`,
+/// `span`, `time`, `alloc_scope`, `slo`, `set_drift_stat` and
+/// `ObsMutex`/`ObsRwLock::new` — and every name the obs crate builds from
+/// them at run time (`lock.<name>.*`, `slo:<name>:*`, and
+/// `failpoint.{hit,fired}.<site>` for each site in [`ALL`]), sorted by name,
+/// each with its consumer. A series nobody reads is deleted, not listed.
 pub const SERIES: &[(&str, Consumer)] = &[
     ("audit.queue.depth", Consumer::Dashboard("bl")),
     ("audit.score.top", Consumer::Input("psi.score")),
     ("audit:agree_items", Consumer::Input("audit.agreement")),
     ("audit:audited", Consumer::Input("audit.audited")),
     ("audit:burn", Consumer::Input("audit.burn")),
+    ("audit:degraded", Consumer::Input("audit.degraded")),
     (
         "audit:degraded_events",
         Consumer::Input("audit.degraded_events"),
@@ -153,6 +157,7 @@ pub const SERIES: &[(&str, Consumer)] = &[
         "audit:displacement",
         Consumer::Input("audit.window_displacement_p99"),
     ),
+    ("audit:floor", Consumer::Input("audit.floor")),
     ("audit:hit_items", Consumer::Input("audit.recall")),
     ("audit:mismatched", Consumer::Input("audit.mismatched")),
     ("audit:sampled", Consumer::Input("audit.sampled")),
@@ -191,6 +196,14 @@ pub const SERIES: &[(&str, Consumer)] = &[
     ("eval.rank", Consumer::RunSummary),
     ("eval.rank.worker", Consumer::RunSummary),
     ("eval.users.ranked", Consumer::RunSummary),
+    (
+        "failpoint.fired.<site>",
+        Consumer::Test("every_registered_site_is_exercised_and_listed"),
+    ),
+    (
+        "failpoint.hit.<site>",
+        Consumer::Test("every_registered_site_is_exercised_and_listed"),
+    ),
     ("grad.batches", Consumer::RunSummary),
     ("grad.stage1", Consumer::RunSummary),
     ("grad.stage2", Consumer::RunSummary),
@@ -198,6 +211,22 @@ pub const SERIES: &[(&str, Consumer)] = &[
     (
         "ingest.untagged_fraction",
         Consumer::Test("drift_gauges_track_ingest_coverage_and_steady_candidates"),
+    ),
+    (
+        "lock.engine.cache.contended",
+        Consumer::Dashboard("hot lock"),
+    ),
+    (
+        "lock.engine.cache.wait",
+        Consumer::Bench("lock.engine.cache.wait_us.p99"),
+    ),
+    (
+        "lock.engine.live.contended",
+        Consumer::Dashboard("hot lock"),
+    ),
+    (
+        "lock.engine.live.wait",
+        Consumer::Bench("lock.engine.live.wait_us.p99"),
     ),
     (
         "psi.candidates",
@@ -237,7 +266,34 @@ pub const SERIES: &[(&str, Consumer)] = &[
     ("serve.request", Consumer::Dashboard("qps")),
     ("serve.requests", Consumer::Dashboard("cache hit")),
     ("serve.shed", Consumer::Dashboard("shed/s")),
+    ("slo:serve.recommend:good", Consumer::Input("slo.burn_rate")),
+    (
+        "slo:serve.recommend:objective_ns",
+        Consumer::Input("slo.burn_rate"),
+    ),
+    (
+        "slo:serve.recommend:target",
+        Consumer::Input("slo.burn_rate"),
+    ),
+    (
+        "slo:serve.recommend:total",
+        Consumer::Input("slo.burn_rate"),
+    ),
 ];
+
+/// The consumer listed for the series `name`, reading a `<site>` row as
+/// each site in [`ALL`].
+pub fn consumer_of(name: &str) -> Option<Consumer> {
+    SERIES
+        .iter()
+        .find(|(row, _)| match row.strip_suffix("<site>") {
+            Some(family) => name
+                .strip_prefix(family)
+                .is_some_and(|site| ALL.contains(&site)),
+            None => *row == name,
+        })
+        .map(|&(_, consumer)| consumer)
+}
 
 #[cfg(test)]
 mod tests {

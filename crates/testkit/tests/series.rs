@@ -1,11 +1,17 @@
 //! Series inventory: every named obs series the `crates/*/src` sources
-//! create must be listed in [`inbox_testkit::sites::SERIES`], every listed
-//! series must still be created, and every listed consumer must really read
-//! the series by name.
+//! create, and every name the registry holds once a server has answered,
+//! must be listed in [`inbox_testkit::sites::SERIES`]; every listed series
+//! must still be created; and every listed consumer must really read the
+//! series by name.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use inbox_serve::{HttpServer, IndexMode, ServeConfig, Service};
+use inbox_testkit::harness;
 use inbox_testkit::sites::{self, Consumer};
 
 /// Calls that create (or write) a named series; the name is the first
@@ -13,6 +19,7 @@ use inbox_testkit::sites::{self, Consumer};
 const CREATING_CALLS: &[&str] = &[
     "counter",
     "rate_counter",
+    "gauge",
     "record_value",
     "record_duration",
     "span",
@@ -33,6 +40,11 @@ const READING_CALLS: &[&str] = &[
     "in_window",
     "value_buckets",
 ];
+
+/// Families of names the obs crate builds at run time from a created name
+/// (a lock's, an SLO's) or a failpoint site; the source scan cannot see
+/// them, the runtime check does.
+const BUILT_AT_RUN_TIME: &[&str] = &["failpoint.", "lock.", "slo:"];
 
 /// Run-summary series must come from the trainer or the evaluator.
 const TRAINER_EVAL_PREFIXES: &[&str] = &["box.", "eval.", "grad.", "sampler."];
@@ -94,8 +106,8 @@ fn string_consts(code: &str) -> BTreeMap<String, String> {
 
 /// The first argument of every `call(` in `code` (a free call: not a
 /// method, not a longer identifier, not the definition), as the string
-/// literal or the `const` it names. `None` marks an argument that is
-/// neither.
+/// literal, the `const` it names, or the `format!` string that builds it
+/// (`lock.{lock}.wait`). `None` marks an argument that is none of these.
 fn call_arguments(code: &str, call: &str) -> Vec<Option<String>> {
     let consts = string_consts(code);
     let needle = format!("{call}(");
@@ -111,6 +123,7 @@ fn call_arguments(code: &str, call: &str) -> Vec<Option<String>> {
             continue;
         }
         let arg = code[from..].trim_start();
+        let arg = arg.strip_prefix("&format!(").unwrap_or(arg);
         if let Some(literal) = arg.strip_prefix('"') {
             out.push(Some(literal[..literal.find('"').unwrap()].to_string()));
         } else {
@@ -150,11 +163,59 @@ fn created_series() -> BTreeSet<String> {
     names
 }
 
+/// Whether the `format!` string `template` builds `name`, each `{…}`
+/// standing for a string `spelled` accepts.
+fn builds(template: &str, name: &str, spelled: &dyn Fn(&str) -> bool) -> bool {
+    let Some((fixed, rest)) = template.split_once('{') else {
+        return template == name;
+    };
+    let (Some(name), Some((_, tail))) = (name.strip_prefix(fixed), rest.split_once('}')) else {
+        return false;
+    };
+    (1..=name.len())
+        .filter(|&i| name.is_char_boundary(i))
+        .any(|i| spelled(&name[..i]) && builds(tail, &name[i..], spelled))
+}
+
+/// Whether `code` reads `name` through a reading call: by its literal or
+/// `const`, or by a `format!` string whose `{…}` parts are a row's `<…>`
+/// placeholder, a listed name, or a string `code` quotes
+/// (`span_snapshot(&format!("lock.{lock}.wait"))` beside `"engine.live"`).
+fn read_by_call(code: &str, name: &str) -> bool {
+    let spelled = |part: &str| {
+        (part.starts_with('<') && part.ends_with('>'))
+            || code.contains(&format!("\"{part}\""))
+            || sites::SERIES.iter().any(|&(row, _)| row == part)
+    };
+    READING_CALLS.iter().any(|call| {
+        call_arguments(code, call)
+            .into_iter()
+            .flatten()
+            .any(|arg| builds(&arg, name, &spelled))
+    })
+}
+
+/// Whether `code` picks `name` out of a listing by a quoted prefix and a
+/// quoted suffix (`strip_prefix("lock.")` … `strip_suffix(".contended")`).
+fn matches_family(code: &str, name: &str) -> bool {
+    let quoted = |part: &str| code.contains(&format!("\"{part}\""));
+    (1..name.len()).any(|i| {
+        name.is_char_boundary(i)
+            && quoted(&name[..i])
+            && (i + 1..name.len()).any(|j| name.is_char_boundary(j) && quoted(&name[j..]))
+    })
+}
+
 /// Both directions: a series nobody lists has no known consumer; a listed
-/// series nobody creates is a stale row.
+/// series nobody creates is a stale row. Names built at run time are
+/// checked against the running registry instead.
 #[test]
 fn series_inventory_matches_sources() {
-    let listed: BTreeSet<String> = sites::SERIES.iter().map(|(n, _)| n.to_string()).collect();
+    let listed: BTreeSet<String> = sites::SERIES
+        .iter()
+        .map(|(n, _)| n.to_string())
+        .filter(|n| !BUILT_AT_RUN_TIME.iter().any(|f| n.starts_with(f)))
+        .collect();
     let created = created_series();
     assert_eq!(
         created,
@@ -165,8 +226,75 @@ fn series_inventory_matches_sources() {
     );
 }
 
+/// One request over a fresh connection; the status line's code.
+fn request(http: &HttpServer, method: &str, path: &str) -> u16 {
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply[9..12].parse().unwrap()
+}
+
+/// Every name the registry holds after full-sort and IVF serving (cache
+/// misses and hits, an ingest, the audit worker) has a row in
+/// `sites::SERIES`, whose consumer the test below checks; and every
+/// run-time row but the failpoint ones was seen. Failpoint counters appear
+/// only under the `failpoints` feature; the coverage suite arms every site
+/// and checks their rows.
+#[test]
+fn every_runtime_series_is_listed() {
+    inbox_obs::set_enabled(true);
+    for index in [
+        IndexMode::FullSort,
+        IndexMode::Ivf {
+            nlist: 0,
+            nprobe: 0,
+        },
+    ] {
+        let cfg = ServeConfig {
+            index,
+            audit_sample: 1,
+            ..ServeConfig::default()
+        };
+        let (_ds, _cfg, engine) = harness::engine(81, &cfg);
+        let service = Arc::new(Service::start(engine, &cfg));
+        let http = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        assert_eq!(request(&http, "GET", "/recommend?user=0&k=5"), 200);
+        assert_eq!(request(&http, "GET", "/recommend?user=0&k=5"), 200);
+        assert_eq!(request(&http, "POST", "/ingest?user=1&item=2"), 200);
+        assert_eq!(request(&http, "GET", "/recommend?user=1&k=5"), 200);
+        http.shutdown();
+        service.shutdown();
+    }
+    let seen: BTreeSet<&str> = inbox_obs::series()
+        .iter()
+        .map(|s| s.name)
+        .filter(|n| !n.starts_with("test.") && !n.starts_with("golden."))
+        .collect();
+    let unlisted: Vec<_> = seen
+        .iter()
+        .filter(|n| sites::consumer_of(n).is_none())
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "series in the registry without a sites::SERIES row: {unlisted:?}"
+    );
+    let stale: Vec<_> = sites::SERIES
+        .iter()
+        .map(|&(n, _)| n)
+        .filter(|n| BUILT_AT_RUN_TIME.iter().any(|f| n.starts_with(f)) && !n.ends_with("<site>"))
+        .filter(|n| !seen.contains(n))
+        .collect();
+    assert!(stale.is_empty(), "run-time rows never seen: {stale:?}");
+}
+
 /// Each consumer claim holds in the consumer's own source: the dashboard,
-/// servebench and the named test mention the series by name, an input is
+/// servebench and the named test mention the series by name (or, for a
+/// name built at run time, build it or pick out its family), an input is
 /// read back by name, and the run summary documents it in README.
 #[test]
 fn every_listed_consumer_reads_its_series_by_name() {
@@ -183,33 +311,29 @@ fn every_listed_consumer_reads_its_series_by_name() {
         .iter()
         .map(|p| std::fs::read_to_string(p).unwrap())
         .collect();
-    let mut read_by_name = BTreeSet::new();
-    for path in source_files() {
-        let code = non_test_source(&path);
-        for call in READING_CALLS {
-            read_by_name.extend(call_arguments(&code, call).into_iter().flatten());
-        }
-    }
+    let sources: Vec<String> = source_files().iter().map(|p| non_test_source(p)).collect();
 
     for &(name, consumer) in sites::SERIES {
         let quoted = format!("\"{name}\"");
+        let mentions = |code: &str| code.contains(&quoted) || read_by_call(code, name);
         match consumer {
             Consumer::Dashboard(column) => assert!(
-                dashboard.contains(&quoted) && dashboard.contains(column),
+                (mentions(&dashboard) || matches_family(&dashboard, name))
+                    && dashboard.contains(column),
                 "{name}: the dashboard's `{column}` column does not read it"
             ),
             Consumer::Bench(field) => assert!(
-                servebench.contains(&quoted) && servebench.contains(&format!("\"{field}\"")),
+                mentions(&servebench) && servebench.contains(&format!("\"{field}\"")),
                 "{name}: servebench's `{field}` does not read it"
             ),
             Consumer::Input(figure) => assert!(
-                read_by_name.contains(name),
+                sources.iter().any(|code| read_by_call(code, name)),
                 "{name}: nothing reads it by name for {figure}"
             ),
             Consumer::Test(test) => assert!(
                 tests
                     .iter()
-                    .any(|t| t.contains(&format!("fn {test}(")) && t.contains(&quoted)),
+                    .any(|t| t.contains(&format!("fn {test}(")) && mentions(t)),
                 "{name}: no test `{test}` reads it"
             ),
             Consumer::RunSummary => {
