@@ -23,6 +23,11 @@
 //!   `sum = c0 + c1` — exactly what two SSE `addps` halves followed by
 //!   `movhl`/`shuffle` reductions compute.
 //!
+//! Three row kernels: [`l1_row`] (point-to-point L1),
+//! [`d_pb_bounds_parts`] (the one inference point-to-box kernel; a
+//! `(cen, off)` box first materialises `cen ∓ relu0(off)`) and
+//! [`d_pb_row_interleaved`] (the training op `Tape::d_pb_rows`).
+//!
 //! # min/max selection semantics
 //!
 //! Rust's `f32::max` lowers to `llvm.maxnum`, whose `±0.0` behaviour is
@@ -429,8 +434,9 @@ pub fn l1_row(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Lane-striped `(D_out, D_in)` of one point against per-dimension box
-/// bounds `lo`/`hi` and center `cen` — the inference contract shared by
-/// `geometry::d_pb`/`d_pb_weighted` and `ItemScorer`. Separate
+/// bounds `lo`/`hi` and center `cen` — the one inference point-to-box
+/// kernel, behind `geometry::d_pb`/`d_pb_weighted`, `ItemScorer` and the
+/// IVF probe's centroid distance. Separate
 /// outside/inside accumulator groups; per dimension:
 /// `out += relu(p - hi) + relu(lo - p)`,
 /// `in += |cen - clamp(p, lo, hi)|` with `clamp = pmin(pmax(p, lo), hi)`.
@@ -706,48 +712,6 @@ mod avx2 {
     }
 }
 
-/// [`d_pb_bounds_parts`] with the bounds derived on the fly from a
-/// `(cen, raw off)` box: per lane `half = relu(off)`, `lo = cen - half`,
-/// `hi = cen + half` — the exact values `prepare_box_bounds` materialises,
-/// so both forms produce bit-identical totals.
-#[inline]
-pub fn d_pb_box_parts(p: &[f32], cen: &[f32], off: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(p.len(), cen.len());
-    debug_assert_eq!(p.len(), off.len());
-    let (full, rem) = chunks(p.len());
-    let mut out = F32x8::zero();
-    let mut inside = F32x8::zero();
-    #[inline(always)]
-    fn step(vp: F32x8, vc: F32x8, vo: F32x8, out: &mut F32x8, inside: &mut F32x8) {
-        let half = vo.relu();
-        let vl = vc.sub(half);
-        let vh = vc.add(half);
-        *out = out.add(vp.sub(vh).relu().add(vl.sub(vp).relu()));
-        let clamped = vp.max(vl).min(vh);
-        *inside = inside.add(vc.sub(clamped).abs());
-    }
-    for c in 0..full {
-        step(
-            F32x8::load(&p[c * 8..]),
-            F32x8::load(&cen[c * 8..]),
-            F32x8::load(&off[c * 8..]),
-            &mut out,
-            &mut inside,
-        );
-    }
-    if rem > 0 {
-        let at = full * 8;
-        step(
-            F32x8::load_tail(&p[at..]),
-            F32x8::load_tail(&cen[at..]),
-            F32x8::load_tail(&off[at..]),
-            &mut out,
-            &mut inside,
-        );
-    }
-    (out.hsum(), inside.hsum())
-}
-
 /// Lane-striped fused point-to-box distance of the **training** op
 /// `Tape::d_pb_rows`: a single interleaved accumulator folding
 /// `(over + under) + inside_weight · inside` per dimension (deliberately
@@ -879,21 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_box_forms_agree_bitwise() {
-        for d in [4usize, 8, 13, 32] {
-            let p = vals(d as u64, d);
-            let cen = vals(d as u64 + 7, d);
-            let off = vals(d as u64 + 13, d);
-            let lo: Vec<f32> = cen.iter().zip(&off).map(|(&c, &o)| c - relu0(o)).collect();
-            let hi: Vec<f32> = cen.iter().zip(&off).map(|(&c, &o)| c + relu0(o)).collect();
-            let a = d_pb_box_parts(&p, &cen, &off);
-            let b = d_pb_bounds_parts(&p, &cen, &lo, &hi);
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "dim {d} d_out");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "dim {d} d_in");
-        }
-    }
-
-    #[test]
     fn zero_padding_is_a_bit_exact_identity() {
         // A dim-5 row must equal the same row zero-padded to dim 8: the
         // remainder-lane contract in its purest form.
@@ -905,8 +854,10 @@ mod tests {
             v.resize(8, 0.0);
             v
         };
-        let a = d_pb_box_parts(&p, &cen, &off);
-        let b = d_pb_box_parts(&pad(&p), &pad(&cen), &pad(&off));
+        let lo: Vec<f32> = cen.iter().zip(&off).map(|(&c, &o)| c - relu0(o)).collect();
+        let hi: Vec<f32> = cen.iter().zip(&off).map(|(&c, &o)| c + relu0(o)).collect();
+        let a = d_pb_bounds_parts(&p, &cen, &lo, &hi);
+        let b = d_pb_bounds_parts(&pad(&p), &pad(&cen), &pad(&lo), &pad(&hi));
         assert_eq!(a.0.to_bits(), b.0.to_bits());
         assert_eq!(a.1.to_bits(), b.1.to_bits());
         let ai = d_pb_row_interleaved(&p, &cen, &off, 0.5);

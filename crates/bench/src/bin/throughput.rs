@@ -56,7 +56,8 @@ struct Numbers {
 /// items-scaled catalog twin (`--items-scale`, default 100x) with item
 /// points warm-started to clustered (trained-like) geometry. `rank_speedup`
 /// is full-sort wall-clock over IVF wall-clock for the same user set;
-/// `recall_at_20` is measured against the exact full-sort top-20.
+/// `recall_at_20` is measured against the exact full-sort top-20;
+/// `probe_ms` is `IvfIndex::select_probes` alone over the same users.
 #[derive(Debug, Clone, Serialize)]
 struct IndexedStage {
     items_scale: usize,
@@ -67,6 +68,7 @@ struct IndexedStage {
     build_ms: f64,
     full_rank_ms: f64,
     ivf_rank_ms: f64,
+    probe_ms: f64,
     rank_speedup: f64,
     recall_at_20: f64,
     mean_candidates: f64,
@@ -302,6 +304,28 @@ fn measure_indexed(
         (tops, candidates)
     });
 
+    // Probe selection alone, on each user's bounds prepared beforehand.
+    let bounds: Vec<(Vec<f32>, Vec<f32>)> = users
+        .iter()
+        .map(|b| {
+            scorer.prepare_box_bounds(b, &mut score_scratch);
+            (score_scratch.lo().to_vec(), score_scratch.hi().to_vec())
+        })
+        .collect();
+    let (probe_secs, ()) = best_of(reps, || {
+        for (b, (lo, hi)) in users.iter().zip(&bounds) {
+            let q = BoxQuery {
+                lo,
+                hi,
+                cen: &b.cen,
+                inside_weight: scorer.inside_weight(),
+                gamma: scorer.gamma(),
+                bound_slack: 0.0,
+            };
+            index.select_probes(&q, nprobe, &mut qscratch);
+        }
+    });
+
     IndexedStage {
         items_scale: scale,
         n_items: ds.kg.n_items(),
@@ -311,6 +335,7 @@ fn measure_indexed(
         build_ms: build_secs * 1e3,
         full_rank_ms: full_secs * 1e3,
         ivf_rank_ms: ivf_secs * 1e3,
+        probe_ms: probe_secs * 1e3,
         rank_speedup: full_secs / ivf_secs,
         recall_at_20: overlap(&full_tops, &ivf_tops),
         mean_candidates: candidates as f64 / users.len().max(1) as f64,
@@ -437,8 +462,13 @@ fn main() {
         ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
     );
     println!(
-        "  full sort {:>8.1} ms   ivf {:>8.1} ms   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
-        ix.full_rank_ms, ix.ivf_rank_ms, ix.rank_speedup, ix.recall_at_20, ix.mean_candidates,
+        "  full sort {:>8.1} ms   ivf {:>8.1} ms (probe {:.1} ms)   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
+        ix.full_rank_ms,
+        ix.ivf_rank_ms,
+        ix.probe_ms,
+        ix.rank_speedup,
+        ix.recall_at_20,
+        ix.mean_candidates,
     );
 
     for (d, p) in &report.scan {

@@ -1,6 +1,6 @@
 //! Pure-`f32` box geometry: the representation of Section 3.1 and the
-//! distance functions of Section 3.2, implemented without the autodiff tape
-//! for the fast inference/scoring path.
+//! distance functions of Section 3.2, without the autodiff tape: for
+//! explanations, tests and examples (serving scores through `ItemScorer`).
 //!
 //! A box embedding is `b = (Cen(b), Off(b)) ∈ R^{2d}`; its extent on each
 //! dimension is `Cen(b) ± σ(Off(b))` with `σ = ReLU` (Eq. (1)). Items are
@@ -11,6 +11,8 @@
 //!   (Eq. (6), TRT triples),
 //! * [`d_pb`] — point-to-box distance `D_out + D_in` (Eq. (7)–(9), IRT
 //!   triples, stage-2 intersections and final scoring, Eq. (29)).
+
+use crate::simd::{d_pb_bounds_parts, relu0};
 
 /// An owned box embedding: center and raw offset (offset may contain
 /// negative entries; the effective half-width is `relu(off)`).
@@ -170,19 +172,18 @@ pub fn d_in(point: &[f32], b: &BoxEmb) -> f32 {
         .sum()
 }
 
-/// Point-to-box distance `D_PB = D_out + D_in` (Eq. (7)).
-///
-/// Computed by the lane-striped SIMD kernel ([`crate::simd::d_pb_box_parts`]);
-/// the scalar [`d_out`] / [`d_in`] pair above is the readable reference form,
-/// kept scalar on purpose as an independent cross-check for the testkit.
+/// Point-to-box distance `D_PB = D_out + D_in` (Eq. (7)): [`d_pb_weighted`]
+/// at weight 1. The scalar [`d_out`] / [`d_in`] pair above is the readable
+/// reference form, kept scalar on purpose as an independent cross-check
+/// for the testkit.
 pub fn d_pb(point: &[f32], b: &BoxEmb) -> f32 {
-    debug_assert_eq!(point.len(), b.dim());
-    let (out, inside) = crate::simd::d_pb_box_parts(point, &b.cen, &b.off);
-    out + inside
+    d_pb_weighted(point, b, 1.0)
 }
 
 /// Point-to-box distance with a weighted inside term:
-/// `D_out + α · D_in`.
+/// `D_out + α · D_in`, through the inference kernel [`d_pb_bounds_parts`]
+/// on the bounds `cen ∓ relu0(off)` that `ItemScorer::prepare_box_bounds`
+/// materialises, so it computes the scorer's bits.
 ///
 /// Note on fidelity: Eq. (7) sums the two terms with equal weight, but the
 /// unweighted sum is *flat in the box offset* — for a point outside the box,
@@ -193,7 +194,10 @@ pub fn d_pb(point: &[f32], b: &BoxEmb) -> f32 {
 /// we expose the weight as `InBoxConfig::inside_weight`. See DESIGN.md.
 pub fn d_pb_weighted(point: &[f32], b: &BoxEmb, inside_weight: f32) -> f32 {
     debug_assert_eq!(point.len(), b.dim());
-    let (out, inside) = crate::simd::d_pb_box_parts(point, &b.cen, &b.off);
+    let cen_off = || b.cen.iter().zip(&b.off);
+    let lo: Vec<f32> = cen_off().map(|(&c, &o)| c - relu0(o)).collect();
+    let hi: Vec<f32> = cen_off().map(|(&c, &o)| c + relu0(o)).collect();
+    let (out, inside) = d_pb_bounds_parts(point, &b.cen, &lo, &hi);
     out + inside_weight * inside
 }
 

@@ -454,9 +454,8 @@ impl ItemScorer {
         let at = line_offset(buf);
         buf.resize(at, 0.0);
         buf.extend_from_slice(&b.cen[..d]);
-        // relu0, not f32::max: identical select semantics to the SIMD
-        // kernel's box form, so the bounds and box forms stay
-        // bit-identical.
+        // relu0, not f32::max: `geometry::d_pb` derives its bounds the
+        // same way, so both compute the same bits.
         buf.resize(at + stride, 0.0);
         buf.extend((0..d).map(|k| b.cen[k] - simd::relu0(b.off[k])));
         buf.resize(at + 2 * stride, 0.0);
@@ -624,7 +623,7 @@ mod tests {
                 let p = model.item_point_f32(ItemId(i as u32));
                 let reference = cfg.gamma - geometry::d_pb_weighted(p, b, cfg.inside_weight);
                 // Bit-identical: the scan path and the geometry reference
-                // share the lane-striped kernel (bounds vs box form).
+                // run the one lane-striped kernel on the same bounds.
                 assert_eq!(
                     s.to_bits(),
                     reference.to_bits(),

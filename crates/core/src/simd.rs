@@ -5,6 +5,5 @@
 //! module re-exports them so the scoring path names one kernel module.
 
 pub use inbox_autodiff::simd::{
-    d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row, pmax, pmin, relu0, Avx2,
-    F32x8, PreparedBox,
+    d_pb_bounds_parts, d_pb_row_interleaved, l1_row, pmax, pmin, relu0, Avx2, F32x8, PreparedBox,
 };

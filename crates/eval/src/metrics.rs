@@ -282,9 +282,9 @@ pub fn evaluate_with_threads(
         let chunk = users.len().div_ceil(threads);
         let mut results = vec![(0.0, 0.0); users.len()];
         let ranked = &ranked;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (slice_users, slice_out) in users.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let worker = inbox_obs::span("eval.rank.worker");
                     for (u, out) in slice_users.iter().zip(slice_out.iter_mut()) {
                         *out = eval_user(*u);
@@ -293,8 +293,7 @@ pub fn evaluate_with_threads(
                     ranked.add(slice_users.len() as u64);
                 });
             }
-        })
-        .expect("evaluation worker panicked");
+        });
         results
     };
     span.stop();

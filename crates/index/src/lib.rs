@@ -12,13 +12,14 @@
 //!    partitions, each with its centroid and the axis-aligned bounding
 //!    rectangle of its member points.
 //! 2. **Probe selection** ([`IvfIndex::select_probes`]): partitions are
-//!    ordered by the exact box-to-centroid distance (outside + weighted
-//!    inside term, identical shape to the item score) and the `nprobe`
-//!    nearest are kept.
+//!    ordered by the best score any point of their bounding rectangle
+//!    could reach (an `f64` upper bound), ties broken by the box-to-centroid
+//!    distance from the item-scoring kernel, and the `nprobe` most
+//!    promising are kept with their bounds.
 //! 3. **Box pruning + exact re-rank** ([`IvfIndex::rerank`]): probed
-//!    partitions are visited nearest-first. Once the running top-k is
-//!    full, a partition whose bounding rectangle provably cannot contain
-//!    an item beating the current k-th best score is skipped whole; every
+//!    partitions are visited best-bound-first. Once the running top-k is
+//!    full, a partition whose stored bound provably cannot beat the
+//!    current k-th best score is skipped whole; every
 //!    surviving partition's members are scored **exactly** through a
 //!    caller-supplied scorer (production passes
 //!    `ItemScorer::score_item_prepared`, the very arithmetic of the full
@@ -38,9 +39,7 @@
 
 #![warn(missing_docs)]
 
-use std::cmp::Ordering;
-
-use inbox_autodiff::simd::F32x8;
+use inbox_autodiff::simd::{d_pb_bounds_parts, F32x8};
 use inbox_eval::TopKScratch;
 use inbox_kg::ItemId;
 
@@ -56,7 +55,7 @@ pub enum IndexMode {
     Ivf {
         /// Number of coarse partitions (k-means cells).
         nlist: usize,
-        /// Partitions probed per query, nearest-first.
+        /// Partitions probed per query, most promising first.
         nprobe: usize,
     },
 }
@@ -189,20 +188,12 @@ pub const PRUNE_SLACK: f64 = 1e-3;
 /// re-rank pipeline is allocation-free.
 #[derive(Default)]
 pub struct QueryScratch {
-    /// `(rect min-distance, centroid distance, partition)` rows, sorted
-    /// ascending, truncated to `nprobe` by `select_probes`.
-    probes: Vec<(f32, f32, u32)>,
+    /// `(rectangle score bound, centroid distance, partition)` of the
+    /// partitions `select_probes` kept, most promising first. `rerank`
+    /// prunes on the stored bound.
+    probes: Vec<(f64, f32, u32)>,
     /// The masked top-k selector the re-rank feeds.
     topk: TopKScratch,
-}
-
-impl QueryScratch {
-    /// Partitions the last [`IvfIndex::select_probes`] chose, as
-    /// `(rect min-distance, centroid distance, partition)`, most promising
-    /// first.
-    pub fn probes(&self) -> &[(f32, f32, u32)] {
-        &self.probes
-    }
 }
 
 /// What one [`IvfIndex::rerank`] did, for telemetry and contracts.
@@ -369,19 +360,6 @@ impl IvfIndex {
         &self.members[self.offsets[partition] as usize..self.offsets[partition + 1] as usize]
     }
 
-    /// Exact box-to-point distance (`d_out + w·d_in`, Eq. (7)–(9)) from
-    /// the query box to a centroid — the probe ordering key.
-    fn box_distance(&self, q: &BoxQuery<'_>, centroid: usize) -> f32 {
-        let row = &self.centroids[centroid * self.dim..(centroid + 1) * self.dim];
-        let mut out = 0.0f32;
-        let mut inside = 0.0f32;
-        for (k, &p) in row.iter().enumerate() {
-            out += (p - q.hi[k]).max(0.0) + (q.lo[k] - p).max(0.0);
-            inside += (q.cen[k] - p.clamp(q.lo[k], q.hi[k])).abs();
-        }
-        out + q.inside_weight * inside
-    }
-
     /// Upper bound (in `f64`, conservative) on the score any point inside
     /// partition `c`'s bounding rectangle can achieve against the box:
     /// `gamma - min over the rectangle of (d_out + w·d_in)`. Per
@@ -401,9 +379,10 @@ impl IvfIndex {
             d_out += (rlo - bhi).max(0.0) + (blo - rhi).max(0.0);
             // The clamp of any rectangle point into the box spans
             // [clamp(rlo), clamp(rhi)]; the nearest such value to the
-            // center bounds the inside term.
-            let a = rlo.clamp(blo, bhi);
-            let b = rhi.clamp(blo, bhi);
+            // center bounds the inside term. `max`/`min` rather than
+            // `clamp`, which panics on a NaN box.
+            let a = rlo.max(blo).min(bhi);
+            let b = rhi.max(blo).min(bhi);
             d_in += if cen < a {
                 a - cen
             } else if cen > b {
@@ -417,43 +396,53 @@ impl IvfIndex {
 
     /// Stage 1 — candidate generation: ranks every partition by how close
     /// its geometry can possibly come to the box and keeps the `nprobe`
-    /// most promising in `scratch`. The primary key is the **rectangle
-    /// min-distance** (the MINDIST of R-tree best-first search: the
-    /// smallest `d_out + w·d_in` any member could achieve, i.e. exactly
-    /// `gamma - rect_score_bound`); rectangles that overlap the box all
-    /// tie at 0, so the **box-to-centroid distance** (Eq. (7)–(9) applied
-    /// to the k-means centroid) breaks ties, then the partition id keeps
-    /// probing deterministic. Allocation-free once `scratch` is warm.
+    /// most promising in `scratch`. The primary key is the rectangle
+    /// score bound, highest first (the MINDIST of R-tree best-first
+    /// search: `gamma` minus the smallest `d_out + w·d_in` any member
+    /// could achieve). Rectangles that contain the box centre all tie at
+    /// `gamma`, so the box-to-centroid distance breaks ties — Eq. (7)–(9)
+    /// applied to the k-means centroid through the item-scoring kernel
+    /// [`d_pb_bounds_parts`] — and then the partition id. Both floats
+    /// compare by `total_cmp`, so a NaN key still orders deterministically.
+    /// Only the kept entries are sorted. Allocation-free once `scratch` is
+    /// warm.
     pub fn select_probes(&self, q: &BoxQuery<'_>, nprobe: usize, scratch: &mut QueryScratch) {
         let nlist = self.nlist();
-        scratch.probes.clear();
-        scratch.probes.reserve(nlist);
-        for c in 0..nlist {
-            let mindist = (q.gamma as f64 - self.rect_score_bound(q, c)) as f32;
-            scratch
-                .probes
-                .push((mindist, self.box_distance(q, c), c as u32));
+        let probes = &mut scratch.probes;
+        probes.clear();
+        probes.reserve(nlist);
+        for (c, centroid) in self.centroids.chunks_exact(self.dim).enumerate() {
+            let (out, inside) = d_pb_bounds_parts(centroid, q.cen, q.lo, q.hi);
+            let distance = out + q.inside_weight * inside;
+            probes.push((self.rect_score_bound(q, c), distance, c as u32));
         }
-        scratch.probes.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+        let order = |a: &(f64, f32, u32), b: &(f64, f32, u32)| {
+            b.0.total_cmp(&a.0)
+                .then(a.1.total_cmp(&b.1))
                 .then(a.2.cmp(&b.2))
-        });
-        scratch.probes.truncate(nprobe.max(1).min(nlist));
+        };
+        let keep = nprobe.clamp(1, nlist);
+        if keep < nlist {
+            probes.select_nth_unstable_by(keep, order);
+            probes.truncate(keep);
+        }
+        probes.sort_unstable_by(order);
     }
 
     /// Stage 2 — box pruning + exact re-rank over the probed partitions:
-    /// visits `scratch`'s probe list nearest-first, skips partitions whose
-    /// rectangle bound cannot beat the selector's k-th best score (minus
-    /// [`PRUNE_SLACK`]), and feeds every remaining unmasked member, scored
-    /// through `score` (exact, caller-supplied), to the masked top-k
+    /// visits `scratch`'s probe list in order, skips partitions whose
+    /// stored rectangle bound cannot beat the selector's k-th best score
+    /// (minus [`PRUNE_SLACK`]), and feeds every remaining unmasked member,
+    /// scored through `score` (exact, caller-supplied), to the masked top-k
     /// selector. `mask` must be sorted ascending. The result lands in
     /// `out` best-first with the evaluation protocol's tie-breaking; the
     /// returned stats feed the candidate-set telemetry.
+    ///
+    /// `_q` is the query `select_probes` ran with; the probe entries
+    /// already carry every bound it implies.
     pub fn rerank(
         &self,
-        q: &BoxQuery<'_>,
+        _q: &BoxQuery<'_>,
         k: usize,
         mask: &[ItemId],
         mut score: impl FnMut(u32) -> f32,
@@ -463,11 +452,11 @@ impl IvfIndex {
         let mut stats = RerankStats::default();
         let QueryScratch { probes, topk } = scratch;
         topk.reset(k);
-        for &(_, _, c) in probes.iter() {
+        for &(bound, _, c) in probes.iter() {
             let c = c as usize;
             if let Some(kth) = topk.kth() {
                 let floor = kth as f64 - PRUNE_SLACK;
-                if self.rect_score_bound(q, c) < floor {
+                if bound < floor {
                     stats.pruned_partitions += 1;
                     continue;
                 }
@@ -687,6 +676,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
 
     fn random_items(n: usize, dim: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1234,6 +1224,118 @@ mod tests {
             "corner box pruned nothing: {stats:?}"
         );
         assert!(stats.candidates < 800, "pruning reduced the scan");
+    }
+
+    #[test]
+    fn centroid_distance_orders_partitions_whose_bounds_tie() {
+        // Uniform points: every rectangle spans the box centre on every
+        // dimension, so every bound is exactly `gamma` and the centroid
+        // distance is the only signal the probe order has.
+        let dim = 32;
+        let items = random_items(2000, dim, 61);
+        let ix = IvfIndex::build(
+            &items,
+            dim,
+            &IvfParams {
+                nlist: 16,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(67);
+        let mut scratch = QueryScratch::default();
+        for case in 0..10 {
+            let cen: Vec<f32> = (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect();
+            let (lo, hi, cen) = box_of(cen, rng.gen_range(0.1..0.8));
+            let q = BoxQuery {
+                lo: &lo,
+                hi: &hi,
+                cen: &cen,
+                inside_weight: 0.5,
+                gamma: 12.0,
+                bound_slack: 0.0,
+            };
+            ix.select_probes(&q, ix.nlist(), &mut scratch);
+            assert!(
+                scratch.probes.iter().all(|p| p.0 == q.gamma as f64),
+                "case {case}: some rectangle misses the box centre"
+            );
+            let all = scratch.probes.clone();
+            assert!(
+                all.windows(2).all(|w| w[0].1 <= w[1].1),
+                "case {case}: probes out of centroid-distance order: {all:?}"
+            );
+            ix.select_probes(&q, 4, &mut scratch);
+            assert_eq!(scratch.probes, all[..4], "case {case}: nprobe 4");
+        }
+    }
+
+    #[test]
+    fn non_finite_index_probes_every_partition_once() {
+        // The `non_finite_rows_build_like_the_reference` fixture: one
+        // centroid takes the NaN and infinite coordinates, so its centroid
+        // distance is infinite; a NaN box centre makes every distance NaN.
+        let dim = 5;
+        let mut items = random_items(300, dim, 37);
+        for (i, v) in [(7, f32::INFINITY), (40, f32::NEG_INFINITY), (123, f32::NAN)] {
+            items[i * dim + i % dim] = v;
+        }
+        items[200 * dim..201 * dim].fill(f32::MAX);
+        let key_bits = |s: &QueryScratch| {
+            s.probes
+                .iter()
+                .map(|&(b, d, c)| (b.to_bits(), d.to_bits(), c))
+                .collect::<Vec<_>>()
+        };
+        for nlist in [6, 17] {
+            let ix = IvfIndex::build(
+                &items,
+                dim,
+                &IvfParams {
+                    nlist,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert!(
+                ix.centroids.iter().any(|v| v.is_nan()),
+                "nlist {nlist}: the fixture lost its NaN centroid"
+            );
+            for centre in [0.3, f32::NAN] {
+                let (lo, hi, cen) = box_of(vec![centre; dim], 0.4);
+                let q = BoxQuery {
+                    lo: &lo,
+                    hi: &hi,
+                    cen: &cen,
+                    inside_weight: 0.5,
+                    gamma: 12.0,
+                    bound_slack: 0.0,
+                };
+                let case = format!("nlist {nlist}, centre {centre}");
+                let mut scratch = QueryScratch::default();
+                ix.select_probes(&q, nlist, &mut scratch);
+                assert!(
+                    scratch.probes.iter().any(|p| !p.1.is_finite()),
+                    "{case}: every key is finite"
+                );
+                let mut seen: Vec<u32> = scratch.probes.iter().map(|p| p.2).collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..nlist as u32).collect::<Vec<_>>(), "{case}");
+                let first = key_bits(&scratch);
+                ix.select_probes(&q, nlist, &mut scratch);
+                assert_eq!(key_bits(&scratch), first, "{case}: order changed");
+                // Scored through the kernel: the scalar `exact_score`'s
+                // `clamp` panics on a NaN box.
+                let score = |i: u32| {
+                    let row = &items[i as usize * dim..(i as usize + 1) * dim];
+                    let (out, inside) = d_pb_bounds_parts(row, q.cen, q.lo, q.hi);
+                    q.gamma - (out + q.inside_weight * inside)
+                };
+                let mut out = Vec::new();
+                ix.rerank(&q, 20, &[], score, &mut scratch, &mut out);
+                assert_eq!(out.len(), 20, "{case}");
+            }
+        }
     }
 
     #[test]

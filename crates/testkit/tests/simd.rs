@@ -18,9 +18,7 @@
 //! lane program runs against the same replica wherever the CPU has AVX2.
 
 use inbox_core::geometry::{self, BoxEmb};
-use inbox_core::simd::{
-    d_pb_bounds_parts, d_pb_box_parts, d_pb_row_interleaved, l1_row, Avx2, PreparedBox,
-};
+use inbox_core::simd::{d_pb_bounds_parts, d_pb_row_interleaved, l1_row, Avx2, PreparedBox};
 use proptest::prelude::*;
 
 /// Largest dimensionality exercised; covers 5 full chunks and every
@@ -147,8 +145,10 @@ proptest! {
         prop_assert!(got.is_finite() && got >= 0.0, "dim {}: {}", d, got);
     }
 
-    /// `d_pb_bounds_parts` — the `ItemScorer` inference kernel — equals
-    /// the striped replica on both accumulator groups, to the bit.
+    /// `d_pb_bounds_parts` — the inference kernel behind `ItemScorer` and
+    /// `geometry::d_pb`/`d_pb_weighted` — equals the striped replica on
+    /// both accumulator groups, to the bit, and the geometry entry points
+    /// are exactly its parts.
     #[test]
     fn bounds_parts_are_bit_identical_to_the_striped_replica(
         d in dim(),
@@ -167,6 +167,12 @@ proptest! {
         prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
         prop_assert!(got_out.is_finite() && got_out >= 0.0);
         prop_assert!(got_in.is_finite() && got_in >= 0.0);
+        let b = BoxEmb::new(cen.to_vec(), off.to_vec());
+        prop_assert_eq!(geometry::d_pb(p, &b).to_bits(), (got_out + got_in).to_bits());
+        prop_assert_eq!(
+            geometry::d_pb_weighted(p, &b, 0.5).to_bits(),
+            (got_out + 0.5 * got_in).to_bits()
+        );
     }
 
     /// The AVX2 instance of the `d_pb_bounds_parts` lane program equals
@@ -205,32 +211,6 @@ proptest! {
                 d
             );
         }
-    }
-
-    /// `d_pb_box_parts` — behind `geometry::d_pb`/`d_pb_weighted` — is
-    /// bit-identical to the bounds form fed the materialised `lo`/`hi`,
-    /// so the full-scan and per-item scoring paths cannot diverge.
-    #[test]
-    fn box_and_bounds_forms_agree_bitwise(
-        d in dim(),
-        p in row(),
-        cen in row(),
-        off in row(),
-    ) {
-        let (p, cen, off) = (&p[..d], &cen[..d], &off[..d]);
-        let lo: Vec<f32> = (0..d).map(|k| cen[k] - relu(off[k])).collect();
-        let hi: Vec<f32> = (0..d).map(|k| cen[k] + relu(off[k])).collect();
-        let (want_out, want_in) = d_pb_bounds_parts(p, cen, &lo, &hi);
-        let (got_out, got_in) = d_pb_box_parts(p, cen, off);
-        prop_assert_eq!(got_out.to_bits(), want_out.to_bits(), "dim {} out", d);
-        prop_assert_eq!(got_in.to_bits(), want_in.to_bits(), "dim {} inside", d);
-        // And the geometry entry points are exactly these parts.
-        let b = BoxEmb::new(cen.to_vec(), off.to_vec());
-        prop_assert_eq!(geometry::d_pb(p, &b).to_bits(), (got_out + got_in).to_bits());
-        prop_assert_eq!(
-            geometry::d_pb_weighted(p, &b, 0.5).to_bits(),
-            (got_out + 0.5 * got_in).to_bits()
-        );
     }
 
     /// `d_pb_row_interleaved` — the training op's fused kernel — equals
@@ -280,8 +260,10 @@ proptest! {
         };
         let (pp, pc, po) = (extend(p), extend(cen), extend(off));
         prop_assert_eq!(l1_row(p, cen).to_bits(), l1_row(&pp, &pc).to_bits());
-        let (o1, i1) = d_pb_box_parts(p, cen, off);
-        let (o2, i2) = d_pb_box_parts(&pp, &pc, &po);
+        let lo: Vec<f32> = (0..d).map(|k| cen[k] - relu(off[k])).collect();
+        let hi: Vec<f32> = (0..d).map(|k| cen[k] + relu(off[k])).collect();
+        let (o1, i1) = d_pb_bounds_parts(p, cen, &lo, &hi);
+        let (o2, i2) = d_pb_bounds_parts(&pp, &pc, &extend(&lo), &extend(&hi));
         prop_assert_eq!(o1.to_bits(), o2.to_bits());
         prop_assert_eq!(i1.to_bits(), i2.to_bits());
         prop_assert_eq!(
