@@ -16,6 +16,10 @@
 //! `--items-scale N` sets the catalog multiplier for the indexed and scan
 //! stages (default 100, or 10 under `--quick`).
 //!
+//! The indexed stage runs at d = 32, 128 and 512 on tag-clustered item
+//! points, plus once at d = 32 on uniform (untrained) points, where the
+//! rectangle bound prunes nothing (`--quick`: the two d = 32 cases).
+//!
 //! The scan stage times `ItemScorer::score_box_into` alone on that catalog
 //! twin at d = 32, 128 and 512 (d = 32 only under `--quick`), reporting
 //! items/s, GB/s of item matrix read (`n · d · 4` bytes per scan) and the
@@ -30,7 +34,7 @@ use inbox_core::model::{InBoxModel, UniverseSizes};
 use inbox_core::predict::{all_user_boxes_with, user_interest_box, HistoryCache};
 use inbox_core::sampler::{stage1_epoch, stage2_epoch, stage3_epoch, Stage1Stats};
 use inbox_core::stages::{stage1_loss, stage2_loss, stage3_loss, BatchRunner};
-use inbox_core::{InBoxConfig, ItemScorer, ScoreScratch};
+use inbox_core::{BoxEmb, InBoxConfig, ItemScorer, ScoreScratch};
 use inbox_data::{Dataset, SyntheticConfig};
 use inbox_eval::{evaluate_with_threads, top_k_masked_into, TopKScratch};
 use inbox_index::{auto_nprobe, BoxQuery, IvfIndex, IvfParams, QueryScratch};
@@ -52,25 +56,31 @@ struct Numbers {
     users_ranked_per_sec: f64,
 }
 
-/// The candidate-index stage: full-sort vs IVF top-20 ranking on the
-/// items-scaled catalog twin (`--items-scale`, default 100x) with item
-/// points warm-started to clustered (trained-like) geometry. `rank_speedup`
-/// is full-sort wall-clock over IVF wall-clock for the same user set;
-/// `recall_at_20` is measured against the exact full-sort top-20;
-/// `probe_ms` is `IvfIndex::select_probes` alone over the same users.
+/// The candidate-index stage at one shape: full-sort vs IVF top-20
+/// ranking on the items-scaled catalog twin (`--items-scale`, default
+/// 100x), the IVF side on a scorer whose rows are in partition order, as
+/// the serving engine keeps them. `rank_speedup` is full-sort wall-clock
+/// over IVF wall-clock for the same user set; `recall_at_20` is measured
+/// against the exact full-sort top-20; `probe_ms` and `rerank_ms` are
+/// `IvfIndex::select_probes` and `IvfIndex::rerank` alone over the same
+/// users; `exact_frac` is the share of answers `rerank` proved exact.
 #[derive(Debug, Clone, Serialize)]
 struct IndexedStage {
     items_scale: usize,
     n_items: usize,
     n_users_ranked: usize,
+    /// Item points tag-clustered (trained-like) or uniform (untrained).
+    clustered: bool,
     nlist: usize,
     nprobe: usize,
     build_ms: f64,
     full_rank_ms: f64,
     ivf_rank_ms: f64,
     probe_ms: f64,
+    rerank_ms: f64,
     rank_speedup: f64,
     recall_at_20: f64,
+    exact_frac: f64,
     mean_candidates: f64,
     candidates_per_sec: f64,
 }
@@ -100,7 +110,8 @@ struct Report {
     batch_size: usize,
     reps: usize,
     current: Numbers,
-    indexed: IndexedStage,
+    /// The indexed stage, keyed `d32`, `d128`, `d512` and `d32_uniform`.
+    indexed: BTreeMap<String, IndexedStage>,
     /// The scan stage, keyed `d32`, `d128`, `d512`.
     scan: BTreeMap<String, ScanPoint>,
 }
@@ -207,10 +218,18 @@ fn measure(ds: &Dataset, cfg: &InBoxConfig, reps: usize) -> Numbers {
     }
 }
 
-/// Measures the indexed stage: build an items-scaled twin of `synth`,
-/// warm-start clustered item points (the post-training regime the index
-/// serves in — see `InBoxModel::set_item_points`), then time exact
-/// full-sort top-20 against IVF-probed top-20 over every user with a box.
+/// The probe query of box `b`, whose bounds `scratch` holds.
+fn query<'a>(scorer: &ItemScorer, b: &'a BoxEmb, scratch: &'a ScoreScratch) -> BoxQuery<'a> {
+    BoxQuery {
+        lo: scratch.lo(),
+        hi: scratch.hi(),
+        cen: &b.cen,
+        inside_weight: scorer.inside_weight(),
+        gamma: scorer.gamma(),
+        bound_slack: 0.0,
+    }
+}
+
 /// Mean per-user overlap fraction between two top-k rankings.
 fn overlap(want: &[Vec<ItemId>], got: &[Vec<ItemId>]) -> f64 {
     let mut hits = 0u64;
@@ -222,9 +241,15 @@ fn overlap(want: &[Vec<ItemId>], got: &[Vec<ItemId>]) -> f64 {
     hits as f64 / total.max(1) as f64
 }
 
+/// Measures the indexed stage at dimension `cfg.dim`: build an
+/// items-scaled twin of `synth`, warm-start clustered item points when
+/// `clustered` (the post-training regime the index serves in — see
+/// `InBoxModel::set_item_points`), then time exact full-sort top-20
+/// against IVF-probed top-20 over every user with a box.
 fn measure_indexed(
     synth: &SyntheticConfig,
     cfg: &InBoxConfig,
+    clustered: bool,
     reps: usize,
     scale: usize,
 ) -> IndexedStage {
@@ -237,17 +262,24 @@ fn measure_indexed(
         n_users: ds.n_users(),
     };
     let mut model = InBoxModel::new(sizes, cfg);
-    // Tag-granular clusters: trained item points gather around the tag
-    // boxes that contain them (Figure 5 colors the PCA projection by
-    // genre), so the cluster count follows the tag vocabulary, not the
-    // catalog size.
-    inbox_testkit::harness::cluster_item_points(&mut model, ds.kg.n_tags().max(1), 0.05, 0x1db0);
+    if clustered {
+        // Tag-granular clusters: trained item points gather around the tag
+        // boxes that contain them (Figure 5 colors the PCA projection by
+        // genre), so the cluster count follows the tag vocabulary, not the
+        // catalog size.
+        inbox_testkit::harness::cluster_item_points(
+            &mut model,
+            ds.kg.n_tags().max(1),
+            0.05,
+            0x1db0,
+        );
+    }
 
     let runner = BatchRunner::new(cfg.threads);
     let cache = HistoryCache::build(&ds.kg, &ds.train, cfg);
     let boxes = all_user_boxes_with(&model, &cache, cfg, runner.pool());
-    let scorer = ItemScorer::new(&model, cfg, ds.kg.n_items());
-    let users: Vec<&inbox_core::geometry::BoxEmb> = boxes.iter().flatten().collect();
+    let mut scorer = ItemScorer::new(&model, cfg, ds.kg.n_items());
+    let users: Vec<&BoxEmb> = boxes.iter().flatten().collect();
     let k = 20;
 
     let (build_secs, index) = best_of(reps, || {
@@ -258,7 +290,7 @@ fn measure_indexed(
     let nprobe = auto_nprobe(nlist);
 
     // Exact full sort through the production path (score_box_into +
-    // top_k_masked_into), unmasked on both sides.
+    // top_k_masked_into) on rows in id order, unmasked on both sides.
     let mut scores = Vec::new();
     let mut score_scratch = ScoreScratch::default();
     let mut topk = TopKScratch::default();
@@ -273,22 +305,17 @@ fn measure_indexed(
         tops
     });
 
-    // IVF: probe selection + box-pruned exact re-rank, same users.
+    // IVF: probe selection + box-pruned exact re-rank, same users, rows in
+    // partition order as `Engine::new` stores them.
+    scorer.order_rows(index.member_order());
     let mut qscratch = QueryScratch::default();
     let mut ranked: Vec<(ItemId, f32)> = Vec::new();
-    let (ivf_secs, (ivf_tops, candidates)) = best_of(reps, || {
+    let (ivf_secs, (ivf_tops, candidates, exact)) = best_of(reps, || {
         let mut tops: Vec<Vec<ItemId>> = Vec::with_capacity(users.len());
-        let mut candidates = 0u64;
+        let (mut candidates, mut exact) = (0u64, 0usize);
         for b in &users {
             scorer.prepare_box_bounds(b, &mut score_scratch);
-            let q = BoxQuery {
-                lo: score_scratch.lo(),
-                hi: score_scratch.hi(),
-                cen: &b.cen,
-                inside_weight: scorer.inside_weight(),
-                gamma: scorer.gamma(),
-                bound_slack: 0.0,
-            };
+            let q = query(&scorer, b, &score_scratch);
             index.select_probes(&q, nprobe, &mut qscratch);
             let stats = index.rerank(
                 &q,
@@ -299,46 +326,54 @@ fn measure_indexed(
                 &mut ranked,
             );
             candidates += stats.candidates as u64;
+            exact += usize::from(stats.exact);
             tops.push(ranked.iter().map(|&(i, _)| i).collect());
         }
-        (tops, candidates)
+        (tops, candidates, exact)
     });
 
-    // Probe selection alone, on each user's bounds prepared beforehand.
-    let bounds: Vec<(Vec<f32>, Vec<f32>)> = users
-        .iter()
-        .map(|b| {
+    // Probe selection alone, then the re-rank alone, summed per user.
+    let (mut probe_secs, mut rerank_secs) = (f64::MAX, f64::MAX);
+    for _ in 0..reps.max(1) {
+        let (mut probe, mut rerank) = (0.0, 0.0);
+        for b in &users {
             scorer.prepare_box_bounds(b, &mut score_scratch);
-            (score_scratch.lo().to_vec(), score_scratch.hi().to_vec())
-        })
-        .collect();
-    let (probe_secs, ()) = best_of(reps, || {
-        for (b, (lo, hi)) in users.iter().zip(&bounds) {
-            let q = BoxQuery {
-                lo,
-                hi,
-                cen: &b.cen,
-                inside_weight: scorer.inside_weight(),
-                gamma: scorer.gamma(),
-                bound_slack: 0.0,
-            };
+            let q = query(&scorer, b, &score_scratch);
+            let t = Instant::now();
             index.select_probes(&q, nprobe, &mut qscratch);
+            probe += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            index.rerank(
+                &q,
+                k,
+                &[],
+                |i| scorer.score_item_prepared(b, &score_scratch, i),
+                &mut qscratch,
+                &mut ranked,
+            );
+            rerank += t.elapsed().as_secs_f64();
         }
-    });
+        probe_secs = probe_secs.min(probe);
+        rerank_secs = rerank_secs.min(rerank);
+    }
 
+    let n_users = users.len().max(1) as f64;
     IndexedStage {
         items_scale: scale,
         n_items: ds.kg.n_items(),
         n_users_ranked: users.len(),
+        clustered,
         nlist,
         nprobe,
         build_ms: build_secs * 1e3,
         full_rank_ms: full_secs * 1e3,
         ivf_rank_ms: ivf_secs * 1e3,
         probe_ms: probe_secs * 1e3,
+        rerank_ms: rerank_secs * 1e3,
         rank_speedup: full_secs / ivf_secs,
         recall_at_20: overlap(&full_tops, &ivf_tops),
-        mean_candidates: candidates as f64 / users.len().max(1) as f64,
+        exact_frac: exact as f64 / n_users,
+        mean_candidates: candidates as f64 / n_users,
         candidates_per_sec: candidates as f64 / ivf_secs,
     }
 }
@@ -428,8 +463,23 @@ fn main() {
     );
 
     let current = measure(&ds, &cfg, reps);
-    let indexed = measure_indexed(&synth, &cfg, reps, items_scale);
     let scan_dims: &[usize] = if quick { &[32] } else { &[32, 128, 512] };
+    let shapes = scan_dims
+        .iter()
+        .map(|&d| (format!("d{d}"), d, true))
+        .chain([("d32_uniform".to_string(), 32, false)]);
+    let indexed = shapes
+        .map(|(key, d, clustered)| {
+            let cfg = InBoxConfig {
+                threads,
+                ..InBoxConfig::for_dim(d)
+            };
+            (
+                key,
+                measure_indexed(&synth, &cfg, clustered, reps, items_scale),
+            )
+        })
+        .collect();
     let scan = scan_dims
         .iter()
         .map(|&d| (format!("d{d}"), measure_scan(&synth, d, reps, items_scale)))
@@ -456,20 +506,23 @@ fn main() {
         "user boxes {:>8.1} ms   ranking {:>8.1} ms ({:.0} users/s)",
         report.current.user_boxes_ms, report.current.rank_ms, report.current.users_ranked_per_sec,
     );
-    let ix = &report.indexed;
-    println!(
-        "indexed @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
-        ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
-    );
-    println!(
-        "  full sort {:>8.1} ms   ivf {:>8.1} ms (probe {:.1} ms)   speedup {:.2}x   recall@20 {:.4}   {:.0} cand/user",
-        ix.full_rank_ms,
-        ix.ivf_rank_ms,
-        ix.probe_ms,
-        ix.rank_speedup,
-        ix.recall_at_20,
-        ix.mean_candidates,
-    );
+    for (shape, ix) in &report.indexed {
+        println!(
+            "indexed {shape} @{}x catalog ({} items, {} users): nlist {} nprobe {} build {:.1} ms",
+            ix.items_scale, ix.n_items, ix.n_users_ranked, ix.nlist, ix.nprobe, ix.build_ms,
+        );
+        println!(
+            "  full sort {:>8.1} ms   ivf {:>8.1} ms (probe {:.1} ms, rerank {:.1} ms)   speedup {:.2}x   recall@20 {:.4}   exact {:.3}   {:.0} cand/user",
+            ix.full_rank_ms,
+            ix.ivf_rank_ms,
+            ix.probe_ms,
+            ix.rerank_ms,
+            ix.rank_speedup,
+            ix.recall_at_20,
+            ix.exact_frac,
+            ix.mean_candidates,
+        );
+    }
 
     for (d, p) in &report.scan {
         println!(

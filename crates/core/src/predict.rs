@@ -328,6 +328,10 @@ impl Quantization {
 ///
 /// On construction the scorer copies the item table into one contiguous
 /// `n_items × d` matrix, so scoring walks a single allocation in item order.
+/// [`order_rows`](Self::order_rows) may then permute the rows in place (the
+/// serving engine stores them in IVF partition order); an id → row map
+/// keeps every entry point addressed by item id, and
+/// [`score_box_into`](Self::score_box_into) still answers in id order.
 /// The per-dimension arithmetic mirrors
 /// [`geometry::d_pb_weighted`](crate::geometry::d_pb_weighted) exactly
 /// (separate outside/inside accumulators, same operation order), keeping
@@ -345,8 +349,12 @@ pub struct ItemScorer {
     /// `matrix[start]` on, which starts a cache line.
     matrix: Vec<f32>,
     start: usize,
+    /// `row_of[item]` is the matrix row holding `item`; empty while the
+    /// rows are in item-id order.
+    row_of: Vec<u32>,
     /// Present when this CPU runs AVX2, checked once here: the full scan
-    /// then runs at `__m256` width, bit-identical to [`simd::F32x8`].
+    /// and the per-item path then run at `__m256` width, bit-identical to
+    /// [`simd::F32x8`].
     avx2: Option<simd::Avx2>,
 }
 
@@ -368,8 +376,53 @@ impl ItemScorer {
             dim,
             matrix,
             start,
+            row_of: Vec::new(),
             avx2: simd::Avx2::detect(),
         }
+    }
+
+    /// Stores the rows in `order`, a permutation of the item ids: row `r`
+    /// then holds item `order[r]`. The matrix is permuted in place, one
+    /// cycle at a time through a single spare row, so no second copy of it
+    /// exists at any moment. Scores do not change, only where a row sits.
+    ///
+    /// # Panics
+    ///
+    /// When `order` is not a permutation of `0..n_items`, or the rows
+    /// were already ordered.
+    pub fn order_rows(&mut self, order: &[u32]) {
+        let n = self.n_items;
+        assert!(self.row_of.is_empty(), "the rows are ordered once");
+        assert_eq!(order.len(), n, "a row order lists every item once");
+        let mut row_of = vec![u32::MAX; n];
+        for (r, &item) in order.iter().enumerate() {
+            let slot = &mut row_of[item as usize];
+            assert_eq!(*slot, u32::MAX, "item {item} listed twice");
+            *slot = r as u32;
+        }
+        let d = self.dim;
+        let rows = &mut self.matrix[self.start..];
+        let mut done = vec![false; n];
+        let mut spare = vec![0.0f32; d];
+        for first in 0..n {
+            if done[first] {
+                continue;
+            }
+            spare.copy_from_slice(&rows[first * d..(first + 1) * d]);
+            let mut r = first;
+            loop {
+                done[r] = true;
+                // Row `r` takes item `order[r]` from its id-order row.
+                let from = order[r] as usize;
+                if from == first {
+                    rows[r * d..(r + 1) * d].copy_from_slice(&spare);
+                    break;
+                }
+                rows.copy_within(from * d..(from + 1) * d, r * d);
+                r = from;
+            }
+        }
+        self.row_of = row_of;
     }
 
     /// Pinned for servebench; delete with the next benchmark change.
@@ -409,9 +462,32 @@ impl ItemScorer {
         self.inside_weight
     }
 
-    /// The row-major `n_items × dim` item-point snapshot.
+    /// The row-major `n_items × dim` item-point snapshot, in row order:
+    /// item-id order unless [`order_rows`](Self::order_rows) ran.
     pub fn items(&self) -> &[f32] {
         &self.matrix[self.start..]
+    }
+
+    /// The item point of `item`, wherever its row sits.
+    fn row(&self, item: u32) -> &[f32] {
+        let r = match self.row_of.as_slice() {
+            [] => item,
+            row_of => row_of[item as usize],
+        } as usize;
+        &self.items()[r * self.dim..(r + 1) * self.dim]
+    }
+
+    /// One row's score against a prepared box: [`simd::PreparedBox::score`],
+    /// or the same lane program at AVX2 width when the CPU has it.
+    #[inline]
+    fn score_row(&self, q: &simd::PreparedBox<'_>, row: &[f32]) -> f32 {
+        match self.avx2 {
+            Some(avx2) => {
+                let (out, inside) = avx2.d_pb_bounds_parts(row, q.cen, q.lo, q.hi);
+                q.gamma - (out + q.inside_weight * inside)
+            }
+            None => q.score(row),
+        }
     }
 
     /// The lane backend the full scan runs on: `"avx2"`, `"sse2"` or
@@ -465,18 +541,18 @@ impl ItemScorer {
     }
 
     /// Scores one item against a box whose bounds were prepared by
-    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds). Identical
-    /// arithmetic and operation order to the full scan, so the score is
-    /// bit-identical to `score_box_into`'s entry for the same item.
+    /// [`prepare_box_bounds`](ItemScorer::prepare_box_bounds), reading its
+    /// row through the id → row map. Identical arithmetic and operation
+    /// order to the full scan (at AVX2 width when the CPU has it), so the
+    /// score is bit-identical to `score_box_into`'s entry for the same
+    /// item.
     pub fn score_item_prepared(&self, b: &BoxEmb, scratch: &ScoreScratch, item: u32) -> f32 {
         debug_assert_eq!(
             scratch.part(0),
             &b.cen[..],
             "scratch prepared from another box"
         );
-        let d = self.dim;
-        let row = &self.items()[item as usize * d..(item as usize + 1) * d];
-        self.prepared(scratch).score(row)
+        self.score_row(&self.prepared(scratch), self.row(item))
     }
 
     /// Scores every item against one interest box, in item order.
@@ -506,9 +582,15 @@ impl ItemScorer {
         // The scan overwrites every slot, so a warm buffer is not re-zeroed.
         out_scores.resize(self.n_items, 0.0);
         let q = self.prepared(scratch);
-        match self.avx2 {
-            Some(avx2) => avx2.score_rows(&q, self.items(), out_scores),
-            None => q.score_rows(self.items(), out_scores),
+        match (self.row_of.is_empty(), self.avx2) {
+            (true, Some(avx2)) => avx2.score_rows(&q, self.items(), out_scores),
+            (true, None) => q.score_rows(self.items(), out_scores),
+            // Rows in another order: score by id, through the map.
+            (false, _) => {
+                for (item, score) in out_scores.iter_mut().enumerate() {
+                    *score = self.score_row(&q, self.row(item as u32));
+                }
+            }
         }
     }
 
@@ -745,9 +827,10 @@ mod tests {
     }
 
     /// The dispatching scan (AVX2 when this CPU has it), the `F32x8` row
-    /// loop called directly and the per-item path agree to the bit, at
-    /// dims with and without remainder lanes and on boxes holding signed
-    /// zeros and subnormals.
+    /// loop called directly, the per-item path (AVX2 when this CPU has
+    /// it) and `F32x8`'s per-row score agree to the bit, at dims with and
+    /// without remainder lanes and on boxes holding signed zeros and
+    /// subnormals.
     #[test]
     fn scan_backends_and_per_item_path_agree_bitwise() {
         let (ds, _, _) = setup();
@@ -791,6 +874,8 @@ mod tests {
                 assert_eq!(dispatched.len(), ds.n_items());
                 for (i, (&s, &f)) in dispatched.iter().zip(&direct).enumerate() {
                     let one = scorer.score_item_prepared(&b, &scratch, i as u32);
+                    let row = &scorer.items()[i * d..(i + 1) * d];
+                    let one_f32x8 = scorer.prepared(&scratch).score(row);
                     assert_eq!(
                         s.to_bits(),
                         f.to_bits(),
@@ -802,9 +887,71 @@ mod tests {
                         one.to_bits(),
                         "scan vs per-item, dim {d} item {i}"
                     );
+                    assert_eq!(
+                        one.to_bits(),
+                        one_f32x8.to_bits(),
+                        "{} per-item vs F32x8 per-row, dim {d} item {i}",
+                        scorer.backend()
+                    );
                 }
             }
         }
+    }
+
+    /// Rows stored in another order score every item with the bits it
+    /// had in id order, through the per-item path and the id-order scan
+    /// alike.
+    #[test]
+    fn ordered_rows_keep_every_items_bits() {
+        let (ds, model, cfg) = setup();
+        let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
+        let scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+        let by_id = scorer.items().to_vec();
+        let mut scratch = ScoreScratch::default();
+        let want: Vec<Vec<f32>> = boxes
+            .iter()
+            .flatten()
+            .map(|b| scorer.score_box(b))
+            .collect();
+        let n = ds.n_items() as u32;
+        let reversed: Vec<u32> = (0..n).rev().collect();
+        // Odd ids first, then even: cycles of many lengths.
+        let strided: Vec<u32> = (0..n)
+            .filter(|i| i % 2 == 1)
+            .chain((0..n).step_by(2))
+            .collect();
+        for order in [reversed, strided] {
+            let mut scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+            scorer.order_rows(&order);
+            let d = scorer.dim();
+            for (r, &item) in order.iter().enumerate() {
+                let i = item as usize;
+                assert_eq!(
+                    scorer.items()[r * d..(r + 1) * d],
+                    by_id[i * d..(i + 1) * d],
+                    "row {r} holds item {item}"
+                );
+            }
+            let mut scan = Vec::new();
+            for (b, want) in boxes.iter().flatten().zip(&want) {
+                scorer.score_box_into(b, &mut scratch, &mut scan);
+                for (i, w) in want.iter().enumerate() {
+                    let one = scorer.score_item_prepared(b, &scratch, i as u32);
+                    assert_eq!(one.to_bits(), w.to_bits(), "per-item, item {i}");
+                    assert_eq!(scan[i].to_bits(), w.to_bits(), "scan, item {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn a_row_order_must_be_a_permutation() {
+        let (ds, model, cfg) = setup();
+        let mut scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+        let mut order: Vec<u32> = (0..ds.n_items() as u32).collect();
+        order[1] = 0;
+        scorer.order_rows(&order);
     }
 
     #[test]

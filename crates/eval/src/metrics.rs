@@ -114,6 +114,15 @@ impl TopKScratch {
         }
     }
 
+    /// Whether [`push`](Self::push) would keep this candidate now: the
+    /// selector is not yet full, or the candidate ranks above the worst
+    /// one held. A caller with a mask asks this first, so an item that
+    /// cannot enter never looks at the mask.
+    pub fn enters(&self, item: ItemId, score: f32) -> bool {
+        let entry = Ranked { score, item };
+        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| entry < *worst)
+    }
+
     /// The k-th best score offered so far, once `k` candidates are held
     /// (never for `k = 0`): a candidate scoring below it can no longer
     /// enter the answer.
@@ -141,18 +150,13 @@ impl TopKScratch {
         self.reset(k);
         let mut masked = mask.iter().peekable();
         for (idx, &score) in scores.iter().enumerate() {
-            let entry = Ranked {
-                score,
-                item: ItemId(idx as u32),
-            };
-            let enters =
-                self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| entry < *worst);
-            if !enters {
+            let item = ItemId(idx as u32);
+            if !self.enters(item, score) {
                 continue;
             }
-            while masked.next_if(|&&m| m < entry.item).is_some() {}
-            if masked.peek() != Some(&&entry.item) {
-                self.push(entry.item, entry.score);
+            while masked.next_if(|&&m| m < item).is_some() {}
+            if masked.peek() != Some(&&item) {
+                self.push(item, score);
             }
         }
     }

@@ -13,25 +13,34 @@
 //!    rectangle of its member points.
 //! 2. **Probe selection** ([`IvfIndex::select_probes`]): partitions are
 //!    ordered by the best score any point of their bounding rectangle
-//!    could reach (an `f64` upper bound), ties broken by the box-to-centroid
-//!    distance from the item-scoring kernel, and the `nprobe` most
-//!    promising are kept with their bounds.
+//!    could reach (an `f64` upper bound, computed for every partition in
+//!    one branch-free pass over dim-major rectangles), ties broken by the
+//!    box-to-centroid distance from the item-scoring kernel, and the
+//!    `nprobe` most promising are kept with their bounds, along with the
+//!    bound of the best partition left out.
 //! 3. **Box pruning + exact re-rank** ([`IvfIndex::rerank`]): probed
 //!    partitions are visited best-bound-first. Once the running top-k is
-//!    full, a partition whose stored bound provably cannot beat the
-//!    current k-th best score is skipped whole; every
-//!    surviving partition's members are scored **exactly** through a
-//!    caller-supplied scorer (production passes
+//!    full, the first partition whose stored bound provably cannot beat
+//!    the current k-th best score ends the search, since every later one
+//!    has a bound no higher. Every visited partition's members are scored
+//!    **exactly** through a caller-supplied scorer (production passes
 //!    `ItemScorer::score_item_prepared`, the very arithmetic of the full
-//!    sort) into [`inbox_eval::TopKScratch`], the masked top-k selector
-//!    the full sort ranks with (score descending, then smaller item id).
+//!    sort, over rows the engine stores in partition order); a score that
+//!    would enter [`inbox_eval::TopKScratch`], the masked top-k selector
+//!    the full sort ranks with (score descending, then smaller item id),
+//!    is then checked against the mask. [`RerankStats::candidates`]
+//!    therefore counts every member scored, masked ones included.
 //!
 //! Because candidate scores and the selection comparator are bit-identical
 //! to the full sort, the served answer is **byte-identical to the full
 //! sort whenever the probed partitions contain the true top-k** — the
 //! `nprobe = nlist` configuration recovers the full sort exactly (the
 //! pruning bound is conservative), and smaller `nprobe` trades recall for
-//! latency, a contract the testkit differential suite measures.
+//! latency, a contract the testkit differential suite measures. Each
+//! answer also says whether it is provably exact
+//! ([`RerankStats::exact`]): the search ended on the bound, probed every
+//! partition, or left out only partitions whose bounds fall below the
+//! final k-th score.
 //!
 //! The rectangle bound is evaluated in `f64` with a small safety slack
 //! ([`PRUNE_SLACK`]) so `f32` rounding in the exact per-item scores can
@@ -188,10 +197,18 @@ pub const PRUNE_SLACK: f64 = 1e-3;
 /// re-rank pipeline is allocation-free.
 #[derive(Default)]
 pub struct QueryScratch {
+    /// Per partition, the bound pass's outside sum, which ends holding
+    /// the partition's score bound.
+    d_out: Vec<f64>,
+    /// Per partition, the bound pass's inside sum.
+    d_in: Vec<f64>,
     /// `(rectangle score bound, centroid distance, partition)` of the
     /// partitions `select_probes` kept, most promising first. `rerank`
     /// prunes on the stored bound.
     probes: Vec<(f64, f32, u32)>,
+    /// The bound of the best partition `select_probes` dropped, `None`
+    /// when it kept every partition.
+    dropped: Option<f64>,
     /// The masked top-k selector the re-rank feeds.
     topk: TopKScratch,
 }
@@ -203,8 +220,15 @@ pub struct RerankStats {
     pub scanned_partitions: usize,
     /// Probed partitions skipped whole by the bounding-rectangle test.
     pub pruned_partitions: usize,
-    /// Candidate items scored exactly (mask hits excluded).
+    /// Items scored exactly: every member of every scanned partition.
+    /// Masked members count too, since each is scored before the mask is
+    /// consulted.
     pub candidates: usize,
+    /// The answer is provably the full sort's: the search stopped on the
+    /// bound, probed every partition, or every partition `select_probes`
+    /// dropped has a bound below the final k-th score minus
+    /// [`PRUNE_SLACK`].
+    pub exact: bool,
 }
 
 /// An IVF coarse partition of a frozen item-point matrix, with per-
@@ -215,9 +239,11 @@ pub struct IvfIndex {
     n_items: usize,
     /// Row-major `nlist × dim` partition centroids.
     centroids: Vec<f32>,
-    /// Row-major `nlist × dim` per-partition lower rectangle corners.
+    /// Dim-major `dim × nlist` lower rectangle corners: `rect_lo[k *
+    /// nlist + c]` is partition `c`'s corner on dimension `k`, so the bound
+    /// pass reads one contiguous row per dimension.
     rect_lo: Vec<f32>,
-    /// Row-major `nlist × dim` per-partition upper rectangle corners.
+    /// Dim-major `dim × nlist` upper rectangle corners.
     rect_hi: Vec<f32>,
     /// CSR offsets into `members`, length `nlist + 1`.
     offsets: Vec<u32>,
@@ -313,8 +339,8 @@ impl IvfIndex {
             members[cursor[a as usize] as usize] = i as u32;
             cursor[a as usize] += 1;
         }
-        let mut rect_lo = vec![f32::MAX; nlist * dim];
-        let mut rect_hi = vec![f32::MIN; nlist * dim];
+        let mut rect_lo = vec![f32::MAX; dim * nlist];
+        let mut rect_hi = vec![f32::MIN; dim * nlist];
         for c in 0..nlist {
             if inbox_obs::failpoint!("index.build_partition") {
                 return Err(BuildError::Injected(c));
@@ -322,9 +348,9 @@ impl IvfIndex {
             for &item in &members[offsets[c] as usize..offsets[c + 1] as usize] {
                 let row = &items[item as usize * dim..(item as usize + 1) * dim];
                 for (k, &v) in row.iter().enumerate() {
-                    let lo = &mut rect_lo[c * dim + k];
+                    let lo = &mut rect_lo[k * nlist + c];
                     *lo = lo.min(v);
-                    let hi = &mut rect_hi[c * dim + k];
+                    let hi = &mut rect_hi[k * nlist + c];
                     *hi = hi.max(v);
                 }
             }
@@ -360,19 +386,28 @@ impl IvfIndex {
         &self.members[self.offsets[partition] as usize..self.offsets[partition + 1] as usize]
     }
 
+    /// Every item id once, grouped by partition (ascending ids within
+    /// one): the order in which a re-rank that reads each visited
+    /// partition's rows as one contiguous run wants the item matrix.
+    pub fn member_order(&self) -> &[u32] {
+        &self.members
+    }
+
     /// Upper bound (in `f64`, conservative) on the score any point inside
     /// partition `c`'s bounding rectangle can achieve against the box:
     /// `gamma - min over the rectangle of (d_out + w·d_in)`. Per
     /// dimension the outside term's minimum is the rectangle-to-box gap
     /// and the inside term's minimum is the distance from the center to
-    /// the clamped rectangle interval — see DESIGN.md §12.
+    /// the clamped rectangle interval — see DESIGN.md §12. One partition
+    /// at a time, branchy: the reference [`bound_pass`](Self::bound_pass)
+    /// must match bit for bit.
     fn rect_score_bound(&self, q: &BoxQuery<'_>, c: usize) -> f64 {
-        let base = c * self.dim;
+        let nlist = self.nlist();
         let mut d_out = 0.0f64;
         let mut d_in = 0.0f64;
         for k in 0..self.dim {
-            let rlo = self.rect_lo[base + k] as f64;
-            let rhi = self.rect_hi[base + k] as f64;
+            let rlo = self.rect_lo[k * nlist + c] as f64;
+            let rhi = self.rect_hi[k * nlist + c] as f64;
             let blo = q.lo[k] as f64;
             let bhi = q.hi[k] as f64;
             let cen = q.cen[k] as f64;
@@ -394,27 +429,95 @@ impl IvfIndex {
         q.gamma as f64 - (d_out + q.inside_weight as f64 * d_in)
     }
 
+    /// [`rect_score_bound`](Self::rect_score_bound) of every partition at
+    /// once, into `d_out` (`d_in` is the pass's second accumulator).
+    /// Dimensions run outside and partitions inside, over the dim-major
+    /// rectangles: one partition per lane, branch-free, so the compiler
+    /// vectorises the inner loop. Per partition the adds happen in the
+    /// same order and on the same values as the scalar chain, so every
+    /// bound has its bits:
+    /// - `d_out` is the same expression.
+    /// - The inside term is `max(a − cen, 0) + max(cen − b, 0)`. With
+    ///   `a ≤ b` at most one side is positive, and it is the value the
+    ///   scalar `if`/`else if` picks. Otherwise both sides are `±0`, or a
+    ///   NaN that `max` turns into `0`, and adding a zero to a sum that
+    ///   started at `+0.0` leaves its bits as they are.
+    /// - `a > b` only on an empty partition, whose rectangle stays
+    ///   `[f32::MAX, f32::MIN]`; for `cen < a` its second side is masked
+    ///   off, as the scalar `else if` never reaches it.
+    fn bound_pass(&self, q: &BoxQuery<'_>, d_out: &mut Vec<f64>, d_in: &mut Vec<f64>) {
+        let nlist = self.nlist();
+        d_out.clear();
+        d_out.resize(nlist, 0.0);
+        d_in.clear();
+        d_in.resize(nlist, 0.0);
+        let rects = self
+            .rect_lo
+            .chunks_exact(nlist)
+            .zip(self.rect_hi.chunks_exact(nlist));
+        for (k, (rlo, rhi)) in rects.enumerate() {
+            let blo = q.lo[k] as f64;
+            let bhi = q.hi[k] as f64;
+            let cen = q.cen[k] as f64;
+            let lanes = d_out
+                .iter_mut()
+                .zip(d_in.iter_mut())
+                .zip(rlo.iter().zip(rhi));
+            for ((out, inside), (&rlo, &rhi)) in lanes {
+                let (rlo, rhi) = (rlo as f64, rhi as f64);
+                *out += (rlo - bhi).max(0.0) + (blo - rhi).max(0.0);
+                let a = rlo.max(blo).min(bhi);
+                let b = rhi.max(blo).min(bhi);
+                let above = if cen < a { 0.0 } else { (cen - b).max(0.0) };
+                *inside += (a - cen).max(0.0) + above;
+            }
+        }
+        let (gamma, w) = (q.gamma as f64, q.inside_weight as f64);
+        for (out, &inside) in d_out.iter_mut().zip(d_in.iter()) {
+            *out = gamma - (*out + w * inside);
+        }
+    }
+
     /// Stage 1 — candidate generation: ranks every partition by how close
     /// its geometry can possibly come to the box and keeps the `nprobe`
-    /// most promising in `scratch`. The primary key is the rectangle
-    /// score bound, highest first (the MINDIST of R-tree best-first
-    /// search: `gamma` minus the smallest `d_out + w·d_in` any member
-    /// could achieve). Rectangles that contain the box centre all tie at
+    /// most promising in `scratch`, with the bound of the best one it
+    /// dropped. The primary key is the rectangle score bound, highest
+    /// first (the MINDIST of R-tree best-first search: `gamma` minus the
+    /// smallest `d_out + w·d_in` any member could achieve), computed for
+    /// all partitions in one branch-free pass (see DESIGN.md §12). A NaN
+    /// bound proves nothing and is keyed `+∞`, so it can never end a
+    /// search. Rectangles that contain the box centre all tie at
     /// `gamma`, so the box-to-centroid distance breaks ties — Eq. (7)–(9)
     /// applied to the k-means centroid through the item-scoring kernel
     /// [`d_pb_bounds_parts`] — and then the partition id. Both floats
-    /// compare by `total_cmp`, so a NaN key still orders deterministically.
-    /// Only the kept entries are sorted. Allocation-free once `scratch` is
-    /// warm.
+    /// compare by `total_cmp`. Only the kept entries are sorted.
+    /// Allocation-free once `scratch` is warm.
     pub fn select_probes(&self, q: &BoxQuery<'_>, nprobe: usize, scratch: &mut QueryScratch) {
         let nlist = self.nlist();
-        let probes = &mut scratch.probes;
+        let QueryScratch {
+            d_out,
+            d_in,
+            probes,
+            dropped,
+            ..
+        } = scratch;
+        self.bound_pass(q, d_out, d_in);
+        debug_assert!(
+            (0..nlist).all(|c| d_out[c].to_bits() == self.rect_score_bound(q, c).to_bits()),
+            "the bound pass left the scalar bound's bits"
+        );
         probes.clear();
         probes.reserve(nlist);
-        for (c, centroid) in self.centroids.chunks_exact(self.dim).enumerate() {
+        for (c, (centroid, &bound)) in self
+            .centroids
+            .chunks_exact(self.dim)
+            .zip(d_out.iter())
+            .enumerate()
+        {
             let (out, inside) = d_pb_bounds_parts(centroid, q.cen, q.lo, q.hi);
             let distance = out + q.inside_weight * inside;
-            probes.push((self.rect_score_bound(q, c), distance, c as u32));
+            let key = if bound.is_nan() { f64::INFINITY } else { bound };
+            probes.push((key, distance, c as u32));
         }
         let order = |a: &(f64, f32, u32), b: &(f64, f32, u32)| {
             b.0.total_cmp(&a.0)
@@ -422,21 +525,27 @@ impl IvfIndex {
                 .then(a.2.cmp(&b.2))
         };
         let keep = nprobe.clamp(1, nlist);
+        *dropped = None;
         if keep < nlist {
+            // The entry at `keep` is the best of those dropped.
             probes.select_nth_unstable_by(keep, order);
+            *dropped = Some(probes[keep].0);
             probes.truncate(keep);
         }
         probes.sort_unstable_by(order);
     }
 
     /// Stage 2 — box pruning + exact re-rank over the probed partitions:
-    /// visits `scratch`'s probe list in order, skips partitions whose
-    /// stored rectangle bound cannot beat the selector's k-th best score
-    /// (minus [`PRUNE_SLACK`]), and feeds every remaining unmasked member,
-    /// scored through `score` (exact, caller-supplied), to the masked top-k
-    /// selector. `mask` must be sorted ascending. The result lands in
-    /// `out` best-first with the evaluation protocol's tie-breaking; the
-    /// returned stats feed the candidate-set telemetry.
+    /// visits `scratch`'s probe list in order and stops at the first
+    /// partition whose stored rectangle bound is below the selector's
+    /// k-th best score minus [`PRUNE_SLACK`]: the list is sorted by that
+    /// bound and the k-th score only rises, so no later probe could pass.
+    /// Every member of a visited partition is scored through `score`
+    /// (exact, caller-supplied); a score that would enter the top-k is
+    /// then checked against `mask`, which must be sorted ascending. The
+    /// result lands in `out` best-first with the evaluation protocol's
+    /// tie-breaking; the returned stats say what was scanned and whether
+    /// the answer is provably exact.
     ///
     /// `_q` is the query `select_probes` ran with; the probe entries
     /// already carry every bound it implies.
@@ -450,26 +559,34 @@ impl IvfIndex {
         out: &mut Vec<(ItemId, f32)>,
     ) -> RerankStats {
         let mut stats = RerankStats::default();
-        let QueryScratch { probes, topk } = scratch;
+        let QueryScratch {
+            probes,
+            dropped,
+            topk,
+            ..
+        } = scratch;
+        let below_kth = |topk: &TopKScratch, bound: f64| {
+            topk.kth()
+                .is_some_and(|kth| bound < kth as f64 - PRUNE_SLACK)
+        };
         topk.reset(k);
-        for &(bound, _, c) in probes.iter() {
-            let c = c as usize;
-            if let Some(kth) = topk.kth() {
-                let floor = kth as f64 - PRUNE_SLACK;
-                if bound < floor {
-                    stats.pruned_partitions += 1;
-                    continue;
-                }
+        for (visited, &(bound, _, c)) in probes.iter().enumerate() {
+            if below_kth(topk, bound) {
+                stats.pruned_partitions = probes.len() - visited;
+                stats.exact = true;
+                break;
             }
             stats.scanned_partitions += 1;
-            for &item in self.members(c) {
-                if mask.binary_search(&ItemId(item)).is_ok() {
-                    continue;
+            let members = self.members(c as usize);
+            stats.candidates += members.len();
+            for &item in members {
+                let (item, s) = (ItemId(item), score(item));
+                if topk.enters(item, s) && mask.binary_search(&item).is_err() {
+                    topk.push(item, s);
                 }
-                stats.candidates += 1;
-                topk.push(ItemId(item), score(item));
             }
         }
+        stats.exact |= dropped.is_none_or(|bound| below_kth(topk, bound));
         out.clear();
         topk.finish(|item, s| out.push((item, s)));
         stats
@@ -822,15 +939,15 @@ mod tests {
             members[cursor[a as usize] as usize] = i as u32;
             cursor[a as usize] += 1;
         }
-        let mut rect_lo = vec![f32::MAX; nlist * dim];
-        let mut rect_hi = vec![f32::MIN; nlist * dim];
+        let mut rect_lo = vec![f32::MAX; dim * nlist];
+        let mut rect_hi = vec![f32::MIN; dim * nlist];
         for c in 0..nlist {
             for &item in &members[offsets[c] as usize..offsets[c + 1] as usize] {
                 let row = &items[item as usize * dim..(item as usize + 1) * dim];
                 for (k, &v) in row.iter().enumerate() {
-                    let lo = &mut rect_lo[c * dim + k];
+                    let lo = &mut rect_lo[k * nlist + c];
                     *lo = lo.min(v);
-                    let hi = &mut rect_hi[c * dim + k];
+                    let hi = &mut rect_hi[k * nlist + c];
                     *hi = hi.max(v);
                 }
             }
@@ -1071,8 +1188,8 @@ mod tests {
             for &m in ix.members(c) {
                 let row = &items[m as usize * dim..(m as usize + 1) * dim];
                 for (k, &v) in row.iter().enumerate() {
-                    assert!(ix.rect_lo[c * dim + k] <= v);
-                    assert!(ix.rect_hi[c * dim + k] >= v);
+                    assert!(ix.rect_lo[k * ix.nlist() + c] <= v);
+                    assert!(ix.rect_hi[k * ix.nlist() + c] >= v);
                 }
             }
         }
@@ -1127,6 +1244,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one bound pass equals the scalar `rect_score_bound` by bit
+    /// pattern for every partition: boxes whose coordinates include ±0,
+    /// NaN, ±∞ and mixed magnitudes (corners drawn independently, so
+    /// some are inverted),
+    /// over an index with non-finite rectangle corners and one with
+    /// emptied partitions, at dims with and without remainder lanes.
+    #[test]
+    fn bound_pass_is_bit_identical_to_the_scalar_bound() {
+        let specials = [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut rng = StdRng::seed_from_u64(71);
+        let (mut d_out, mut d_in) = (Vec::new(), Vec::new());
+        let mut empty_seen = false;
+        for dim in [1usize, 7, 8, 13, 32, 33] {
+            let mut non_finite = random_items(300, dim, 73 + dim as u64);
+            for (i, v) in [(5, f32::INFINITY), (90, f32::NEG_INFINITY), (150, f32::NAN)] {
+                non_finite[i * dim + i % dim] = v;
+            }
+            let three = random_items(3, dim, 79);
+            let emptying: Vec<f32> = (0..60)
+                .flat_map(|i| three[(i % 3) * dim..(i % 3 + 1) * dim].to_vec())
+                .collect();
+            for (items, nlist) in [(non_finite, 17), (emptying, 11)] {
+                let ix = IvfIndex::build(
+                    &items,
+                    dim,
+                    &IvfParams {
+                        nlist,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                empty_seen |= (0..ix.nlist()).any(|c| ix.members(c).is_empty());
+                for case in 0..40 {
+                    // Magnitudes from 1e-20 to 1e20: f64 sums of f32
+                    // terms of one scale are exact, so only mixed scales
+                    // would show an add in another order.
+                    let mut coord = || -> f32 {
+                        if rng.gen_bool(0.2) {
+                            specials[rng.gen_range(0..specials.len())]
+                        } else {
+                            rng.gen_range(-2.5f32..2.5) * 10f32.powi(rng.gen_range(-20..=20))
+                        }
+                    };
+                    let lo: Vec<f32> = (0..dim).map(|_| coord()).collect();
+                    let hi: Vec<f32> = (0..dim).map(|_| coord()).collect();
+                    let cen: Vec<f32> = (0..dim).map(|_| coord()).collect();
+                    let q = BoxQuery {
+                        lo: &lo,
+                        hi: &hi,
+                        cen: &cen,
+                        inside_weight: 0.5,
+                        gamma: 12.0,
+                        bound_slack: 0.0,
+                    };
+                    ix.bound_pass(&q, &mut d_out, &mut d_in);
+                    for (c, got) in d_out.iter().enumerate() {
+                        let want = ix.rect_score_bound(&q, c);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "d={dim} nlist={nlist} case {case} partition {c}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(empty_seen, "no fixture left a partition empty");
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl Engine {
         );
         let n_users = train.n_users();
         let n_items = train.n_items();
-        let scorer = ItemScorer::new(&model, &config, n_items);
+        let mut scorer = ItemScorer::new(&model, &config, n_items);
         let popularity = train
             .item_popularity()
             .into_iter()
@@ -213,6 +213,9 @@ impl Engine {
                 };
                 match IvfIndex::build(scorer.items(), scorer.dim(), &params) {
                     Ok(ix) => {
+                        // Each partition's rows become one contiguous run,
+                        // the order the re-rank reads them in.
+                        scorer.order_rows(ix.member_order());
                         let nprobe = if nprobe == 0 {
                             auto_nprobe(ix.nlist())
                         } else {
@@ -449,9 +452,10 @@ impl Engine {
             // re-rank over the probed partitions. Only box-backed users go
             // through the index — cold users keep the popularity fallback
             // below, bit-for-bit unchanged. The re-rank scores candidates
-            // through the per-item kernel of the full scan and ranks them
-            // with the same selector, so whenever the probed partitions
-            // contain the true top-k the answer is byte-identical to
+            // through the per-item kernel of the full scan, reading each
+            // partition's rows as one contiguous run, and ranks them with
+            // the same selector, so whenever the probed partitions contain
+            // the true top-k the answer is byte-identical to
             // `IndexMode::FullSort`.
             if let (Some(b), Some((index, nprobe))) = (resolved.as_deref(), self.index.as_ref()) {
                 self.scorer.prepare_box_bounds(b, score);

@@ -18,8 +18,16 @@
 //! 4. **Cold users bypass the index.** History-less users get the
 //!    popularity fallback byte-identically in both modes — the index
 //!    never sees them.
+//! 5. **An answer that says it is exact is.** Driving `select_probes` +
+//!    `rerank` directly at the auto `nprobe`, every answer whose
+//!    `RerankStats::exact` is set equals the full sort bit for bit, on
+//!    clustered and on uniform item points.
 
+use inbox_core::predict::all_user_boxes;
+use inbox_core::{ItemScorer, ScoreScratch};
 use inbox_data::{Dataset, SyntheticConfig};
+use inbox_eval::top_k_masked;
+use inbox_index::{auto_nlist, auto_nprobe, BoxQuery, IvfIndex, IvfParams, QueryScratch};
 use inbox_kg::UserId;
 use inbox_serve::{Engine, IndexMode, ServeConfig};
 use inbox_testkit::harness;
@@ -232,6 +240,93 @@ fn cold_users_bypass_the_index_unchanged() {
         assert!(got.fallback, "user {u}: index must preserve the fallback");
         assert_answers_bit_identical(&got, &want, &format!("cold user {u}"));
     }
+}
+
+/// Contract 5 on one geometry: returns how many answers reported
+/// `exact`, after asserting each of them equals the full sort (ids and
+/// score bits), with the rows in partition order as the engine keeps them.
+fn exact_answers_match_the_full_sort(ds: &Dataset, clustered: bool) -> usize {
+    let cfg = inbox_core::InBoxConfig::tiny_test();
+    let mut model = inbox_core::InBoxModel::new(harness::sizes_of(ds), &cfg);
+    if clustered {
+        harness::cluster_item_points(&mut model, ds.kg.n_tags().max(1), 0.05, 0x1db0);
+    }
+    let boxes = all_user_boxes(&model, &ds.kg, &ds.train, &cfg);
+    let mut scorer = ItemScorer::new(&model, &cfg, ds.n_items());
+    let full: Vec<_> = boxes
+        .iter()
+        .enumerate()
+        .map(|(u, b)| {
+            b.as_ref().map(|b| {
+                let scores = scorer.score_box(b);
+                top_k_masked(&scores, ds.train.items_of(UserId(u as u32)), 20)
+                    .into_iter()
+                    .map(|i| (i, scores[i.index()]))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let params = IvfParams {
+        nlist: auto_nlist(ds.n_items()),
+        ..IvfParams::default()
+    };
+    let index = IvfIndex::build(scorer.items(), scorer.dim(), &params).expect("index builds");
+    scorer.order_rows(index.member_order());
+    let nprobe = auto_nprobe(index.nlist());
+    let (mut score, mut query, mut out) =
+        (ScoreScratch::default(), QueryScratch::default(), Vec::new());
+    let mut exact = 0;
+    for (u, (b, want)) in boxes.iter().zip(&full).enumerate() {
+        let (Some(b), Some(want)) = (b, want) else {
+            continue;
+        };
+        scorer.prepare_box_bounds(b, &mut score);
+        let q = BoxQuery {
+            lo: score.lo(),
+            hi: score.hi(),
+            cen: &b.cen,
+            inside_weight: scorer.inside_weight(),
+            gamma: scorer.gamma(),
+            bound_slack: 0.0,
+        };
+        index.select_probes(&q, nprobe, &mut query);
+        let mask = ds.train.items_of(UserId(u as u32));
+        let stats = index.rerank(
+            &q,
+            20,
+            mask,
+            |i| scorer.score_item_prepared(b, &score, i),
+            &mut query,
+            &mut out,
+        );
+        if !stats.exact {
+            continue;
+        }
+        exact += 1;
+        let bits = |a: &[(inbox_kg::ItemId, f32)]| {
+            a.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(&out),
+            bits(want),
+            "user {u}: an answer reported exact differs from the full sort ({stats:?})"
+        );
+    }
+    exact
+}
+
+/// Contract 5: exactness is never claimed wrongly. On the clustered
+/// fixture the bound proves some answers exact at the default `nprobe`;
+/// on uniform points it rarely can, but whatever it claims still holds.
+#[test]
+fn answers_reported_exact_equal_the_full_sort() {
+    let ds = recall_dataset(821);
+    let clustered = exact_answers_match_the_full_sort(&ds, true);
+    assert!(
+        clustered > 0,
+        "no clustered answer was proven exact at the default nprobe"
+    );
+    exact_answers_match_the_full_sort(&ds, false);
 }
 
 /// Diagnostic sweep (not a contract): prints recall@20 as a function of
